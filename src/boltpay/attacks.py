@@ -21,12 +21,12 @@ shipped here stops (iii); the demo carries an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .contract import (
+    BanknoteLost,
     ChallengeClaim,
     ChallengeClaimSig,
-    BanknoteLost,
     RecoverCoins,
     RecoverCoinsSig,
 )
@@ -64,10 +64,7 @@ class ProofTheftStrategy:
         w = pending.witness
         if isinstance(w, (ChallengeClaim, ChallengeClaimSig)):
             bolt = sim.env.gen_bolt(self.thief)
-            if isinstance(w, ChallengeClaim):
-                mine = ChallengeClaim(w.certificate, bolt.serial)
-            else:
-                mine = ChallengeClaimSig(w.signature, bolt.serial)
+            mine = replace(w, new_serial=bolt.serial)
             paid = sim.chain.submit_trigger(self.thief, pending.ssid, mine, 0)
             if paid is not None:
                 z = sim.ledger.retrieve_contract(pending.ssid)
@@ -75,11 +72,7 @@ class ProofTheftStrategy:
                     Banknote(pending.ssid, bolt.serial, (bolt,), z[2]))
                 self.thefts += 1
         elif isinstance(w, (RecoverCoins, RecoverCoinsSig)):
-            if isinstance(w, RecoverCoins):
-                mine = RecoverCoins(w.certificate)
-            else:
-                mine = RecoverCoinsSig(w.signature)
-            paid = sim.chain.submit_trigger(self.thief, pending.ssid, mine, 0)
+            paid = sim.chain.submit_trigger(self.thief, pending.ssid, w, 0)
             if paid is not None:
                 self.thefts += 1
 
@@ -159,10 +152,3 @@ def run_attack_iii(variant: str = "base", seed: int = 0, delta: int = 5) -> Atta
     return AttackOutcome("attack-iii", variant, seed,
                          sim.value.max_net > 0, sim.value.max_net,
                          label=UNMITIGATED, trace=sim.trace)
-
-
-ATTACKS = {
-    "attack-i": run_attack_i,
-    "attack-ii": run_attack_ii,
-    "attack-iii": run_attack_iii,
-}

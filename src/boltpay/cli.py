@@ -5,7 +5,7 @@ Exit codes, uniform across subcommands:
      no invariant violations); for games, no wins while sound
   1  an invariant broke or the adversary finished with positive net value
   2  could not even start: unreadable file, scenario parse error (reported
-     with its line number), unknown demo name
+     with its line number), negative window or deposit, unknown demo name
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .bridge import (
     split_denominations,
     verify_bridge_note,
 )
-from .errors import BoltPayError, ParseError, ScriptError
+from .contract import VARIANTS
+from .errors import BoltPayError
 from .games import run_all_games
 from .harness import SimConfig, Simulation, run_scenario
 from .ledger import Ledger
@@ -31,8 +32,6 @@ from .lightning import ql_setup
 
 DEMOS = ("mint-pay-redeem", "lost-claim", "challenge",
          "attack-i", "attack-ii", "attack-iii", "merkle-split")
-
-VARIANTS = ("base", "sig-gated", "commit-reveal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,15 +95,7 @@ def cmd_run(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        config = _config_from(args, default_n=8)
-        sim = run_scenario(config, text)
-    except ScriptError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    sim = run_scenario(_config_from(args, default_n=8), text)
     _emit("\n".join(sim.trace) + "\n", args.out)
     problems = sim.audit()
     for problem in problems:

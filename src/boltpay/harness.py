@@ -33,14 +33,18 @@ count only once spent.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 from .contract import (
+    NO_CLAIM,
     BanknoteLost,
+    BanknoteState,
     ChallengeClaim,
     ChallengeClaimSig,
+    ClaimBy,
     ClaimUnchallenged,
     CommitLost,
+    LostClaimCommits,
     PhiParams,
     RecoverCoins,
     RecoverCoinsSig,
@@ -121,31 +125,13 @@ class PendingMessage:
     amount: int = 0
 
 
-class FifoChain:
-    """Deliver at once, in submission order."""
-
-    def __init__(self, sim: "Simulation"):
-        self.sim = sim
-
-    def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
-        return self.sim._deliver_trigger(sender, ssid, witness, deposit, on_result)
-
-    def submit_transaction(self, sender, payee, amount):
-        return self.sim._deliver_transaction(sender, payee, amount)
-
-    def deliver_due(self):
-        pass
-
-    def pending(self) -> list[PendingMessage]:
-        return []
-
-
 class ReorderChain:
     """Mempool with an adversary window.
 
     Honest submissions wait delta ticks, visible to the strategy; corrupt
     submissions deliver immediately, which is exactly the reordering power
-    a front-runner has.
+    a front-runner has.  With delta 0 (the fifo scheduler) every
+    submission delivers at once, in submission order.
     """
 
     def __init__(self, sim: "Simulation", delta: int):
@@ -156,8 +142,6 @@ class ReorderChain:
 
     def _hold(self, sender, deliver, pending: PendingMessage):
         sim = self.sim
-        if sender in sim.corrupted or self.delta == 0:
-            return deliver()
         self._seq += 1
         due = sim.ledger.time + self.delta
         self._held.append((due, self._seq, deliver, pending))
@@ -168,18 +152,25 @@ class ReorderChain:
         return HELD
 
     def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
+        if not self.delta or sender in self.sim.corrupted:
+            return self.sim._deliver_trigger(sender, ssid, witness, deposit,
+                                             on_result)
         deliver = lambda: self.sim._deliver_trigger(
             sender, ssid, witness, deposit, on_result)
         return self._hold(sender, deliver,
                           PendingMessage(sender, "trigger", ssid, witness, deposit))
 
     def submit_transaction(self, sender, payee, amount):
+        if not self.delta or sender in self.sim.corrupted:
+            return self.sim._deliver_transaction(sender, payee, amount)
         deliver = lambda: self.sim._deliver_transaction(sender, payee, amount)
         return self._hold(sender, deliver,
                           PendingMessage(sender, "transaction", None, None, 0,
                                          payee=payee, amount=amount))
 
     def deliver_due(self):
+        if not self._held:
+            return
         now = self.sim.ledger.time
         due_now = sorted((e for e in self._held if e[0] <= now),
                          key=lambda e: (e[0], e[1]))
@@ -211,10 +202,7 @@ class Simulation:
         self.value = ValueLedger()
         self.adversary = None
         self.trace: list[str] = list(config.header_lines())
-        if config.scheduler == "fifo":
-            self.chain = FifoChain(self)
-        else:
-            self.chain = ReorderChain(self, delta)
+        self.chain = ReorderChain(self, delta)
         interval = config.scan_interval
         if interval is None:
             interval = config.t_tr - 1
@@ -491,11 +479,22 @@ class Simulation:
                     backing += sum(n.value for n in held)
                     continue
                 rec = self.ledger._contract(ssid)
-                backing += rec.coins if rec is not None else 0
+                if rec is not None:
+                    deposits = _claim_deposits(rec.state.claim)
+                    backing += rec.coins - self.phi.d0 * deposits
             if backing != w.banknote_value:
                 out.append(f"{pid}: banknote_value {w.banknote_value}, "
                            f"backing {backing}")
         return out
+
+
+def _claim_deposits(claim) -> int:
+    """How many d0 claim deposits a banknote contract's pot holds."""
+    if isinstance(claim, ClaimBy):
+        return 1
+    if isinstance(claim, LostClaimCommits):
+        return len(claim.entries)
+    return 0
 
 
 def _fmt_result(r) -> str:
@@ -508,37 +507,27 @@ def _fmt_result(r) -> str:
 
 # -- witness codec (wire format) ---------------------------------------------
 
-_WITNESS_FIELDS = {
-    "BanknoteLost": (BanknoteLost, 0),
-    "ChallengeClaim": (ChallengeClaim, 2),
-    "ClaimUnchallenged": (ClaimUnchallenged, 1),
-    "RecoverCoins": (RecoverCoins, 1),
-    "ChallengeClaimSig": (ChallengeClaimSig, 2),
-    "RecoverCoinsSig": (RecoverCoinsSig, 1),
-    "CommitLost": (CommitLost, 1),
-    "RevealLost": (RevealLost, 1),
-}
+_WITNESS_TYPES = {cls.__name__: cls for cls in (
+    BanknoteLost, ChallengeClaim, ClaimUnchallenged, RecoverCoins,
+    ChallengeClaimSig, RecoverCoinsSig, CommitLost, RevealLost)}
 
 
 def witness_to_fields(w) -> list[str]:
     name = type(w).__name__
-    if name not in _WITNESS_FIELDS:
+    if _WITNESS_TYPES.get(name) is not type(w):
         raise ParseError(f"unknown witness {name}")
-    cls, arity = _WITNESS_FIELDS[name]
-    fields = [name]
-    for f in cls.__dataclass_fields__:
-        fields.append(getattr(w, f).hex())
-    return fields
+    return [name] + [getattr(w, f.name).hex() for f in fields(w)]
 
 
-def witness_from_fields(name: str, fields: list[str]):
-    if name not in _WITNESS_FIELDS:
+def witness_from_fields(name: str, hex_fields: list[str]):
+    cls = _WITNESS_TYPES.get(name)
+    if cls is None:
         raise ParseError(f"unknown witness {name!r}")
-    cls, arity = _WITNESS_FIELDS[name]
-    if len(fields) != arity:
-        raise ParseError(f"{name} takes {arity} fields, got {len(fields)}")
+    arity = len(fields(cls))
+    if len(hex_fields) != arity:
+        raise ParseError(f"{name} takes {arity} fields, got {len(hex_fields)}")
     try:
-        return cls(*(bytes.fromhex(f) for f in fields))
+        return cls(*(bytes.fromhex(f) for f in hex_fields))
     except ValueError as e:
         raise ParseError(f"bad hex in {name}: {e}") from None
 
@@ -561,12 +550,18 @@ def run_scenario(config: SimConfig, text: str) -> Simulation:
     """Execute a scenario script; raises ScriptError with the line number."""
     sim = Simulation(config)
     for line_no, tokens in parse_scenario(text):
+        op, args = tokens[0], tokens[1:]
+        if op not in _DIRECTIVES:
+            raise ScriptError(line_no, f"unknown directive {op!r}")
+        fewest, most, handler = _DIRECTIVES[op]
+        if not fewest <= len(args) <= most:
+            want = fewest if fewest == most else f"{fewest} to {most}"
+            raise ScriptError(
+                line_no, f"{op} takes {want} arguments, got {len(args)}")
         try:
-            _step(sim, tokens)
-        except ScriptError:
-            raise
+            handler(sim, *args)
         except (BoltPayError, ValueError, KeyError, IndexError) as e:
-            raise ScriptError(line_no, f"{tokens[0]}: {e}") from e
+            raise ScriptError(line_no, f"{op}: {e}") from e
     return sim
 
 
@@ -576,88 +571,9 @@ def _int(tok: str) -> int:
     return int(tok)
 
 
-def _step(sim: Simulation, tokens: list[str]) -> None:
-    op, args = tokens[0], tokens[1:]
-    if op == "AddParty":
-        (pid,) = args
-        sim.add_party(pid)
-    elif op == "RetrieveParty":
-        sender, pid = args
-        sim.raw_retrieve_party(sender, pid)
-    elif op == "AddTransaction":
-        sender, payee, d = args
-        sim.transaction(sender, payee, _int(d))
-    elif op == "RetrieveTransaction":
-        sender, tr_id = args
-        sim.raw_retrieve_transaction(sender, _int(tr_id))
-    elif op == "AddSmartContract":
-        sim.raw_add_contract(args[0], _parse_contract_params(sim, args[1:]))
-    elif op == "InitializeWithCoins":
-        sender, ssid = args
-        sim.raw_initialize(sender, _int(ssid))
-    elif op == "Trigger":
-        sender, ssid, d, wname = args[:4]
-        witness = witness_from_fields(wname, args[4:])
-        sim.chain.submit_trigger(sender, _int(ssid), witness, _int(d))
-    elif op == "RetrieveContract":
-        sender, ssid = args
-        sim.raw_retrieve_contract(sender, _int(ssid))
-    elif op == "Tick":
-        sim.tick(1)
-    elif op == "TICK":
-        (k,) = args
-        sim.tick(_int(k))
-    elif op == "CORRUPT":
-        (pid,) = args
-        sim.corrupt(pid)
-    elif op == "UNCORRUPT":
-        (pid,) = args
-        sim.uncorrupt(pid)
-    elif op == "MINT":
-        pid, value = args
-        sim.mint(pid, _int(value))
-    elif op == "PAY":
-        payer, payee, ssid = args[:3]
-        rejects = len(args) > 3 and args[3] == "reject"
-        sim.pay(payer, payee, _int(ssid), payee_rejects=rejects)
-    elif op == "REDEEM":
-        pid, ssid = args
-        sim.redeem(pid, _int(ssid))
-    elif op == "FILECLAIM":
-        pid, ssid = args
-        sim.file_claim(pid, _int(ssid))
-    elif op == "SETTLE":
-        pid, ssid = args
-        sim.settle(pid, _int(ssid))
-    elif op == "COMMITCLAIM":
-        pid, ssid = args
-        sim.commit_claim(pid, _int(ssid))
-    elif op == "REVEALCLAIM":
-        pid, ssid = args
-        sim.reveal_claim(pid, _int(ssid))
-    elif op == "WATCHDOG":
-        if args:
-            sim.watchdog(args[0])
-        else:
-            for pid in sorted(sim.wallets):
-                if pid not in sim.corrupted:
-                    sim.watchdog(pid)
-    elif op == "CLONE":
-        pid, ssid = args
-        sim.clone(pid, _int(ssid))
-    elif op == "MOVENOTE":
-        ssid, pid = args
-        sim.move_note(_int(ssid), pid)
-    elif op == "LOSE":
-        pid, ssid = args
-        sim.lose(pid, _int(ssid))
-    else:
-        raise ParseError(f"unknown directive {op!r}")
-
-
-def _parse_contract_params(sim: Simulation, args: list[str]) -> ContractParams:
-    """members 'a,b' deposits 'a=3,b=4' variant st0hex -> ContractParams."""
-    members_tok, deposits_tok, variant, st0hex = args
+def _add_contract(sim: Simulation, sender, members_tok, deposits_tok, variant,
+                  st0hex) -> None:
+    """members 'a,b' deposits 'a=3,b=4' variant st0hex, as a raw contract."""
     members = tuple(members_tok.split(","))
     deposits = []
     for part in deposits_tok.split(","):
@@ -665,7 +581,64 @@ def _parse_contract_params(sim: Simulation, args: list[str]) -> ContractParams:
         if not sep:
             raise ParseError(f"bad deposit {part!r}")
         deposits.append((pid, _int(d)))
-    phi = PhiParams(variant, sim.phi.d0, sim.phi.t_tr, sim.phi.t0, sim.phi.t1)
-    from .contract import NO_CLAIM, BanknoteState
     st0 = BanknoteState(bytes.fromhex(st0hex), NO_CLAIM)
-    return ContractParams(members, tuple(deposits), phi, st0)
+    sim.raw_add_contract(sender, ContractParams(
+        members, tuple(deposits), replace(sim.phi, variant=variant), st0))
+
+
+def _trigger(sim: Simulation, sender, ssid, d, wname, *hex_fields) -> None:
+    witness = witness_from_fields(wname, list(hex_fields))
+    sim.chain.submit_trigger(sender, _int(ssid), witness, _int(d))
+
+
+def _pay(sim: Simulation, payer, payee, ssid, flag=None) -> None:
+    if flag not in (None, "reject"):
+        raise ParseError(f"the only 4th argument is 'reject', got {flag!r}")
+    sim.pay(payer, payee, _int(ssid), payee_rejects=flag is not None)
+
+
+def _watchdog(sim: Simulation, pid=None) -> None:
+    if pid is not None:
+        sim.watchdog(pid)
+        return
+    for pid in sorted(sim.wallets):
+        if pid not in sim.corrupted:
+            sim.watchdog(pid)
+
+
+def _call(method: str, *kinds):
+    """A directive whose arguments map one to one onto the Simulation
+    method of that name, each converted by its kind (str or _int)."""
+    return len(kinds), len(kinds), lambda sim, *args: getattr(sim, method)(
+        *(kind(arg) for kind, arg in zip(kinds, args)))
+
+
+# directive -> (fewest args, most args, handler(sim, *args)).  Handlers look
+# Simulation methods up on the instance at call time, so a method patched or
+# overridden after import is the one a script line calls.
+_DIRECTIVES = {
+    "AddParty": _call("add_party", str),
+    "RetrieveParty": _call("raw_retrieve_party", str, str),
+    "AddTransaction": _call("transaction", str, str, _int),
+    "RetrieveTransaction": _call("raw_retrieve_transaction", str, _int),
+    "AddSmartContract": (5, 5, _add_contract),
+    "InitializeWithCoins": _call("raw_initialize", str, _int),
+    "Trigger": (4, 4 + max(len(fields(c)) for c in _WITNESS_TYPES.values()),
+                _trigger),
+    "RetrieveContract": _call("raw_retrieve_contract", str, _int),
+    "Tick": (0, 0, lambda sim: sim.tick(1)),
+    "TICK": _call("tick", _int),
+    "CORRUPT": _call("corrupt", str),
+    "UNCORRUPT": _call("uncorrupt", str),
+    "MINT": _call("mint", str, _int),
+    "PAY": (3, 4, _pay),
+    "REDEEM": _call("redeem", str, _int),
+    "FILECLAIM": _call("file_claim", str, _int),
+    "SETTLE": _call("settle", str, _int),
+    "COMMITCLAIM": _call("commit_claim", str, _int),
+    "REVEALCLAIM": _call("reveal_claim", str, _int),
+    "WATCHDOG": (0, 1, _watchdog),
+    "CLONE": _call("clone", str, _int),
+    "MOVENOTE": _call("move_note", _int, str),
+    "LOSE": _call("lose", str, _int),
+}

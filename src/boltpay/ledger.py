@@ -101,9 +101,6 @@ class Ledger:
         self.parties: dict[str, PartyRecord] = {}
         self.transactions: list[TransactionRecord] = []
         self.contracts: list[ContractRecord] = []
-        # Notification channel (Executed / RecordedContract / Reward /
-        # AddedParty tuples); drained by whoever is watching the chain.
-        self.events: list[tuple] = []
         self.write_count = 0
         self.read_count = 0
 
@@ -116,7 +113,6 @@ class Ledger:
         if pid in self.parties:
             return False
         self.parties[pid] = PartyRecord(pid, name, coins)
-        self.events.append((self.time, "AddedParty", pid, coins))
         return True
 
     def retrieve_party(self, pid: str) -> int | None:
@@ -138,7 +134,6 @@ class Ledger:
         tr_id = len(self.transactions) + 1
         self.transactions.append(
             TransactionRecord(tr_id, payer, payee, amount, self.time))
-        self.events.append((self.time, "Executed", tr_id))
         return tr_id
 
     def retrieve_transaction(self, tr_id: int) -> TransactionRecord | None:
@@ -158,7 +153,6 @@ class Ledger:
             return None
         ssid = len(self.contracts) + 1
         self.contracts.append(ContractRecord(ssid, params, None))
-        self.events.append((self.time, "RecordedContract", ssid, creator))
         return ssid
 
     def initialize_with_coins(self, pid: str, ssid: int,
@@ -211,7 +205,6 @@ class Ledger:
                              coins=d, initialized=True)
         self.parties[pid].coins -= d
         self.contracts.append(rec)
-        self.events.append((self.time, "RecordedContract", ssid, pid))
         return ssid
 
     def trigger(self, pid: str, ssid: int, witness: Any, deposit: int) -> int | None:
@@ -255,7 +248,6 @@ class Ledger:
             paid = 0
         if paid:
             self.parties[pid].coins += paid
-        self.events.append((self.time, "Reward", ssid, pid, paid))
         return paid
 
     def retrieve_contract(self, ssid: int) -> tuple[ContractParams, Any, int] | None:

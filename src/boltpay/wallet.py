@@ -35,11 +35,10 @@ from .contract import (
     is_banknote_contract,
     recover_message,
 )
-from .errors import MeasureFailed, MintFailed, NotOwner
+from .errors import KeyExhausted, MeasureFailed, MintFailed, NotOwner
 from .ledger import Ledger
 from .lightning import SERIAL_LEN, BoltHandle, QuantumEnv
 from .qlds import QldsKey, QldsParams, gen_sig, qlds_gen
-from .errors import KeyExhausted
 
 LOST_OWNER = "@lost"
 
@@ -110,10 +109,6 @@ class Wallet:
             raise MintFailed("single-bolt notes cannot sign; use the base variant")
 
     # -- note bookkeeping ----------------------------------------------
-
-    @property
-    def watch_list(self) -> list[tuple[int, Banknote]]:
-        return [(ssid, n) for ssid, held in sorted(self.notes.items()) for n in held]
 
     def holds(self, ssid: int) -> bool:
         return bool(self.notes.get(ssid))
@@ -339,7 +334,6 @@ class Wallet:
         else:
             witness = ChallengeClaimSig(proof, serial)
         self.pending_challenges.add(ssid)
-        old_value = note.value
 
         def finish(paid):
             self.pending_challenges.discard(ssid)

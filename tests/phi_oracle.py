@@ -25,7 +25,7 @@ from boltpay.contract import (
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
-    evaluate,
+    phi_money,
 )
 from boltpay.ledger import ALL_COINS
 
@@ -273,7 +273,7 @@ def run_agreement():
         net = network(variant)
         for st, w, pid, d, t in product(STATES, WITNESSES, SENDERS,
                                         DEPOSITS, TIMES):
-            got = evaluate(net, pid, w, t, st, d)
+            got = phi_money(net, pid, w, t, st, d)
             want = reference_transition(net, pid, w, t, st, d)
             checked += 1
             if got != want:

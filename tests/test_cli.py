@@ -46,6 +46,26 @@ def test_run_reports_parse_errors_with_line_numbers(tmp_path):
     assert "line 2" in r.stderr
 
 
+# A corrupt party claims an honest note and spends it on; with a negative
+# claim window the claim would settle the tick it was filed.
+FRONT_CLAIM = ("AddParty\talice:50\nAddParty\tbob:50\nAddParty\tmallory:40\n"
+               "CORRUPT\tmallory:40\nMINT\talice:50\t25\n"
+               "FILECLAIM\tmallory:40\t1\nSETTLE\tmallory:40\t1\n"
+               "PAY\tmallory:40\tbob:50\t1\n")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ttr", "-3"), ("--d0", "-5"), ("--t0", "-1"), ("--t1", "-1")])
+def test_negative_windows_are_refused_before_any_line_runs(flag, value, tmp_path):
+    script = tmp_path / "front-claim.bolt"
+    script.write_text(FRONT_CLAIM)
+    assert boltpay("run", str(script)).returncode == 0
+    r = boltpay("run", str(script), flag, value)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "must not be negative" in r.stderr
+
+
 def test_double_spend_needs_the_unsound_flag(tmp_path):
     scenario = str(SCENARIOS / "double-spend-attempt.bolt")
     sound = boltpay("run", scenario)

@@ -1,5 +1,6 @@
 """Simulation harness: accounting rules, schedulers, scripts, trace replay."""
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from boltpay.contract import (
 )
 from boltpay.errors import ParseError, ScriptError
 from boltpay.harness import (
+    _DIRECTIVES,
     SimConfig,
     Simulation,
     run_scenario,
@@ -245,6 +247,42 @@ def test_wrong_witness_arity_reports_its_line():
     assert exc.value.line_no == 2
 
 
+def _arity(op):
+    fewest, most, _ = _DIRECTIVES[op]
+    return fewest if fewest == most else f"{fewest} to {most}"
+
+
+ARITY_CASES = [(op, n) for op, (fewest, most, _) in _DIRECTIVES.items()
+               for n in (fewest - 1, most + 1) if n >= 0]
+
+
+@pytest.mark.parametrize("op,n", ARITY_CASES,
+                         ids=[f"{op}-{n}" for op, n in ARITY_CASES])
+def test_every_directive_refuses_a_wrong_argument_count(op, n):
+    text = "AddParty alice:50\n" + " ".join([op] + ["1"] * n) + "\n"
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), text)
+    assert exc.value.line_no == 2
+    assert f"{op} takes {_arity(op)} arguments, got {n}" in str(exc.value)
+
+
+@pytest.mark.parametrize("op", sorted(_DIRECTIVES))
+def test_every_directive_handler_accepts_the_counts_its_row_allows(op):
+    fewest, most, handler = _DIRECTIVES[op]
+    for n in range(fewest, most + 1):
+        inspect.signature(handler).bind(None, *["1"] * n)
+
+
+def test_pay_takes_only_reject_as_its_fourth_argument():
+    text = ("AddParty alice:50\nAddParty bob:50\nMINT alice:50 5\n"
+            "PAY alice:50 bob:50 1 junk\n")
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), text)
+    assert exc.value.line_no == 4
+    sim = run_scenario(SimConfig(), text.replace("junk", "reject"))
+    assert sim.wallets[ALICE].holds(1)
+
+
 def test_bad_integer_reports_its_line():
     with pytest.raises(ScriptError) as exc:
         run_scenario(SimConfig(), "TICK soon\n")
@@ -267,6 +305,26 @@ def test_scenario_accounting_replays_and_stays_nonpositive(name):
     assert sim.value.max_net <= 0
     assert sim.audit() == []
     assert sim.honest_bookkeeping_violations() == []
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
+def test_bookkeeping_leaves_a_foreign_claim_deposit_out_of_the_backing(variant):
+    sim = Simulation(SimConfig(variant=variant, t_tr=12))
+    sim.add_party(ALICE)
+    sim.add_party(MALLORY)
+    sim.corrupt(MALLORY)
+    ssid = sim.mint(ALICE, 25)
+    if variant == "commit-reveal":
+        sim.commit_claim(MALLORY, ssid)
+        sim.commit_claim(MALLORY, ssid)
+        assert sim.ledger.retrieve_contract(ssid)[2] == 45
+    else:
+        sim.file_claim(MALLORY, ssid)
+        assert sim.ledger.retrieve_contract(ssid)[2] == 35
+    assert sim.honest_bookkeeping_violations() == []
+    sim.wallets[ALICE].banknote_value += 1
+    assert sim.honest_bookkeeping_violations() == [
+        f"{ALICE}: banknote_value 26, backing 25"]
 
 
 def test_double_spend_only_pays_without_the_no_cloning_guarantee():

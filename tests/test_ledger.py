@@ -325,7 +325,7 @@ def test_real_banknote_circuit_pays_out_through_the_ledger():
     assert led.contracts[0].terminated
 
 
-# -- counters, events, digests -----------------------------------------
+# -- counters and digests -----------------------------------------
 
 def test_write_count_includes_rejected_submissions():
     led = Ledger()
@@ -345,17 +345,6 @@ def test_reads_are_counted_separately():
     led.retrieve_transaction(1)
     led.retrieve_contract(1)
     assert led.read_count == 3 and led.write_count == w
-
-
-def test_events_record_the_public_history():
-    led, ssid = funded()
-    led.add_party(BOB)
-    led.add_transaction(ALICE, BOB, 5)
-    led.trigger(ALICE, ssid, ("set", "s", 2), 0)
-    kinds = [e[1] for e in led.events]
-    assert kinds == ["AddedParty", "RecordedContract", "AddedParty",
-                     "Executed", "Reward"]
-    assert led.events[-1] == (0, "Reward", ssid, ALICE, 2)
 
 
 def test_digest_tracks_state_not_instrumentation():
