@@ -3,7 +3,8 @@
 The pieces, bottom to top:
 
 * lightning: move-only "bolt" states with serial numbers, the no-cloning
-  guarantee, and destructive measurement into possession certificates.
+  guarantee, and destructive measurement into possession certificates;
+  bundles of bolts that move and verify as one.
 * qlds: one-time signatures whose secret key is a bundle of 2n bolts.
 * ledger: the trusted coin ledger with parties, transactions, stateful
   contracts, and logical time.
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .harness import SimConfig, Simulation, run_scenario
 from .ledger import ALL_COINS, ContractParams, Ledger
-from .lightning import BoltHandle, QuantumEnv, ql_setup, verify_certificate
+from .lightning import (BoltHandle, BundleHandle, QuantumEnv, ql_setup,
+                        verify_certificate)
 from .qlds import QldsKey, QldsParams, gen_sig, qlds_gen, qlds_ver, verify_sig
 from .wallet import Banknote, Wallet
 
@@ -53,6 +55,7 @@ __all__ = [
     "BanknoteState",
     "BoltHandle",
     "BoltPayError",
+    "BundleHandle",
     "ContractParams",
     "DomainError",
     "KeyExhausted",

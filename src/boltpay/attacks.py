@@ -63,13 +63,13 @@ class ProofTheftStrategy:
             return
         w = pending.witness
         if isinstance(w, (ChallengeClaim, ChallengeClaimSig)):
-            bolt = sim.env.gen_bolt(self.thief)
-            mine = replace(w, new_serial=bolt.serial)
+            bundle = sim.env.gen_bundle(self.thief, 1)
+            mine = replace(w, new_serial=bundle.serial)
             paid = sim.chain.submit_trigger(self.thief, pending.ssid, mine, 0)
             if paid is not None:
                 z = sim.ledger.retrieve_contract(pending.ssid)
                 sim.wallets[self.thief]._add_note(
-                    Banknote(pending.ssid, bolt.serial, (bolt,), z[2]))
+                    Banknote(pending.ssid, bundle, z[2]))
                 self.thefts += 1
         elif isinstance(w, (RecoverCoins, RecoverCoinsSig)):
             paid = sim.chain.submit_trigger(self.thief, pending.ssid, w, 0)

@@ -291,9 +291,8 @@ class Simulation:
         w = self.wallets[pid]
         for ssid in sorted(w.notes):
             for note in w.notes[ssid]:
-                for b in note.bolts:
-                    if self.env.owner_of(b) == pid:
-                        self.env.transfer_bolt(b, pid, ADVERSARY)
+                if self.env.owner_of(note.bundle) == pid:
+                    self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
                 self.pool.append(note)
         w.notes.clear()
         w.banknote_value = 0
@@ -377,11 +376,11 @@ class Simulation:
             self.log(pid, "clone", ssid, "no-note")
             return False
         note = held[0]
-        copies = [self.env.clone_attempt(b) for b in note.bolts]
-        if any(c is None for c in copies):
+        copy = self.env.clone_bundle(note.bundle)
+        if copy is None:
             self.log(pid, "clone", ssid, "refused")
             return False
-        w._add_note(Banknote(ssid, note.serial, tuple(copies), note.value))
+        w._add_note(Banknote(ssid, copy, note.value))
         self.log(pid, "clone", ssid, "ok")
         return True
 
@@ -391,8 +390,7 @@ class Simulation:
         for i, note in enumerate(self.pool):
             if note.ssid == ssid:
                 del self.pool[i]
-                for b in note.bolts:
-                    self.env.transfer_bolt(b, ADVERSARY, pid)
+                self.env.transfer_bundle(note.bundle, ADVERSARY, pid)
                 w._add_note(note)
                 self.log(pid, "move-note", ssid, note.value)
                 return True
@@ -442,7 +440,7 @@ class Simulation:
         return z
 
     def raw_add_contract(self, sender: str, params: ContractParams):
-        ssid = self.ledger.add_smart_contract(sender, params)
+        ssid = self.ledger.add_smart_contract(params)
         self.log(sender, "add-contract", "ignored" if ssid is None else ssid)
         return ssid
 

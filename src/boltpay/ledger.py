@@ -144,7 +144,7 @@ class Ledger:
 
     # -- contracts ----------------------------------------------------
 
-    def add_smart_contract(self, creator: str, params: ContractParams) -> int | None:
+    def add_smart_contract(self, params: ContractParams) -> int | None:
         """Record a contract; every member must already be registered."""
         self.write_count += 1
         if not params.members:

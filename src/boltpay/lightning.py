@@ -7,6 +7,10 @@ the environment's registry, and every operation that physics would forbid
 is refused by construction.  With ``sound_mode=False`` the no-cloning rule
 is switched off, giving a negative control for the security harness.
 
+A banknote or a signing key is a bundle: a fixed sequence of bolts with
+one owner.  A bundle changes hands and verifies in one step, whatever its
+size, while its bolts can still be measured one at a time.
+
 All randomness comes from a caller-supplied 32-byte seed, so two
 environments driven through the same operation sequence are bit-identical.
 """
@@ -38,7 +42,7 @@ class LightningParams:
     sound_mode: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoltHandle:
     """Move-only token standing in for possession of one money state.
 
@@ -52,12 +56,39 @@ class BoltHandle:
     serial: bytes
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class BundleHandle:
+    """Possession of a fixed sequence of bolts that move together.
+
+    ``serial`` is the concatenation of the bolts' serials, in order.  The
+    bolts keep their own liveness, so a single one can be measured, but
+    they have one owner, held by the bundle.
+    """
+
+    env_id: int
+    bundle_id: int
+    serial: bytes
+    bolts: tuple[BoltHandle, ...]
+
+
+@dataclass(slots=True)
+class _BundleRecord:
+    serial: bytes
+    owner: str
+    measured: int  # bolts of the bundle measured so far
+
+
+@dataclass(slots=True)
 class _BoltRecord:
     secret: bytes
     serial: bytes
     alive: bool
-    owner: str
+    owner: str | None  # None when the bolt belongs to a bundle
+    bundle: _BundleRecord | None = None
+
+    @property
+    def holder(self) -> str:
+        return self.owner if self.bundle is None else self.bundle.owner
 
 
 def serial_of(secret: bytes) -> bytes:
@@ -95,7 +126,7 @@ class QuantumEnv:
     """Registry of live bolts plus the deterministic randomness source.
 
     Everything the "physics" knows lives here: secrets, liveness, and
-    ownership.  Callers only ever hold BoltHandle values.
+    ownership.  Callers only ever hold BoltHandle and BundleHandle values.
     """
 
     def __init__(self, params: LightningParams, seed: bytes):
@@ -107,6 +138,7 @@ class QuantumEnv:
         self.env_id = next(_env_counter)
         self._rng = random.Random(int.from_bytes(seed, "big"))
         self._registry: dict[int, _BoltRecord] = {}
+        self._bundles: dict[int, _BundleRecord] = {}
         self._next_id = 1
         self._released_certs: set[bytes] = set()
 
@@ -127,10 +159,43 @@ class QuantumEnv:
         self._registry[bolt_id] = _BoltRecord(secret, serial, True, owner)
         return BoltHandle(self.env_id, bolt_id, serial)
 
+    def gen_bundle(self, owner: str, count: int) -> BundleHandle:
+        """Mint ``count`` fresh bolts as one bundle owned by ``owner``.
+
+        Draws the same randomness and allocates the same bolt ids as
+        ``count`` calls to gen_bolt would.
+        """
+        if count < 1:
+            raise DomainError("a bundle holds at least one bolt")
+        bundle = _BundleRecord(b"", owner, 0)
+        draw, plen = self._rng.randbytes, self.params.preimage_len
+        registry, env_id = self._registry, self.env_id
+        first = self._next_id
+        self._next_id = first + count
+        bolts = []
+        for bolt_id in range(first, first + count):
+            secret = draw(plen)
+            serial = serial_of(secret)
+            registry[bolt_id] = _BoltRecord(secret, serial, True, None, bundle)
+            bolts.append(BoltHandle(env_id, bolt_id, serial))
+        bundle.serial = b"".join(h.serial for h in bolts)
+        return self._register_bundle(bundle, tuple(bolts))
+
+    def _register_bundle(self, bundle: _BundleRecord,
+                         bolts: tuple[BoltHandle, ...]) -> BundleHandle:
+        bundle_id = len(self._bundles) + 1
+        self._bundles[bundle_id] = bundle
+        return BundleHandle(self.env_id, bundle_id, bundle.serial, bolts)
+
     def _record(self, handle: BoltHandle) -> _BoltRecord:
         if handle.env_id != self.env_id or handle.bolt_id not in self._registry:
             raise DomainError("handle was not issued by this environment")
         return self._registry[handle.bolt_id]
+
+    def _bundle(self, handle: BundleHandle) -> _BundleRecord:
+        if handle.env_id != self.env_id or handle.bundle_id not in self._bundles:
+            raise DomainError("bundle was not issued by this environment")
+        return self._bundles[handle.bundle_id]
 
     def verify_bolt(self, handle: BoltHandle, serial: bytes) -> bool:
         """Non-destructive verification against a claimed serial.
@@ -141,6 +206,12 @@ class QuantumEnv:
         rec = self._record(handle)
         return rec.alive and rec.serial == serial
 
+    def verify_bundle(self, handle: BundleHandle, serial: bytes) -> bool:
+        """verify_bolt for every bolt of the bundle against its segment of
+        ``serial``, in one step: no bolt is dead and the serial matches."""
+        rec = self._bundle(handle)
+        return rec.measured == 0 and rec.serial == serial
+
     def gen_certificate(self, handle: BoltHandle, serial: bytes) -> bytes:
         """Destructive measurement: trades the bolt for its preimage.
 
@@ -150,14 +221,28 @@ class QuantumEnv:
         if not rec.alive or rec.serial != serial:
             raise MeasureFailed("bolt is dead or serial does not match")
         rec.alive = False
+        if rec.bundle is not None:
+            rec.bundle.measured += 1
         self._released_certs.add(rec.serial)
         return rec.secret
 
     def transfer_bolt(self, handle: BoltHandle, sender: str, receiver: str) -> None:
-        """Hand the bolt to another party; only the holder may do this."""
+        """Hand the bolt to another party; only the holder may do this.
+
+        A bolt of a bundle moves only with its bundle.
+        """
         rec = self._record(handle)
+        if rec.bundle is not None:
+            raise DomainError("a bundled bolt moves only with its bundle")
         if rec.owner != sender:
             raise NotOwner(f"{sender!r} does not hold this bolt")
+        rec.owner = receiver
+
+    def transfer_bundle(self, handle: BundleHandle, sender: str, receiver: str) -> None:
+        """Hand every bolt of the bundle to another party, or none."""
+        rec = self._bundle(handle)
+        if rec.owner != sender:
+            raise NotOwner(f"{sender!r} does not hold this bundle")
         rec.owner = receiver
 
     def clone_attempt(self, handle: BoltHandle) -> BoltHandle | None:
@@ -165,20 +250,46 @@ class QuantumEnv:
 
         Refused (returns None) in sound mode.  With sound_mode=False a second
         handle with the same secret and serial is registered: the negative
-        control the adversarial harness must catch.
+        control the adversarial harness must catch.  The copy of a bundled
+        bolt is a bolt of its own.
         """
         rec = self._record(handle)
         if self.params.sound_mode:
             return None
         bolt_id = self._next_id
         self._next_id += 1
-        self._registry[bolt_id] = _BoltRecord(rec.secret, rec.serial, rec.alive, rec.owner)
+        self._registry[bolt_id] = _BoltRecord(rec.secret, rec.serial, rec.alive,
+                                              rec.holder)
         return BoltHandle(self.env_id, bolt_id, rec.serial)
+
+    def clone_bundle(self, handle: BundleHandle) -> BundleHandle | None:
+        """clone_attempt on every bolt of the bundle, in order.
+
+        Refused (returns None) in sound mode.  With sound_mode=False the
+        copies are registered as a new bundle with the same owner.
+        """
+        rec = self._bundle(handle)
+        if self.params.sound_mode:
+            return None
+        sources = [self._record(h) for h in handle.bolts]
+        copy = _BundleRecord(rec.serial, rec.owner, rec.measured)
+        registry, env_id = self._registry, self.env_id
+        first = self._next_id
+        self._next_id = first + len(sources)
+        bolts = []
+        for bolt_id, src in enumerate(sources, first):
+            registry[bolt_id] = _BoltRecord(src.secret, src.serial, src.alive,
+                                            None, copy)
+            bolts.append(BoltHandle(env_id, bolt_id, src.serial))
+        return self._register_bundle(copy, tuple(bolts))
 
     # -- inspection ---------------------------------------------------
 
-    def owner_of(self, handle: BoltHandle) -> str:
-        return self._record(handle).owner
+    def owner_of(self, handle: BoltHandle | BundleHandle) -> str:
+        """Holder of a bolt or a bundle; a bundled bolt's is its bundle's."""
+        if isinstance(handle, BundleHandle):
+            return self._bundle(handle).owner
+        return self._record(handle).holder
 
     def is_alive(self, handle: BoltHandle) -> bool:
         return self._record(handle).alive
@@ -210,7 +321,7 @@ class QuantumEnv:
             h.update(rec.secret)
             h.update(rec.serial)
             h.update(b"\x01" if rec.alive else b"\x00")
-            h.update(rec.owner.encode())
+            h.update(rec.holder.encode())
             h.update(b"\x00")
         return h.digest()
 

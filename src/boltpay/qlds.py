@@ -20,6 +20,7 @@ from .lightning import (
     PREIMAGE_LEN,
     SERIAL_LEN,
     BoltHandle,
+    BundleHandle,
     QuantumEnv,
     verify_certificate,
 )
@@ -43,10 +44,17 @@ class QldsParams:
 
 @dataclass(frozen=True)
 class QldsKey:
-    """2n bolts in fixed order plus their concatenated serial."""
+    """A bundle of 2n bolts in fixed order; its serial is the public key."""
 
-    bolts: tuple[BoltHandle, ...]
-    serial: bytes
+    bundle: BundleHandle
+
+    @property
+    def bolts(self) -> tuple[BoltHandle, ...]:
+        return self.bundle.bolts
+
+    @property
+    def serial(self) -> bytes:
+        return self.bundle.serial
 
     @property
     def n(self) -> int:
@@ -71,27 +79,27 @@ def signing_indices(bits: tuple[int, ...]) -> tuple[int, ...]:
 
 def qlds_gen(env: QuantumEnv, params: QldsParams, owner: str) -> QldsKey:
     """Mint a fresh 2n-bolt key for ``owner``."""
-    bolts = tuple(env.gen_bolt(owner) for _ in range(2 * params.n))
-    serial = b"".join(h.serial for h in bolts)
-    return QldsKey(bolts, serial)
+    return QldsKey(env.gen_bundle(owner, 2 * params.n))
+
+
+def _check_serial_length(serial: bytes) -> None:
+    if not serial or len(serial) % SERIAL_LEN != 0:
+        raise ParseError("serial length must be a positive multiple of 32")
 
 
 def split_serial(serial: bytes) -> list[bytes]:
-    if not serial or len(serial) % SERIAL_LEN != 0:
-        raise ParseError("serial length must be a positive multiple of 32")
+    _check_serial_length(serial)
     return [serial[i:i + SERIAL_LEN] for i in range(0, len(serial), SERIAL_LEN)]
 
 
 def qlds_ver(env: QuantumEnv, key: QldsKey, serial: bytes) -> bool:
-    """Check the key is whole: every component verifies against its segment.
+    """Check the key is whole: every bolt is alive and the serial matches.
 
     Rejects as soon as any bolt was consumed, which is what makes the key
     one-time: a signed-with key can no longer be passed off as money.
     """
-    segments = split_serial(serial)
-    if len(segments) != len(key.bolts) or len(segments) % 2 != 0:
-        return False
-    return all(env.verify_bolt(h, s) for h, s in zip(key.bolts, segments))
+    _check_serial_length(serial)
+    return len(key.bolts) % 2 == 0 and env.verify_bundle(key.bundle, serial)
 
 
 def gen_sig(env: QuantumEnv, key: QldsKey, serial: bytes, message: bytes) -> QldsSignature:
@@ -120,20 +128,18 @@ def verify_sig(serial: bytes, message: bytes, signature: QldsSignature) -> bool:
     """Stateless signature check against the concatenated serial.
 
     Works from the serial alone: n is inferred from its length, and each
-    certificate must open the segment its message bit selects.
+    certificate must open the segment its message bit selects.  Only those
+    n segments are sliced out of the serial.
     """
-    try:
-        segments = split_serial(serial)
-    except ParseError:
+    if not serial or len(serial) % (2 * SERIAL_LEN) != 0:
         return False
-    if len(segments) % 2 != 0:
-        return False
-    n = len(segments) // 2
-    if n == 0 or len(signature) != n * PREIMAGE_LEN:
+    n = len(serial) // (2 * SERIAL_LEN)
+    if len(signature) != n * PREIMAGE_LEN:
         return False
     bits = message_bits(message, n)
     for j, idx in enumerate(signing_indices(bits)):
         cert = signature[j * PREIMAGE_LEN:(j + 1) * PREIMAGE_LEN]
-        if not verify_certificate(segments[idx], cert):
+        segment = serial[idx * SERIAL_LEN:(idx + 1) * SERIAL_LEN]
+        if not verify_certificate(segment, cert):
             return False
     return True

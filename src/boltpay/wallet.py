@@ -37,7 +37,7 @@ from .contract import (
 )
 from .errors import KeyExhausted, MeasureFailed, MintFailed, NotOwner
 from .ledger import Ledger
-from .lightning import SERIAL_LEN, BoltHandle, QuantumEnv
+from .lightning import BoltHandle, BundleHandle, QuantumEnv
 from .qlds import QldsKey, QldsParams, gen_sig, qlds_gen
 
 LOST_OWNER = "@lost"
@@ -68,15 +68,25 @@ class DirectChain:
 
 @dataclass
 class Banknote:
-    """A held note: the backing contract id, its serial, and the bolts."""
+    """A held note: the backing contract id, the bundle of bolts, the value.
+
+    The note's serial is its bundle's concatenated serial.
+    """
 
     ssid: int
-    serial: bytes
-    bolts: tuple[BoltHandle, ...]
+    bundle: BundleHandle
     value: int
 
+    @property
+    def serial(self) -> bytes:
+        return self.bundle.serial
+
+    @property
+    def bolts(self) -> tuple[BoltHandle, ...]:
+        return self.bundle.bolts
+
     def key(self) -> QldsKey:
-        return QldsKey(self.bolts, self.serial)
+        return QldsKey(self.bundle)
 
 
 @dataclass
@@ -128,12 +138,10 @@ class Wallet:
         self.banknote_value -= note.value
         return note
 
-    def _mint_bolts(self) -> tuple[tuple[BoltHandle, ...], bytes]:
+    def _mint_bundle(self) -> BundleHandle:
         if self.minimal:
-            bolt = self.env.gen_bolt(self.pid)
-            return (bolt,), bolt.serial
-        key = qlds_gen(self.env, QldsParams(self.n), self.pid)
-        return key.bolts, key.serial
+            return self.env.gen_bundle(self.pid, 1)
+        return qlds_gen(self.env, QldsParams(self.n), self.pid).bundle
 
     # -- minting --------------------------------------------------------
 
@@ -146,12 +154,12 @@ class Wallet:
         # the ledger itself would fund a contract from an exact balance
         if balance is None or not balance > value:
             raise MintFailed(f"{self.pid} cannot cover a deposit of {value}")
-        bolts, serial = self._mint_bolts()
-        params = banknote_params(self.pid, value, self.phi, serial)
+        bundle = self._mint_bundle()
+        params = banknote_params(self.pid, value, self.phi, bundle.serial)
         ssid = self.ledger.add_contract_with_coins(self.pid, params)
         if ssid is None:
             raise MintFailed(f"ledger refused the backing deposit of {value}")
-        note = Banknote(ssid, serial, bolts, value)
+        note = Banknote(ssid, bundle, value)
         self._add_note(note)
         return note
 
@@ -160,21 +168,19 @@ class Wallet:
     def pay(self, payee: "Wallet", ssid: int, payee_rejects: bool = False) -> bool:
         """Hand the note for ssid to the payee; zero ledger writes.
 
-        Returns the payee's accept/reject.  On reject the bolts come back
+        Returns the payee's accept/reject.  On reject the bundle comes back
         and the note is restored.  payee_rejects forces a refusal (used to
         model an uncooperative payee).
         """
         note = self._take_note(ssid)
         if note is None:
             return False
-        for b in note.bolts:
-            self.env.transfer_bolt(b, self.pid, payee.pid)
+        self.env.transfer_bundle(note.bundle, self.pid, payee.pid)
         accept = (not payee_rejects) and payee._check_incoming(note)
         if accept:
             payee._add_note(note)
             return True
-        for b in note.bolts:
-            self.env.transfer_bolt(b, payee.pid, self.pid)
+        self.env.transfer_bundle(note.bundle, payee.pid, self.pid)
         self._add_note(note, front=True)
         return False
 
@@ -183,8 +189,8 @@ class Wallet:
 
         The backing contract must look like a banknote contract under this
         wallet's network constants, hold exactly the claimed value, carry no
-        active claim, and store the note's serial; then every bolt must
-        verify against its serial segment.
+        active claim, and store the note's serial; then the bundle must
+        verify against that serial (every bolt alive, every segment equal).
         """
         z = self.ledger.retrieve_contract(note.ssid)
         if z is None:
@@ -194,12 +200,7 @@ class Wallet:
             return False
         if state != BanknoteState(note.serial, NO_CLAIM) or coins != note.value:
             return False
-        segments = [note.serial[i:i + SERIAL_LEN]
-                    for i in range(0, len(note.serial), SERIAL_LEN)]
-        if len(segments) != len(note.bolts):
-            return False
-        return all(self.env.verify_bolt(b, s)
-                   for b, s in zip(note.bolts, segments))
+        return self.env.verify_bundle(note.bundle, state.serial)
 
     # -- redeeming -------------------------------------------------------
 
@@ -248,7 +249,7 @@ class Wallet:
         On acceptance the wallet holds the rebound note (any stale copies
         of the old serial are dropped; their bolts no longer match).
         """
-        bolts, serial = self._mint_bolts()
+        bundle = self._mint_bundle()
 
         def finish(paid):
             if paid is None:
@@ -257,10 +258,11 @@ class Wallet:
                 self._take_note(ssid)
             z = self.ledger.retrieve_contract(ssid)
             if z is not None:
-                self._add_note(Banknote(ssid, serial, bolts, z[2]))
+                self._add_note(Banknote(ssid, bundle, z[2]))
 
         return self.chain.submit_trigger(
-            self.pid, ssid, ClaimUnchallenged(serial), 0, on_result=finish)
+            self.pid, ssid, ClaimUnchallenged(bundle.serial), 0,
+            on_result=finish)
 
     def commit_lost_claim(self, ssid: int):
         """Commit-reveal variant, step one: post the hiding commitment."""
@@ -328,11 +330,11 @@ class Wallet:
             proof = self._possession_witness(note, challenge_message(self.pid))
         except (MeasureFailed, KeyExhausted):
             return "no-proof"
-        bolts, serial = self._mint_bolts()
+        bundle = self._mint_bundle()
         if self.phi.variant == "base":
-            witness = ChallengeClaim(proof, serial)
+            witness = ChallengeClaim(proof, bundle.serial)
         else:
-            witness = ChallengeClaimSig(proof, serial)
+            witness = ChallengeClaimSig(proof, bundle.serial)
         self.pending_challenges.add(ssid)
 
         def finish(paid):
@@ -343,7 +345,7 @@ class Wallet:
                 return
             z = self.ledger.retrieve_contract(ssid)
             if z is not None:
-                self._add_note(Banknote(ssid, serial, bolts, z[2]))
+                self._add_note(Banknote(ssid, bundle, z[2]))
 
         self.chain.submit_trigger(self.pid, ssid, witness, 0, on_result=finish)
         return "challenge"
@@ -355,9 +357,8 @@ class Wallet:
         note = self._take_note(ssid)
         if note is None:
             return None
-        for b in note.bolts:
-            try:
-                self.env.transfer_bolt(b, self.pid, LOST_OWNER)
-            except NotOwner:
-                pass
+        try:
+            self.env.transfer_bundle(note.bundle, self.pid, LOST_OWNER)
+        except NotOwner:
+            pass
         return note

@@ -129,8 +129,8 @@ def test_contract_ids_count_up_from_one():
     led = Ledger()
     led.add_party(ALICE)
     p = scripted_contract(ALICE, 5)
-    assert led.add_smart_contract(ALICE, p) == 1
-    assert led.add_smart_contract(ALICE, p) == 2
+    assert led.add_smart_contract(p) == 1
+    assert led.add_smart_contract(p) == 2
 
 
 def test_contract_with_unregistered_member_is_refused():
@@ -138,8 +138,8 @@ def test_contract_with_unregistered_member_is_refused():
     led.add_party(ALICE)
     p = ContractParams(members=(ALICE, "ghost:1"), deposits=(),
                        circuit=ScriptedCircuit(), initial_state=None)
-    assert led.add_smart_contract(ALICE, p) is None
-    assert led.add_smart_contract(ALICE, ContractParams(
+    assert led.add_smart_contract(p) is None
+    assert led.add_smart_contract(ContractParams(
         members=(), deposits=(), circuit=ScriptedCircuit(),
         initial_state=None)) is None
 
@@ -149,7 +149,7 @@ def test_initialization_may_spend_the_whole_balance():
     led = Ledger()
     led.add_party(ALICE)
     p = scripted_contract(ALICE, 50)
-    ssid = led.add_smart_contract(ALICE, p)
+    ssid = led.add_smart_contract(p)
     assert led.initialize_with_coins(ALICE, ssid, p) == "ok"
     assert led.retrieve_party(ALICE) == 0
     assert led.retrieve_contract(ssid)[2] == 50
@@ -159,7 +159,7 @@ def test_initialization_fails_without_funds():
     led = Ledger()
     led.add_party(ALICE)
     p = scripted_contract(ALICE, 51)
-    ssid = led.add_smart_contract(ALICE, p)
+    ssid = led.add_smart_contract(p)
     assert led.initialize_with_coins(ALICE, ssid, p) is None
     assert led.retrieve_party(ALICE) == 50
     assert led.retrieve_contract(ssid) is None
@@ -169,7 +169,7 @@ def test_reinitialization_is_refused():
     led = Ledger()
     led.add_party(ALICE)
     p = scripted_contract(ALICE, 5)
-    ssid = led.add_smart_contract(ALICE, p)
+    ssid = led.add_smart_contract(p)
     led.initialize_with_coins(ALICE, ssid, p)
     assert led.initialize_with_coins(ALICE, ssid, p) is None
     assert led.retrieve_party(ALICE) == 45
@@ -178,7 +178,7 @@ def test_reinitialization_is_refused():
 def test_initialization_parameters_must_match_the_record():
     led = Ledger()
     led.add_party(ALICE)
-    ssid = led.add_smart_contract(ALICE, scripted_contract(ALICE, 5))
+    ssid = led.add_smart_contract(scripted_contract(ALICE, 5))
     assert led.initialize_with_coins(ALICE, ssid, scripted_contract(ALICE, 6)) is None
     assert led.initialize_with_coins(BOB, ssid, scripted_contract(ALICE, 5)) is None
 
@@ -189,7 +189,7 @@ def test_two_member_initialization_waits_for_both():
     led.add_party(BOB)
     p = ContractParams(members=(ALICE, BOB), deposits=((ALICE, 10), (BOB, 20)),
                        circuit=ScriptedCircuit(), initial_state="go")
-    ssid = led.add_smart_contract(ALICE, p)
+    ssid = led.add_smart_contract(p)
     assert led.initialize_with_coins(ALICE, ssid, p) == "pending"
     assert led.retrieve_party(ALICE) == 50
     assert led.initialize_with_coins(BOB, ssid, p) == "ok"
@@ -204,7 +204,7 @@ def test_underfunded_completion_clears_the_pending_set():
     led.add_party(BOB)
     p = ContractParams(members=("poor:5", BOB), deposits=(("poor:5", 8), (BOB, 1)),
                        circuit=ScriptedCircuit(), initial_state=None)
-    ssid = led.add_smart_contract(BOB, p)
+    ssid = led.add_smart_contract(p)
     assert led.initialize_with_coins("poor:5", ssid, p) == "pending"
     assert led.initialize_with_coins(BOB, ssid, p) is None
     assert led.retrieve_party(BOB) == 50
@@ -294,7 +294,7 @@ def test_trigger_requires_live_initialized_contract_and_known_sender():
     led = Ledger()
     led.add_party(ALICE)
     p = scripted_contract(ALICE, 5)
-    ssid = led.add_smart_contract(ALICE, p)
+    ssid = led.add_smart_contract(p)
     assert led.trigger(ALICE, ssid, ("set", "s", 0), 0) is None  # uninitialized
     led.initialize_with_coins(ALICE, ssid, p)
     assert led.trigger("ghost:1", ssid, ("set", "s", 0), 0) is None

@@ -18,6 +18,7 @@ from boltpay.lightning import (
     verify_certificate,
     verify_certificate_segments,
 )
+from boltpay.qlds import split_serial
 
 SEED0 = bytes(32)
 SEED1 = bytes(31) + b"\x01"
@@ -210,3 +211,207 @@ def test_operation_sequences_preserve_exclusivity(ops, seed):
     for h, c in certified:
         assert not env.verify_bolt(h, h.serial)
         assert verify_certificate(h.serial, c)
+
+
+# -- bundles ----------------------------------------------------------------
+
+
+def _ids_and_serials(handles) -> list[tuple[int, bytes]]:
+    return [(h.bolt_id, h.serial) for h in handles]
+
+
+def test_bundle_draws_and_numbers_like_single_bolts():
+    a, b = fresh_env(), fresh_env()
+    singles = [a.gen_bolt("p") for _ in range(5)]
+    bundle = b.gen_bundle("p", 5)
+    assert _ids_and_serials(bundle.bolts) == _ids_and_serials(singles)
+    assert bundle.serial == b"".join(h.serial for h in singles)
+    assert a.snapshot() == b.snapshot()
+    # the next mint continues from the same random stream and id
+    assert _ids_and_serials([a.gen_bolt("p")]) == _ids_and_serials([b.gen_bolt("p")])
+
+
+def test_bundle_needs_at_least_one_bolt():
+    with pytest.raises(DomainError):
+        fresh_env().gen_bundle("p", 0)
+
+
+def test_bundle_owner_is_every_bolts_owner():
+    env = fresh_env()
+    bundle = env.gen_bundle("alice", 3)
+    env.transfer_bundle(bundle, "alice", "bob")
+    assert env.owner_of(bundle) == "bob"
+    assert [env.owner_of(h) for h in bundle.bolts] == ["bob"] * 3
+
+
+def test_not_owner_refusal_leaves_the_bundle_where_it_was():
+    env = fresh_env()
+    bundle = env.gen_bundle("alice", 3)
+    before = env.snapshot()
+    with pytest.raises(NotOwner):
+        env.transfer_bundle(bundle, "mallory", "mallory")
+    assert env.owner_of(bundle) == "alice"
+    assert all(env.owner_of(h) == "alice" for h in bundle.bolts)
+    assert env.snapshot() == before
+
+
+def test_bundled_bolts_move_only_with_their_bundle():
+    env = fresh_env()
+    bundle = env.gen_bundle("alice", 2)
+    with pytest.raises(DomainError):
+        env.transfer_bolt(bundle.bolts[1], "alice", "bob")
+    assert env.owner_of(bundle.bolts[1]) == "alice"
+    # a bolt from gen_bolt keeps its own owner and still moves alone
+    single = env.gen_bolt("alice")
+    env.transfer_bolt(single, "alice", "bob")
+    assert env.owner_of(single) == "bob" and env.owner_of(bundle) == "alice"
+
+
+def test_foreign_bundles_are_rejected():
+    env_a, env_b = fresh_env(), fresh_env(SEED1)
+    bundle = env_a.gen_bundle("a", 2)
+    env_b.gen_bundle("a", 2)  # same bundle id, other environment
+    for op in (lambda: env_b.verify_bundle(bundle, bundle.serial),
+               lambda: env_b.transfer_bundle(bundle, "a", "b"),
+               lambda: env_b.clone_bundle(bundle),
+               lambda: env_b.owner_of(bundle)):
+        with pytest.raises(DomainError):
+            op()
+    assert env_a.owner_of(bundle) == "a"
+
+
+def test_measuring_any_one_bolt_fails_the_bundle():
+    for position in (0, 3, 7):
+        env = fresh_env()
+        bundle = env.gen_bundle("a", 8)
+        assert env.verify_bundle(bundle, bundle.serial)
+        h = bundle.bolts[position]
+        env.gen_certificate(h, h.serial)
+        assert not env.verify_bundle(bundle, bundle.serial)
+        # a failed measurement does not count as a dead bolt
+        with pytest.raises(MeasureFailed):
+            env.gen_certificate(h, h.serial)
+        other = env.gen_bundle("a", 8)
+        with pytest.raises(MeasureFailed):
+            env.gen_certificate(other.bolts[0], bytes(32))
+        assert env.verify_bundle(other, other.serial)
+
+
+def test_bundle_verifies_only_its_own_serial():
+    env = fresh_env()
+    bundle = env.gen_bundle("a", 2)
+    assert not env.verify_bundle(bundle, bundle.serial[:32])
+    assert not env.verify_bundle(bundle, bundle.serial[32:] + bundle.serial[:32])
+    assert not env.verify_bundle(bundle, env.gen_bundle("a", 2).serial)
+
+
+def test_clone_bundle_refused_in_sound_mode():
+    env = fresh_env()
+    bundle = env.gen_bundle("a", 4)
+    before = env.snapshot()
+    assert env.clone_bundle(bundle) is None
+    assert env.snapshot() == before
+    assert env.audit_violations() == []
+
+
+def test_clone_bundle_numbers_copies_like_single_clones():
+    a, b = fresh_env(sound=False), fresh_env(sound=False)
+    singles = [a.gen_bolt("p") for _ in range(3)]
+    copies = [a.clone_attempt(h) for h in singles]
+    bundle = b.gen_bundle("p", 3)
+    copy = b.clone_bundle(bundle)
+    assert _ids_and_serials(copy.bolts) == _ids_and_serials(copies)
+    assert copy.serial == bundle.serial and copy.bundle_id != bundle.bundle_id
+    assert a.snapshot() == b.snapshot()
+    assert b.audit_violations() == a.audit_violations() != []
+    # the copy moves on its own
+    b.transfer_bundle(copy, "p", "q")
+    assert b.owner_of(copy) == "q" and b.owner_of(bundle) == "p"
+
+
+def _expected_violations(alive: dict, serials: dict, released: set) -> list[str]:
+    alive_count = {}
+    for bolt_id, is_alive in alive.items():
+        if is_alive:
+            alive_count[serials[bolt_id]] = alive_count.get(serials[bolt_id], 0) + 1
+    out = []
+    for serial, count in sorted(alive_count.items()):
+        if count > 1:
+            out.append(f"serial {serial.hex()} has {count} alive handles")
+        if serial in released:
+            out.append(f"serial {serial.hex()} alive after certificate release")
+    return out
+
+
+def _per_bolt_verify(env, bundle, serial: bytes) -> bool:
+    segments = split_serial(serial)
+    return len(segments) == len(bundle.bolts) and all(
+        env.verify_bolt(h, s) for h, s in zip(bundle.bolts, segments))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 999),
+                          st.integers(0, 999)), max_size=30),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
+    """After every step of a random mix of gen_bundle, measuring one bolt,
+    transfer_bundle and clone_bundle, the bundle answers agree with the
+    per-bolt ones and with a model kept here, and the audit reports what
+    the model says it should."""
+    env = ql_setup(128, seed.to_bytes(32, "big"), sound_mode=sound)
+    parties = ["p1", "p2", "p3"]
+    bundles, owner = [], {}           # owner: bundle_id -> model owner
+    alive, serials, released = {}, {}, set()
+    next_id = 1
+    for op, pick, arg in ops:
+        if op == 0 or not bundles:
+            b = env.gen_bundle(parties[pick % 3], 1 + arg % 4)
+            assert [h.bolt_id for h in b.bolts] == list(
+                range(next_id, next_id + len(b.bolts)))
+            next_id += len(b.bolts)
+            bundles.append(b)
+            owner[b.bundle_id] = parties[pick % 3]
+            for h in b.bolts:
+                alive[h.bolt_id], serials[h.bolt_id] = True, h.serial
+        else:
+            b = bundles[pick % len(bundles)]
+            if op == 1:
+                h = b.bolts[arg % len(b.bolts)]
+                if alive[h.bolt_id]:
+                    assert verify_certificate(h.serial, env.gen_certificate(h, h.serial))
+                    alive[h.bolt_id] = False
+                    released.add(h.serial)
+                else:
+                    with pytest.raises(MeasureFailed):
+                        env.gen_certificate(h, h.serial)
+            elif op == 2:
+                sender, receiver = parties[arg % 3], parties[pick % 3]
+                if sender == owner[b.bundle_id]:
+                    env.transfer_bundle(b, sender, receiver)
+                    owner[b.bundle_id] = receiver
+                else:
+                    with pytest.raises(NotOwner):
+                        env.transfer_bundle(b, sender, receiver)
+            else:
+                copy = env.clone_bundle(b)
+                if sound:
+                    assert copy is None
+                else:
+                    assert [h.bolt_id for h in copy.bolts] == list(
+                        range(next_id, next_id + len(b.bolts)))
+                    next_id += len(b.bolts)
+                    bundles.append(copy)
+                    owner[copy.bundle_id] = owner[b.bundle_id]
+                    for h, src in zip(copy.bolts, b.bolts):
+                        alive[h.bolt_id] = alive[src.bolt_id]
+                        serials[h.bolt_id] = h.serial
+        for b in bundles:
+            for serial in (b.serial, bundles[0].serial):
+                assert env.verify_bundle(b, serial) == _per_bolt_verify(env, b, serial)
+            assert env.verify_bundle(b, b.serial) == all(
+                alive[h.bolt_id] for h in b.bolts)
+            assert env.owner_of(b) == owner[b.bundle_id]
+            assert all(env.owner_of(h) == owner[b.bundle_id] for h in b.bolts)
+        assert env.audit_violations() == _expected_violations(alive, serials, released)
+        if sound:
+            assert env.audit_violations() == []

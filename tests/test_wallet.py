@@ -1,5 +1,7 @@
 """Wallet protocols: minting, hand-to-hand payment, redemption, the watchdog."""
 
+from collections import Counter
+
 import pytest
 
 from boltpay.contract import (
@@ -10,9 +12,9 @@ from boltpay.contract import (
     PhiParams,
     challenge_message,
 )
-from boltpay.errors import MintFailed
+from boltpay.errors import MintFailed, NotOwner
 from boltpay.ledger import Ledger
-from boltpay.lightning import ql_setup
+from boltpay.lightning import QuantumEnv, ql_setup
 from boltpay.qlds import verify_sig
 from boltpay.wallet import LOST_OWNER, DirectChain, Wallet
 
@@ -129,6 +131,38 @@ def test_payee_rejects_a_note_with_a_dead_bolt():
     env.gen_certificate(note.bolts[0], note.bolts[0].serial)
     assert not w[ALICE].pay(w[BOB], note.ssid)
     assert w[ALICE].holds(note.ssid)
+    # the last bolt of a full-size key counts as much as the first
+    env, led, w = setup(n=256)
+    note = w[ALICE].mint(25)
+    assert len(note.bolts) == 512
+    env.gen_certificate(note.bolts[-1], note.bolts[-1].serial)
+    assert not w[ALICE].pay(w[BOB], note.ssid)
+    assert w[ALICE].holds(note.ssid)
+
+
+def _env_calls_during_one_payment(n: int, monkeypatch) -> Counter:
+    env, led, w = setup(n=n)
+    note = w[ALICE].mint(25)
+    calls = Counter()
+    for name in ("transfer_bolt", "verify_bolt", "_record",
+                 "transfer_bundle", "verify_bundle", "_bundle"):
+        original = getattr(QuantumEnv, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(QuantumEnv, name, counted)
+    assert w[ALICE].pay(w[BOB], note.ssid)
+    monkeypatch.undo()
+    return calls
+
+
+def test_payment_env_calls_do_not_grow_with_the_key_size(monkeypatch):
+    small = _env_calls_during_one_payment(8, monkeypatch)
+    large = _env_calls_during_one_payment(256, monkeypatch)
+    assert small == large
+    assert small["transfer_bolt"] == small["verify_bolt"] == small["_record"] == 0
+    assert small["transfer_bundle"] == small["verify_bundle"] == 1
 
 
 def test_redeem_returns_the_backing_coins_and_terminates():
@@ -209,8 +243,13 @@ def test_lost_bolts_belong_to_nobody():
     w[ALICE].lose_note(note.ssid)
     assert not w[ALICE].holds(note.ssid)
     assert w[ALICE].banknote_value == 0
-    rec = env._registry[note.bolts[0].bolt_id]
-    assert rec.owner == LOST_OWNER
+    assert all(env.owner_of(b) == LOST_OWNER for b in note.bolts)
+    for payer, payee in ((ALICE, BOB), (BOB, MALLORY), (MALLORY, ALICE)):
+        assert not w[payer].pay(w[payee], note.ssid)
+    # a wallet handed the lost note itself still cannot move its bolts
+    w[BOB]._add_note(note)
+    with pytest.raises(NotOwner):
+        w[BOB].pay(w[MALLORY], note.ssid)
 
 
 def test_settle_unchallenged_rebinds_a_matured_claim():
