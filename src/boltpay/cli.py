@@ -5,7 +5,8 @@ Exit codes, uniform across subcommands:
      no invariant violations); for games, no wins while sound
   1  an invariant broke or the adversary finished with positive net value
   2  could not even start: unreadable file, scenario parse error (reported
-     with its line number), negative window or deposit, unknown demo name
+     with its line number), negative window or deposit, key size n outside
+     1..256, unknown demo name
 """
 
 from __future__ import annotations

@@ -59,7 +59,10 @@ class PhiParams:
 
 @dataclass(frozen=True)
 class NoActiveClaim:
-    pass
+    """Falsy, so the ledger's claim index leaves an unclaimed note out."""
+
+    def __bool__(self) -> bool:
+        return False
 
 
 NO_CLAIM = NoActiveClaim()

@@ -14,6 +14,17 @@ mempool for delta ticks before landing, and a strategy object may inspect
 each pending message and inject its own (instantly delivered) messages
 first.
 
+Time moves in ticks.  Each tick delivers the held messages due by then,
+then runs the watchdog scan of every honest wallet that holds notes and
+last scanned scan_interval or more ticks ago, in pid order.  The
+simulation finds those wallets without walking them all: a heap holds
+at most one (due tick, pid) entry per wallet, pushed when a party joins,
+after every scan and when a wallet gains its first note, and each entry
+popped is checked against the real condition before its wallet is
+scanned.  tick(k) jumps
+from one tick where a scan or a held message is due to the next, and a
+scan reads only the held notes that the ledger's claim index names.
+
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
   coins start counting toward current_or_spent while it stays corrupt;
@@ -33,7 +44,10 @@ count only once spent.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from heapq import heappop, heappush
 
 from .contract import (
     NO_CLAIM,
@@ -53,6 +67,7 @@ from .contract import (
 from .errors import BoltPayError, MintFailed, ParseError, ScriptError
 from .ledger import ContractParams, Ledger
 from .lightning import ql_setup
+from .qlds import QldsParams
 from .wallet import HELD, Banknote, Wallet
 
 ADVERSARY = "@adversary"
@@ -73,6 +88,14 @@ class SimConfig:
     sound: bool = True
     minimal: bool = False
     scan_interval: int | None = None  # defaults to t_tr - 1; lower only
+
+    def __post_init__(self):
+        QldsParams(self.n)  # refuses n outside 1..256
+        interval = self.scan_interval
+        if interval is not None and interval < 1:
+            raise ParseError(f"scan_interval must be at least 1, got {interval}")
+        if interval is not None and interval > self.t_tr - 1:
+            raise ParseError("scan_interval must not exceed t_tr - 1")
 
     def seed_bytes(self) -> bytes:
         return (self.seed % (1 << 256)).to_bytes(32, "big")
@@ -137,7 +160,9 @@ class ReorderChain:
     def __init__(self, sim: "Simulation", delta: int):
         self.sim = sim
         self.delta = delta
-        self._held: list = []
+        # (due, seq, deliver, pending); time never goes back and delta is
+        # fixed, so appending keeps the entries in (due, seq) order
+        self._held: deque = deque()
         self._seq = 0
 
     def _hold(self, sender, deliver, pending: PendingMessage):
@@ -169,17 +194,20 @@ class ReorderChain:
                                          payee=payee, amount=amount))
 
     def deliver_due(self):
-        if not self._held:
-            return
+        held = self._held
         now = self.sim.ledger.time
-        due_now = sorted((e for e in self._held if e[0] <= now),
-                         key=lambda e: (e[0], e[1]))
-        self._held = [e for e in self._held if e[0] > now]
+        due_now = []
+        while held and held[0][0] <= now:
+            due_now.append(held.popleft())
         for _, _, deliver, _ in due_now:
             deliver()
 
+    def next_due(self) -> int | None:
+        """The tick the earliest held message lands, or None."""
+        return self._held[0][0] if self._held else None
+
     def pending(self) -> list[PendingMessage]:
-        return [e[3] for e in sorted(self._held, key=lambda e: (e[0], e[1]))]
+        return [e[3] for e in self._held]
 
 
 def fingerprint(data: bytes) -> str:
@@ -204,11 +232,13 @@ class Simulation:
         self.trace: list[str] = list(config.header_lines())
         self.chain = ReorderChain(self, delta)
         interval = config.scan_interval
-        if interval is None:
-            interval = config.t_tr - 1
-        if interval > config.t_tr - 1:
-            raise ParseError("scan_interval must not exceed t_tr - 1")
-        self.scan_interval = max(1, interval)
+        self.scan_interval = (max(1, config.t_tr - 1) if interval is None
+                              else interval)
+        # (tick a wallet's next scan is due, pid): a heap with at most one
+        # entry per wallet, those in _armed, and for every honest wallet
+        # with notes an entry no later than the tick its scan is due
+        self._due: list[tuple[int, str]] = []
+        self._armed: set[str] = set()
         self._expected_coins = 0
 
     # -- logging and accounting ------------------------------------------
@@ -256,10 +286,12 @@ class Simulation:
         fresh = self.ledger.add_party(pid)
         if fresh:
             self._expected_coins += self.ledger.parties[pid].coins
-            self.wallets[pid] = Wallet(
+            w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
-                minimal=self.config.minimal, chain=self.chain)
-            self.wallets[pid].last_scan = self.ledger.time
+                minimal=self.config.minimal, chain=self.chain,
+                on_first_note=self._arm)
+            w.last_scan = self.ledger.time
+            self._arm(w)
         self.log(pid, "add-party",
                  self.ledger.parties[pid].coins if fresh else "ignored")
         return self.wallets[pid]
@@ -364,7 +396,9 @@ class Simulation:
         return r
 
     def watchdog(self, pid: str) -> list:
-        actions = self.wallet(pid).watchdog_scan()
+        w = self.wallet(pid)
+        actions = w.watchdog_scan()
+        self._arm(w)
         self.log(pid, "watchdog", len(actions),
                  *(f"{ssid}:{what}" for ssid, what in actions))
         return actions
@@ -405,16 +439,68 @@ class Simulation:
     # -- time ---------------------------------------------------------------
 
     def tick(self, k: int = 1) -> int:
-        for _ in range(k):
-            self.ledger.tick()
+        """Advance k ticks; every tick delivers the held messages due by
+        then and scans each honest wallet with notes whose last scan is
+        scan_interval ticks old, in pid order.
+
+        Only the ticks where a message or a scan is due do any work, so
+        time jumps from one such tick to the next.
+        """
+        ledger = self.ledger
+        end = ledger.time + k
+        while ledger.time < end:
+            stop = end
+            if self._due:
+                stop = min(stop, self._due[0][0])
+            held = self.chain.next_due()
+            if held is not None:
+                stop = min(stop, held)
+            ledger.tick(max(stop - ledger.time, 1))
             self.chain.deliver_due()
-            for pid in sorted(self.wallets):
-                if pid in self.corrupted:
-                    continue
-                w = self.wallets[pid]
-                if w.notes and self.ledger.time - w.last_scan >= self.scan_interval:
-                    self.watchdog(pid)
-        return self.ledger.time
+            self._scan_due()
+        return ledger.time
+
+    def _arm(self, w: Wallet, at: int | None = None) -> None:
+        """Give the wallet a heap entry at its due tick, or at `at`, unless
+        it has one already."""
+        if w.pid not in self._armed:
+            self._armed.add(w.pid)
+            heappush(self._due, (w.last_scan + self.scan_interval
+                                 if at is None else at, w.pid))
+
+    def _pop_due(self, now: int) -> list[str]:
+        due, armed = self._due, self._armed
+        pids = []
+        while due and due[0][0] <= now:
+            pid = heappop(due)[1]
+            armed.discard(pid)
+            pids.append(pid)
+        return pids
+
+    def _scan_due(self) -> None:
+        now = self.ledger.time
+        todo = sorted(self._pop_due(now))
+        i = 0
+        while i < len(todo):
+            pid = todo[i]
+            i += 1
+            w = self.wallets[pid]
+            if pid in self.corrupted or not w.notes:
+                continue  # re-armed when it next gains a first note
+            if now - w.last_scan < self.scan_interval:
+                self._arm(w)  # scanned since this entry was pushed
+                continue
+            self.watchdog(pid)
+            # a wallet that gained its first note during the scan may be
+            # due already: scan it in this tick if it sorts after pid, as a
+            # walk over all wallets in pid order would, else in the next
+            for other in self._pop_due(now):
+                if other > pid:
+                    j = bisect_left(todo, other, i)
+                    if j == len(todo) or todo[j] != other:
+                        todo.insert(j, other)
+                else:
+                    self._arm(self.wallets[other], now + 1)
 
     # -- direct ledger lines (scenario support) -------------------------------
 

@@ -13,6 +13,11 @@ State-changing operations (the Add* family, Trigger, Tick) are the slow,
 consensus-priced path; the Retrieve* family never mutates anything and is
 free.  Both counts are tracked so callers can assert how little writing a
 protocol does.
+
+The ledger also keeps a claim index, ``claimed``: the ssids whose state
+holds an active claim, meaning a ``claim`` attribute that is set and truthy
+(the banknote circuit's no-claim value is falsy).  It is updated wherever a
+contract's state is set, so a watchdog reads only the contracts it names.
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ class Ledger:
         self.parties: dict[str, PartyRecord] = {}
         self.transactions: list[TransactionRecord] = []
         self.contracts: list[ContractRecord] = []
+        self.claimed: set[int] = set()
         self.write_count = 0
         self.read_count = 0
 
@@ -181,7 +187,7 @@ class Ledger:
             d = rec.params.deposit_of(member)
             self.parties[member].coins -= d
             rec.coins += d
-        rec.state = rec.params.initial_state
+        self._set_state(rec, rec.params.initial_state)
         rec.initialized = True
         rec.pending.clear()
         return "ok"
@@ -201,8 +207,8 @@ class Ledger:
         if self.parties[pid].coins < d:
             return None
         ssid = len(self.contracts) + 1
-        rec = ContractRecord(ssid, params, params.initial_state,
-                             coins=d, initialized=True)
+        rec = ContractRecord(ssid, params, None, coins=d, initialized=True)
+        self._set_state(rec, params.initial_state)
         self.parties[pid].coins -= d
         self.contracts.append(rec)
         return ssid
@@ -232,7 +238,7 @@ class Ledger:
         if deposit > 0:
             self.parties[pid].coins -= deposit
             rec.coins += deposit
-        rec.state = new_state
+        self._set_state(rec, new_state)
         if payout == ALL_COINS:
             paid = rec.coins
             rec.coins = 0
@@ -257,6 +263,13 @@ class Ledger:
             return None
         return rec.params, rec.state, rec.coins
 
+    def _set_state(self, rec: ContractRecord, state: Any) -> None:
+        rec.state = state
+        if getattr(state, "claim", None):
+            self.claimed.add(rec.ssid)
+        else:
+            self.claimed.discard(rec.ssid)
+
     def _contract(self, ssid: int) -> ContractRecord | None:
         if isinstance(ssid, int) and 1 <= ssid <= len(self.contracts):
             return self.contracts[ssid - 1]
@@ -264,9 +277,10 @@ class Ledger:
 
     # -- time and audits ----------------------------------------------
 
-    def tick(self) -> int:
-        self.write_count += 1
-        self.time += 1
+    def tick(self, count: int = 1) -> int:
+        """Advance time by count ticks; each tick counts as one write."""
+        self.write_count += count
+        self.time += count
         return self.time
 
     def total_coins(self) -> int:

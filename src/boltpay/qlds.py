@@ -29,6 +29,7 @@ from .lightning import (
 QldsSignature = bytes
 
 DEFAULT_N = 256
+DIGEST_BITS = 256  # message bits SHA-256 gives, so the largest n
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class QldsParams:
     n: int = DEFAULT_N
 
     def __post_init__(self):
-        if not 1 <= self.n <= 256:
+        if not 1 <= self.n <= DIGEST_BITS:
             raise ParseError(f"n must be in 1..256, got {self.n}")
 
 
@@ -129,12 +130,13 @@ def verify_sig(serial: bytes, message: bytes, signature: QldsSignature) -> bool:
 
     Works from the serial alone: n is inferred from its length, and each
     certificate must open the segment its message bit selects.  Only those
-    n segments are sliced out of the serial.
+    n segments are sliced out of the serial.  A serial of more than 512
+    segments needs more message bits than SHA-256 gives and never verifies.
     """
     if not serial or len(serial) % (2 * SERIAL_LEN) != 0:
         return False
     n = len(serial) // (2 * SERIAL_LEN)
-    if len(signature) != n * PREIMAGE_LEN:
+    if n > DIGEST_BITS or len(signature) != n * PREIMAGE_LEN:
         return False
     bits = message_bits(message, n)
     for j, idx in enumerate(signing_indices(bits)):

@@ -111,6 +111,7 @@ class Wallet:
     last_scan: int = -1
     pending_challenges: set = field(default_factory=set)
     pending_commits: dict = field(default_factory=dict)
+    on_first_note: object = None  # called with the wallet as it gains a note
 
     def __post_init__(self):
         if self.chain is None:
@@ -124,6 +125,8 @@ class Wallet:
         return bool(self.notes.get(ssid))
 
     def _add_note(self, note: Banknote, front: bool = False) -> None:
+        if not self.notes and self.on_first_note is not None:
+            self.on_first_note(self)
         held = self.notes.setdefault(note.ssid, [])
         held.insert(0, note) if front else held.append(note)
         self.banknote_value += note.value
@@ -299,29 +302,41 @@ class Wallet:
     # -- the watchdog -------------------------------------------------------
 
     def watchdog_scan(self) -> list[tuple[int, str]]:
-        """Scan the backing of every held note and answer foreign claims.
+        """Answer the foreign claims on held notes.
 
-        Reads are free; only a foreign claim makes the wallet spend its
-        proof of possession on a challenge that rebinds the contract to a
-        replacement serial and collects the claimant's deposit.  Returns
-        (ssid, action) pairs describing what the scan did.
+        Only the held notes the ledger's claim index names are read, in
+        ascending ssid order.  Reads are free; only a foreign claim makes
+        the wallet spend its proof of possession on a challenge that
+        rebinds the contract to a replacement serial and collects the
+        claimant's deposit.  Returns (ssid, action) pairs describing what
+        the scan did.
         """
         self.last_scan = self.ledger.time
+        claimed = self.ledger.claimed
+        todo = sorted(self.notes.keys() & claimed)
+        held = None
         actions = []
-        for ssid in sorted(self.notes):
+        i = 0
+        while i < len(todo):
+            ssid = todo[i]
+            i += 1
             if ssid in self.pending_challenges:
                 continue
             z = self.ledger.retrieve_contract(ssid)
             if z is None:
                 continue
-            _, state, coins = z
-            claim = state.claim
+            claim = z[1].claim
             foreign = (isinstance(claim, ClaimBy) and claim.pid != self.pid) or (
                 isinstance(claim, LostClaimCommits)
                 and any(e.pid != self.pid for e in claim.entries))
             if not foreign:
                 continue
+            if held is None:
+                held = set(self.notes)  # nothing has run since the scan began
             actions.append((ssid, self._challenge(ssid)))
+            # submitting the challenge may have run other parties' code,
+            # which can claim notes the scan has still to reach
+            todo[i:] = sorted(s for s in held & claimed if s > ssid)
         return actions
 
     def _challenge(self, ssid: int) -> str:

@@ -66,6 +66,31 @@ def test_negative_windows_are_refused_before_any_line_runs(flag, value, tmp_path
     assert "must not be negative" in r.stderr
 
 
+def test_a_signature_over_a_514_segment_serial_is_refused(tmp_path):
+    # 257 certificates for 514 segments: more message bits than SHA-256 has
+    script = tmp_path / "long-serial.bolt"
+    script.write_text(
+        "AddParty\talice:50\n"
+        f"AddSmartContract\talice:50\talice:50\talice:50=5\tsig-gated\t"
+        f"{'ab' * 32 * 514}\n"
+        "InitializeWithCoins\talice:50\t1\n"
+        f"Trigger\talice:50\t1\t0\tRecoverCoinsSig\t{'cd' * 16 * 257}\n")
+    r = boltpay("run", str(script))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-2].endswith("RecoverCoinsSig\t0\trejected")
+
+
+@pytest.mark.parametrize("n", ["0", "300"])
+def test_a_key_size_outside_1_to_256_is_refused_before_any_line_runs(n, tmp_path):
+    script = tmp_path / "no-mint.bolt"
+    script.write_text("AddParty\talice:50\nTICK\t3\n")
+    assert boltpay("run", str(script)).returncode == 0
+    r = boltpay("run", str(script), "--n", n)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "n must be in 1..256" in r.stderr
+
+
 def test_double_spend_needs_the_unsound_flag(tmp_path):
     scenario = str(SCENARIOS / "double-spend-attempt.bolt")
     sound = boltpay("run", scenario)

@@ -1,0 +1,384 @@
+"""Watchdog time: due-time scans against the walk over every wallet.
+
+``WalkSimulation`` keeps the tick as it was before due times: every tick
+walks every honest wallet in pid order, and every scan reads the contract
+of every held note.  Generated scripts and the attack runs must give the
+same trace byte for byte on it and on ``Simulation``.  The cost tests
+count calls; none of them reads a clock.
+"""
+
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boltpay import attacks
+from boltpay.attacks import (
+    ClaimFrontRunStrategy,
+    ProofTheftStrategy,
+    run_attack_i,
+    run_attack_ii,
+    run_attack_iii,
+)
+from boltpay.contract import (
+    NO_CLAIM,
+    ChallengeClaim,
+    ChallengeClaimSig,
+    ClaimBy,
+    LostClaimCommits,
+)
+from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
+from boltpay.ledger import Ledger
+from boltpay.wallet import Wallet
+
+# -- the reference ------------------------------------------------------------
+
+
+def full_scan(w: Wallet) -> list:
+    """The scan before the claim index: read every held note's contract."""
+    w.last_scan = w.ledger.time
+    actions = []
+    for ssid in sorted(w.notes):
+        if ssid in w.pending_challenges:
+            continue
+        z = w.ledger.retrieve_contract(ssid)
+        if z is None:
+            continue
+        claim = z[1].claim
+        foreign = (isinstance(claim, ClaimBy) and claim.pid != w.pid) or (
+            isinstance(claim, LostClaimCommits)
+            and any(e.pid != w.pid for e in claim.entries))
+        if foreign:
+            actions.append((ssid, w._challenge(ssid)))
+    return actions
+
+
+def walk_deliver_due(chain) -> None:
+    """The mempool delivery before the held messages were kept in order."""
+    now = chain.sim.ledger.time
+    due_now = sorted((e for e in chain._held if e[0] <= now),
+                     key=lambda e: (e[0], e[1]))
+    chain._held = deque(e for e in chain._held if e[0] > now)
+    for _, _, deliver, _ in due_now:
+        deliver()
+
+
+class WalkSimulation(Simulation):
+    """Every tick walks every wallet; every scan reads every held note."""
+
+    def tick(self, k: int = 1) -> int:
+        for _ in range(k):
+            self.ledger.tick()
+            walk_deliver_due(self.chain)
+            for pid in sorted(self.wallets):
+                if pid in self.corrupted:
+                    continue
+                w = self.wallets[pid]
+                if w.notes and self.ledger.time - w.last_scan >= self.scan_interval:
+                    self.watchdog(pid)
+        return self.ledger.time
+
+    def watchdog(self, pid: str) -> list:
+        actions = full_scan(self.wallet(pid))
+        self.log(pid, "watchdog", len(actions),
+                 *(f"{ssid}:{what}" for ssid, what in actions))
+        return actions
+
+
+def claimed_model(ledger: Ledger) -> set:
+    """The claim index recomputed from the contracts' states."""
+    return {rec.ssid for rec in ledger.contracts
+            if getattr(rec.state, "claim", None) not in (None, NO_CLAIM)}
+
+
+# -- mempool strategies -------------------------------------------------------------
+
+PARTIES = ("alice:50", "bob:50", "carol:40", "mallory:60", "zed:0")
+THIEF = "mallory:60"
+
+
+class ClaimTheRestStrategy:
+    """On seeing a pending challenge, claim every other note its sender
+    holds, so the scan that sent it meets claims it did not start with."""
+
+    def __init__(self, thief: str):
+        self.thief = thief
+
+    def on_pending(self, sim, pending) -> None:
+        if not isinstance(pending.witness, (ChallengeClaim, ChallengeClaimSig)):
+            return
+        for ssid in sorted(sim.wallets[pending.sender].notes):
+            if ssid == pending.ssid:
+                continue
+            if sim.config.variant == "commit-reveal":
+                sim.commit_claim(self.thief, ssid)
+            else:
+                sim.file_claim(self.thief, ssid)
+
+
+class GiftStrategy:
+    """On seeing a pending challenge, hand each note the thief holds to an
+    honest party that holds none, so wallets gain their first note, and
+    may fall due, in the middle of a tick's scans."""
+
+    def __init__(self, thief: str):
+        self.thief = thief
+
+    def on_pending(self, sim, pending) -> None:
+        empty = [pid for pid in sorted(sim.wallets)
+                 if pid not in sim.corrupted and not sim.wallets[pid].notes]
+        for ssid, payee in zip(sorted(sim.wallets[self.thief].notes), empty):
+            sim.pay(self.thief, payee, ssid)
+
+
+class WhileCorrupt:
+    """Act only while the thief is corrupt, so its own messages skip the
+    mempool and it never reacts to itself."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_pending(self, sim, pending) -> None:
+        if self.inner.thief in sim.corrupted and pending.sender != self.inner.thief:
+            self.inner.on_pending(sim, pending)
+
+
+STRATEGIES = {
+    "none": None,
+    "proof-theft": ProofTheftStrategy,
+    "claim-front-run": ClaimFrontRunStrategy,
+    "claim-the-rest": ClaimTheRestStrategy,
+    "gift": GiftStrategy,
+}
+
+# -- generated scripts --------------------------------------------------------------
+
+party = st.sampled_from(PARTIES)
+ssid = st.integers(1, 6)
+ticks = st.one_of(st.integers(0, 12), st.integers(100, 400))
+thief_claim = st.tuples(st.sampled_from(["FILECLAIM", "COMMITCLAIM"]),
+                        st.just(THIEF), ssid)
+line = st.one_of(
+    st.tuples(st.just("MINT"), party, st.integers(1, 30)),
+    st.tuples(st.just("PAY"), party, party, ssid),
+    st.tuples(st.just("PAY"), party, party, ssid, st.just("reject")),
+    st.tuples(st.just("REDEEM"), party, ssid),
+    st.tuples(st.just("FILECLAIM"), party, ssid),
+    thief_claim, thief_claim,
+    st.tuples(st.just("SETTLE"), party, ssid),
+    st.tuples(st.just("COMMITCLAIM"), party, ssid),
+    st.tuples(st.just("REVEALCLAIM"), party, ssid),
+    st.tuples(st.just("WATCHDOG")),
+    st.tuples(st.just("WATCHDOG"), party),
+    st.tuples(st.just("CORRUPT"), party),
+    st.tuples(st.just("UNCORRUPT"), party),
+    st.tuples(st.just("MOVENOTE"), ssid, party),
+    st.tuples(st.just("LOSE"), party, ssid),
+    st.tuples(st.just("CLONE"), party, ssid),
+    st.tuples(st.just("Tick")),
+    st.tuples(st.just("TICK"), ticks),
+    st.tuples(st.just("TICK"), ticks),
+    st.tuples(st.just("TICK"), ticks),
+)
+# a few honest notes first, so that most lines have notes to act on
+opening = st.lists(st.tuples(st.just("MINT"), st.sampled_from(PARTIES[:3]),
+                             st.integers(1, 20)), min_size=2, max_size=5)
+script = st.tuples(opening, st.lists(line, min_size=5, max_size=30)).map(
+    lambda parts: [[str(t) for t in tokens] for tokens in parts[0] + parts[1]])
+
+
+def run_line(sim, tokens) -> str | None:
+    """Run one script line; the error it raised, as text, or None."""
+    op, args = tokens[0], tokens[1:]
+    try:
+        _DIRECTIVES[op][2](sim, *args)
+    except Exception as e:  # compared between the two simulations
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
+    sims = []
+    for cls in (Simulation, WalkSimulation):
+        sim = cls(config)
+        for pid in PARTIES:
+            sim.add_party(pid)
+        sim.corrupt(THIEF)
+        if STRATEGIES[strategy] is not None:
+            sim.adversary = WhileCorrupt(STRATEGIES[strategy](THIEF))
+        sims.append(sim)
+    real, walk = sims
+    for tokens in lines:
+        errors = [run_line(sim, tokens) for sim in sims]
+        assert errors[0] == errors[1], tokens
+        assert real.trace == walk.trace, tokens
+        assert real.ledger.claimed == claimed_model(real.ledger), tokens
+        if errors[0] is not None:
+            break
+    real.tick(real.scan_interval + 4)
+    walk.tick(walk.scan_interval + 4)
+    assert "\n".join(real.trace) == "\n".join(walk.trace)
+    assert real.ledger.digest() == walk.ledger.digest()
+    assert real.ledger.write_count == walk.ledger.write_count
+    assert real.ledger.read_count <= walk.ledger.read_count
+    return real
+
+
+RUNS = [("fifo", "none")] + [("reorder:3", name) for name in STRATEGIES]
+
+
+@pytest.mark.parametrize("scheduler,strategy", RUNS)
+@pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
+@settings(max_examples=30)
+@given(lines=script,
+       t_tr=st.sampled_from([2, 5, 12]))
+def test_due_time_ticks_match_the_walk_over_every_wallet(
+        variant, scheduler, strategy, lines, t_tr):
+    config = SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
+                       t_tr=t_tr, t0=3, t1=3)
+    differential_run(config, strategy, lines)
+
+
+def test_claims_made_during_a_scan_are_answered_as_the_walk_answers_them():
+    # alice holds notes 1-4; mallory claims 2, and as alice's challenge of
+    # 2 waits in the mempool, claims 1, 3 and 4: the same scan answers 3
+    # and 4, the next one starts with 1
+    lines = [["MINT", "alice:50", "5"] for _ in range(4)]
+    lines += [["FILECLAIM", THIEF, "2"], ["TICK", "30"]]
+    config = SimConfig(variant="sig-gated", scheduler="reorder:3", n=2,
+                       t_tr=12)
+    real = differential_run(config, "claim-the-rest", lines)
+    answers = [ln.split("\t")[4:] for ln in real.trace if "\twatchdog\t" in ln]
+    answers = [a for a in answers if a]
+    assert answers[0] == ["2:challenge", "3:challenge", "4:challenge"]
+    assert answers[1][0] == "1:challenge"
+
+
+def test_wallets_falling_due_during_a_scan_are_scanned_as_the_walk_scans_them():
+    # bob's scan at tick 22 challenges mallory's claim; seeing it, mallory
+    # gives her two notes to alice and carol, whose last scans are 22
+    # ticks old: carol sorts after bob and is scanned in the same tick,
+    # alice in the next
+    lines = [["MINT", "bob:50", "5"], ["MINT", THIEF, "5"], ["MINT", THIEF, "5"],
+             ["TICK", "12"], ["FILECLAIM", THIEF, "1"], ["TICK", "30"]]
+    config = SimConfig(scheduler="reorder:3", n=2, t_tr=12)
+    real = differential_run(config, "gift", lines)
+    scans = [ln.split("\t")[:2] for ln in real.trace if "\twatchdog\t" in ln]
+    assert scans[:4] == [["11", "bob:50"], ["22", "bob:50"],
+                         ["22", "carol:40"], ["23", "alice:50"]]
+
+
+def test_a_wallet_scanned_directly_is_scanned_again_when_due():
+    traces = []
+    for cls in (Simulation, WalkSimulation):
+        sim = cls(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+        sim.add_party("alice:50")
+        sim.mint("alice:50", 5)
+        sim.tick(4)
+        sim.wallets["alice:50"].watchdog_scan()   # no trace line, no re-arm
+        sim.tick(30)
+        traces.append(sim.trace)
+    assert traces[0] == traces[1]
+    assert [ln.split("\t")[0] for ln in traces[0] if "\twatchdog\t" in ln] == [
+        "13", "22", "31"]
+
+
+@pytest.mark.parametrize("runner,variant", [
+    (run_attack_i, "base"), (run_attack_i, "sig-gated"),
+    (run_attack_ii, "base"), (run_attack_ii, "sig-gated"),
+    (run_attack_iii, "base"), (run_attack_iii, "sig-gated"),
+])
+def test_attack_runs_match_the_walk(runner, variant, monkeypatch):
+    real = runner(variant)
+    monkeypatch.setattr(attacks, "Simulation", WalkSimulation)
+    walk = runner(variant)
+    assert real.trace == walk.trace
+    assert (real.succeeded, real.max_net) == (walk.succeeded, walk.max_net)
+
+
+# -- cost, counted in calls ----------------------------------------------------------
+
+
+class CallCounter:
+    def __init__(self, monkeypatch, cls, name):
+        self.calls = 0
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
+def watched_sim() -> Simulation:
+    """Wallets joining over nine ticks, some with notes and own claims,
+    some without notes, one corrupt."""
+    sim = Simulation(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+    for i in range(36):
+        sim.tick(1)
+        pid = f"w{i:02d}:100"
+        sim.add_party(pid)
+        for j in range(i % 4):
+            ssid = sim.mint(pid, 5)
+            if j == 1:
+                sim.file_claim(pid, ssid)   # its own claim: read, not answered
+    sim.corrupt("w07:100")
+    return sim
+
+
+def due_model(sim: Simulation, now: int) -> list[str]:
+    return [pid for pid, w in sim.wallets.items()
+            if pid not in sim.corrupted and w.notes
+            and now - w.last_scan >= sim.scan_interval]
+
+
+@pytest.mark.parametrize("idle_wallets", [0, 1000])
+def test_one_tick_scans_the_due_wallets_and_reads_their_claimed_notes(
+        idle_wallets, monkeypatch):
+    sim = watched_sim()
+    for i in range(idle_wallets):   # not due for another scan_interval ticks
+        pid = f"idle{i:04d}:100"
+        sim.add_party(pid)
+        sim.file_claim(pid, sim.mint(pid, 5))
+    scans = CallCounter(monkeypatch, Wallet, "watchdog_scan")
+    reads = CallCounter(monkeypatch, Ledger, "retrieve_contract")
+    seen = 0
+    for _ in range(sim.scan_interval - 1):
+        due = due_model(sim, sim.ledger.time + 1)
+        claimed = claimed_model(sim.ledger)
+        held_claims = sum(len(claimed & sim.wallets[pid].notes.keys())
+                          for pid in due)
+        scans.calls = reads.calls = 0
+        sim.tick(1)
+        assert scans.calls == len(due)
+        assert reads.calls == held_claims
+        seen += held_claims
+    assert seen > 0
+
+
+def test_payments_between_ticks_keep_one_due_entry_per_wallet():
+    sim = Simulation(SimConfig(n=2))
+    for pid in PARTIES:
+        sim.add_party(pid)
+    ssid = sim.mint("alice:50", 5)
+    ring = ["alice:50", "bob:50", "carol:40", "zed:0"]
+    for i in range(100):   # every payee gains its first note
+        assert sim.pay(ring[i % 4], ring[(i + 1) % 4], ssid)
+    assert len(sim._due) <= len(sim.wallets)
+
+
+def test_a_long_idle_stretch_costs_a_bounded_number_of_steps(monkeypatch):
+    sim = Simulation(SimConfig(t_tr=10, scheduler="reorder:3"))
+    for pid in PARTIES:
+        sim.add_party(pid)
+    sim.transaction("alice:50", "bob:50", 5)   # held for 3 ticks
+    steps = CallCounter(monkeypatch, Ledger, "tick")
+    time, writes = sim.ledger.time, sim.ledger.write_count
+    sim.tick(10_000_000)
+    assert sim.ledger.time == time + 10_000_000
+    assert sim.ledger.write_count == writes + 10_000_000 + 1  # the delivery
+    # the delivery at 3, the parties' first due tick at 9, the end
+    assert steps.calls == 3
+    assert sim.ledger.parties["bob:50"].coins == 55

@@ -209,6 +209,19 @@ def test_scan_interval_cannot_exceed_the_claim_window():
     assert sim.scan_interval == 9
 
 
+@pytest.mark.parametrize("bad", [
+    {"n": 0}, {"n": 257}, {"scan_interval": 0}, {"scan_interval": -5}])
+def test_a_bad_configuration_is_refused_when_built(bad):
+    with pytest.raises(ParseError):
+        SimConfig(**bad)
+
+
+def test_the_default_scan_interval_is_clamped_to_one():
+    assert Simulation(SimConfig(t_tr=1)).scan_interval == 1
+    assert Simulation(SimConfig(t_tr=0)).scan_interval == 1
+    assert Simulation(SimConfig(t_tr=3, scan_interval=1)).scan_interval == 1
+
+
 def test_ticking_runs_due_watchdog_scans():
     sim = Simulation(SimConfig(t_tr=12))
     sim.add_party(ALICE)

@@ -131,6 +131,11 @@ def test_signature_with_corrupted_certificate_rejected():
     assert not verify_sig(key.serial, b"msg", sig[:-16])
 
 
+def test_a_serial_of_more_than_512_segments_never_verifies():
+    # 514 segments would select by 257 message bits; SHA-256 gives 256
+    assert not verify_sig(bytes(514 * 32), b"msg", bytes(257 * 16))
+
+
 def test_parameter_bounds():
     with pytest.raises(ParseError):
         QldsParams(0)
