@@ -44,7 +44,7 @@ from .harness import SimConfig, Simulation, run_scenario
 from .ledger import ALL_COINS, ContractParams, Ledger
 from .lightning import (BoltHandle, BundleHandle, QuantumEnv, ql_setup,
                         verify_certificate)
-from .qlds import QldsKey, QldsParams, gen_sig, qlds_gen, qlds_ver, verify_sig
+from .qlds import QldsParams, gen_sig, qlds_gen, qlds_ver, verify_sig
 from .wallet import Banknote, Wallet
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "NotOwner",
     "ParseError",
     "PhiParams",
-    "QldsKey",
     "QldsParams",
     "QuantumEnv",
     "ScriptError",

@@ -56,25 +56,26 @@ class ProofTheftStrategy:
 
     def __init__(self, thief: str):
         self.thief = thief
-        self.thefts = 0
 
     def on_pending(self, sim: Simulation, pending: PendingMessage) -> None:
-        if pending.kind != "trigger":
+        # an honest thief's replays are held too; it must not replay those
+        if pending.kind != "trigger" or pending.sender == self.thief:
             return
         w = pending.witness
         if isinstance(w, (ChallengeClaim, ChallengeClaimSig)):
             bundle = sim.env.gen_bundle(self.thief, 1)
-            mine = replace(w, new_serial=bundle.serial)
-            paid = sim.chain.submit_trigger(self.thief, pending.ssid, mine, 0)
-            if paid is not None:
-                z = sim.ledger.retrieve_contract(pending.ssid)
-                sim.wallets[self.thief]._add_note(
-                    Banknote(pending.ssid, bundle, z[2]))
-                self.thefts += 1
+
+            def keep(paid):
+                if paid is not None:
+                    z = sim.ledger.retrieve_contract(pending.ssid)
+                    sim.wallets[self.thief]._add_note(
+                        Banknote(pending.ssid, bundle, z[2]))
+
+            sim.chain.submit_trigger(self.thief, pending.ssid,
+                                     replace(w, new_serial=bundle.serial), 0,
+                                     on_result=keep)
         elif isinstance(w, (RecoverCoins, RecoverCoinsSig)):
-            paid = sim.chain.submit_trigger(self.thief, pending.ssid, w, 0)
-            if paid is not None:
-                self.thefts += 1
+            sim.chain.submit_trigger(self.thief, pending.ssid, w, 0)
 
 
 class ClaimFrontRunStrategy:
@@ -82,13 +83,12 @@ class ClaimFrontRunStrategy:
 
     def __init__(self, thief: str):
         self.thief = thief
-        self.claims: list[int] = []
 
     def on_pending(self, sim: Simulation, pending: PendingMessage) -> None:
-        if pending.kind == "trigger" and isinstance(pending.witness, BanknoteLost):
-            paid = sim.file_claim(self.thief, pending.ssid)
-            if paid is not None:
-                self.claims.append(pending.ssid)
+        # an honest thief's claims are held too; it must not front-run those
+        if (pending.sender != self.thief and pending.kind == "trigger"
+                and isinstance(pending.witness, BanknoteLost)):
+            sim.file_claim(self.thief, pending.ssid)
 
 
 def _attack_sim(variant: str, seed: int, delta: int) -> Simulation:

@@ -223,12 +223,13 @@ class BridgeNote:
 
 def split_denominations(env: QuantumEnv, scheme, sk, total: int, n: int,
                         owner: str) -> tuple[BridgeMessage, list[BridgeNote]]:
-    """Mint 2^n notes of value total/2^n under one signed message."""
+    """Mint 2^n notes of value total/2^n under one signed message; their
+    bolts are one bundle for ``owner``, each verified on its own."""
     count = 1 << n
     if n < 0 or total < 0 or total % count != 0:
         raise DomainError(f"cannot split {total} into 2^{n} integral parts")
     each = total // count
-    bolts = [env.gen_bolt(owner) for _ in range(count)]
+    bolts = env.gen_bundle(owner, count).bolts
     tree = merkle_build([b.serial for b in bolts], n)
     msg = encode_bridge_message(scheme, sk, tree.root, total)
     notes = [BridgeNote(b, b.serial, each, i, merkle_path(tree, i))

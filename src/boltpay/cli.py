@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .attacks import run_attack_i, run_attack_ii, run_attack_iii
@@ -30,9 +31,6 @@ from .games import run_all_games
 from .harness import SimConfig, Simulation, run_scenario
 from .ledger import Ledger
 from .lightning import ql_setup
-
-DEMOS = ("mint-pay-redeem", "lost-claim", "challenge",
-         "attack-i", "attack-ii", "attack-iii", "merkle-split")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,25 +249,24 @@ def _demo_merkle_split(config: SimConfig) -> list[str]:
     return out
 
 
+# demo name -> builder(config) -> output lines, in the order help lists them
+_DEMOS = {
+    "mint-pay-redeem": _demo_mint_pay_redeem,
+    "lost-claim": _demo_lost_claim,
+    "challenge": _demo_challenge,
+    "attack-i": partial(_attack_lines, "attack-i (steal the challenge proof)",
+                        run_attack_i, also_gated=True),
+    "attack-ii": partial(_attack_lines, "attack-ii (front-run the redeem)",
+                         run_attack_ii, also_gated=True),
+    "attack-iii": partial(_attack_lines, "attack-iii (front-run a lost claim)",
+                          run_attack_iii, also_gated=False),
+    "merkle-split": _demo_merkle_split,
+}
+DEMOS = tuple(_DEMOS)
+
+
 def cmd_demo(args) -> int:
-    config = _config_from(args, default_n=256)
-    if args.name == "mint-pay-redeem":
-        lines = _demo_mint_pay_redeem(config)
-    elif args.name == "lost-claim":
-        lines = _demo_lost_claim(config)
-    elif args.name == "challenge":
-        lines = _demo_challenge(config)
-    elif args.name == "attack-i":
-        lines = _attack_lines("attack-i (steal the challenge proof)",
-                              run_attack_i, config, also_gated=True)
-    elif args.name == "attack-ii":
-        lines = _attack_lines("attack-ii (front-run the redeem)",
-                              run_attack_ii, config, also_gated=True)
-    elif args.name == "attack-iii":
-        lines = _attack_lines("attack-iii (front-run a lost claim)",
-                              run_attack_iii, config, also_gated=False)
-    else:
-        lines = _demo_merkle_split(config)
+    lines = _DEMOS[args.name](_config_from(args, default_n=256))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -35,26 +35,19 @@ def _trial_env(seed: int, game: str, k: int, sound: bool) -> QuantumEnv:
 # -- strategies -----------------------------------------------------------
 
 def clone_strategy(env: QuantumEnv):
-    """Mint one bolt, try to copy it, submit the pair."""
-    h = env.gen_bolt("adversary")
-    copy = env.clone_attempt(h)
+    """Mint a 1-bolt bundle, try to copy it, submit the pair."""
+    b = env.gen_bundle("adversary", 1)
+    copy = env.clone_bundle(b)
     if copy is None:
         # no copy to be had; hand in the same register twice and hope
-        return h, h, h.serial
-    return h, copy, h.serial
+        return b, b, b.serial
+    return b, copy, b.serial
 
 
 def guess_certificate_strategy(env: QuantumEnv):
     """Keep the bolt alive and guess its preimage."""
-    h = env.gen_bolt("adversary")
-    return env.draw_bytes(16), h, h.serial
-
-
-def measure_and_keep_strategy(env: QuantumEnv):
-    """Measure for a real certificate, then submit the dead bolt with it."""
-    h = env.gen_bolt("adversary")
-    cert = env.gen_certificate(h, h.serial)
-    return cert, h, h.serial
+    b = env.gen_bundle("adversary", 1)
+    return env.draw_bytes(16), b, b.serial
 
 
 class ReplaySigStrategy:
@@ -77,19 +70,12 @@ class ReplaySigStrategy:
 
 
 def shuffle_and_submit_strategy(env: QuantumEnv):
-    """Exercise legal operations, then hand over the bolt."""
-    h = env.gen_bolt("adversary")
-    env.transfer_bolt(h, "adversary", "mule")
-    env.transfer_bolt(h, "mule", "adversary")
-    env.verify_bolt(h, h.serial)
-    return h, h.serial
-
-
-def dead_bolt_strategy(env: QuantumEnv):
-    """Submit a bolt that was already measured."""
-    h = env.gen_bolt("adversary")
-    env.gen_certificate(h, h.serial)
-    return h, h.serial
+    """Exercise legal operations, then hand over the 1-bolt bundle."""
+    b = env.gen_bundle("adversary", 1)
+    env.transfer_bundle(b, "adversary", "mule")
+    env.transfer_bundle(b, "mule", "adversary")
+    env.verify_bundle(b, b.serial)
+    return b, b.serial
 
 
 # -- games ----------------------------------------------------------------
@@ -101,8 +87,8 @@ def game_counterfeit(seed: int, trials: int, sound: bool = True,
     for k in range(trials):
         env = _trial_env(seed, "counterfeit", k, sound)
         h1, h2, serial = strategy(env)
-        if (h1.bolt_id != h2.bolt_id
-                and env.verify_bolt(h1, serial) and env.verify_bolt(h2, serial)):
+        if (h1.bundle_id != h2.bundle_id
+                and env.verify_bundle(h1, serial) and env.verify_bundle(h2, serial)):
             wins += 1
     return GameResult("counterfeit", wins, trials)
 
@@ -114,7 +100,7 @@ def game_forge_certificate(seed: int, trials: int, sound: bool = True,
     for k in range(trials):
         env = _trial_env(seed, "forge-certificate", k, sound)
         cert, h, serial = strategy(env)
-        if verify_certificate(serial, cert) and env.verify_bolt(h, serial):
+        if verify_certificate(serial, cert) and env.verify_bundle(h, serial):
             wins += 1
     return GameResult("forge-certificate", wins, trials)
 
@@ -136,13 +122,13 @@ def game_forge_signature(seed: int, trials: int, n: int = 8, sound: bool = True,
 
 def game_sabotage_money(seed: int, trials: int, sound: bool = True,
                         strategy=shuffle_and_submit_strategy) -> GameResult:
-    """Hand over a bolt that verifies once and then stops verifying."""
+    """Hand over a bundle that verifies once and then stops verifying."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "sabotage-money", k, sound)
         h, serial = strategy(env)
-        first = env.verify_bolt(h, serial)
-        second = env.verify_bolt(h, serial)
+        first = env.verify_bundle(h, serial)
+        second = env.verify_bundle(h, serial)
         if first and not second:
             wins += 1
     return GameResult("sabotage-money", wins, trials)
@@ -150,14 +136,14 @@ def game_sabotage_money(seed: int, trials: int, sound: bool = True,
 
 def game_sabotage_certificate(seed: int, trials: int, sound: bool = True,
                               strategy=shuffle_and_submit_strategy) -> GameResult:
-    """Hand over a bolt that verifies but then cannot be measured."""
+    """Hand over a 1-bolt bundle that verifies but then cannot be measured."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "sabotage-certificate", k, sound)
         h, serial = strategy(env)
-        if not env.verify_bolt(h, serial):
+        if not env.verify_bundle(h, serial):
             continue
-        cert = env.gen_certificate(h, serial)
+        cert = env.gen_certificate(h.bolts[0], serial)
         if not verify_certificate(serial, cert):
             wins += 1
     return GameResult("sabotage-certificate", wins, trials)

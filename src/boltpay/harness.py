@@ -444,8 +444,11 @@ class Simulation:
         scan_interval ticks old, in pid order.
 
         Only the ticks where a message or a scan is due do any work, so
-        time jumps from one such tick to the next.
+        time jumps from one such tick to the next.  k may be 0, never
+        negative.
         """
+        if k < 0:
+            raise ParseError(f"tick count must not be negative, got {k}")
         ledger = self.ledger
         end = ledger.time + k
         while ledger.time < end:

@@ -7,9 +7,10 @@ the environment's registry, and every operation that physics would forbid
 is refused by construction.  With ``sound_mode=False`` the no-cloning rule
 is switched off, giving a negative control for the security harness.
 
-A banknote or a signing key is a bundle: a fixed sequence of bolts with
-one owner.  A bundle changes hands and verifies in one step, whatever its
-size, while its bolts can still be measured one at a time.
+Every bolt belongs to a bundle: a fixed sequence of bolts with one owner.
+A banknote, a signing key and a lone bolt (a 1-bolt bundle) all change
+hands, verify and get cloned in one step, whatever their size, while
+their bolts can still be verified and measured one at a time.
 
 All randomness comes from a caller-supplied 32-byte seed, so two
 environments driven through the same operation sequence are bit-identical.
@@ -37,8 +38,6 @@ class LightningParams:
     """Public parameters of one simulated environment."""
 
     lambda_bits: int
-    preimage_len: int = PREIMAGE_LEN
-    serial_len: int = SERIAL_LEN
     sound_mode: bool = True
 
 
@@ -62,7 +61,7 @@ class BundleHandle:
 
     ``serial`` is the concatenation of the bolts' serials, in order.  The
     bolts keep their own liveness, so a single one can be measured, but
-    they have one owner, held by the bundle.
+    they have one owner, held by the bundle, and move only with it.
     """
 
     env_id: int
@@ -83,12 +82,7 @@ class _BoltRecord:
     secret: bytes
     serial: bytes
     alive: bool
-    owner: str | None  # None when the bolt belongs to a bundle
-    bundle: _BundleRecord | None = None
-
-    @property
-    def holder(self) -> str:
-        return self.owner if self.bundle is None else self.bundle.owner
+    bundle: _BundleRecord  # holds the owner
 
 
 def serial_of(secret: bytes) -> bytes:
@@ -150,35 +144,26 @@ class QuantumEnv:
 
     # -- operations ---------------------------------------------------
 
-    def gen_bolt(self, owner: str) -> BoltHandle:
-        """Mint a fresh bolt owned by ``owner``; returns its handle."""
-        secret = self._rng.randbytes(self.params.preimage_len)
-        serial = serial_of(secret)
-        bolt_id = self._next_id
-        self._next_id += 1
-        self._registry[bolt_id] = _BoltRecord(secret, serial, True, owner)
-        return BoltHandle(self.env_id, bolt_id, serial)
-
     def gen_bundle(self, owner: str, count: int) -> BundleHandle:
         """Mint ``count`` fresh bolts as one bundle owned by ``owner``.
 
-        Draws the same randomness and allocates the same bolt ids as
-        ``count`` calls to gen_bolt would.
+        Bolt ids run on from the last mint, and each bolt draws its 16-byte
+        secret in turn, so a k-bolt bundle draws and numbers its bolts
+        exactly as k 1-bolt bundles would.
         """
         if count < 1:
             raise DomainError("a bundle holds at least one bolt")
         bundle = _BundleRecord(b"", owner, 0)
-        draw, plen = self._rng.randbytes, self.params.preimage_len
-        registry, env_id = self._registry, self.env_id
+        draw, registry, env_id = self._rng.randbytes, self._registry, self.env_id
         first = self._next_id
         self._next_id = first + count
         bolts = []
         for bolt_id in range(first, first + count):
-            secret = draw(plen)
+            secret = draw(PREIMAGE_LEN)
             serial = serial_of(secret)
-            registry[bolt_id] = _BoltRecord(secret, serial, True, None, bundle)
+            registry[bolt_id] = _BoltRecord(secret, serial, True, bundle)
             bolts.append(BoltHandle(env_id, bolt_id, serial))
-        bundle.serial = b"".join(h.serial for h in bolts)
+        bundle.serial = b"".join([h.serial for h in bolts])
         return self._register_bundle(bundle, tuple(bolts))
 
     def _register_bundle(self, bundle: _BundleRecord,
@@ -221,22 +206,9 @@ class QuantumEnv:
         if not rec.alive or rec.serial != serial:
             raise MeasureFailed("bolt is dead or serial does not match")
         rec.alive = False
-        if rec.bundle is not None:
-            rec.bundle.measured += 1
+        rec.bundle.measured += 1
         self._released_certs.add(rec.serial)
         return rec.secret
-
-    def transfer_bolt(self, handle: BoltHandle, sender: str, receiver: str) -> None:
-        """Hand the bolt to another party; only the holder may do this.
-
-        A bolt of a bundle moves only with its bundle.
-        """
-        rec = self._record(handle)
-        if rec.bundle is not None:
-            raise DomainError("a bundled bolt moves only with its bundle")
-        if rec.owner != sender:
-            raise NotOwner(f"{sender!r} does not hold this bolt")
-        rec.owner = receiver
 
     def transfer_bundle(self, handle: BundleHandle, sender: str, receiver: str) -> None:
         """Hand every bolt of the bundle to another party, or none."""
@@ -245,28 +217,13 @@ class QuantumEnv:
             raise NotOwner(f"{sender!r} does not hold this bundle")
         rec.owner = receiver
 
-    def clone_attempt(self, handle: BoltHandle) -> BoltHandle | None:
-        """Try to copy a bolt.
-
-        Refused (returns None) in sound mode.  With sound_mode=False a second
-        handle with the same secret and serial is registered: the negative
-        control the adversarial harness must catch.  The copy of a bundled
-        bolt is a bolt of its own.
-        """
-        rec = self._record(handle)
-        if self.params.sound_mode:
-            return None
-        bolt_id = self._next_id
-        self._next_id += 1
-        self._registry[bolt_id] = _BoltRecord(rec.secret, rec.serial, rec.alive,
-                                              rec.holder)
-        return BoltHandle(self.env_id, bolt_id, rec.serial)
-
     def clone_bundle(self, handle: BundleHandle) -> BundleHandle | None:
-        """clone_attempt on every bolt of the bundle, in order.
+        """Try to copy every bolt of the bundle, in order.
 
         Refused (returns None) in sound mode.  With sound_mode=False the
-        copies are registered as a new bundle with the same owner.
+        copies, with the same secrets, serials and liveness, are registered
+        under fresh bolt ids as a new bundle with the same owner: the
+        negative control the adversarial harness must catch.
         """
         rec = self._bundle(handle)
         if self.params.sound_mode:
@@ -279,17 +236,17 @@ class QuantumEnv:
         bolts = []
         for bolt_id, src in enumerate(sources, first):
             registry[bolt_id] = _BoltRecord(src.secret, src.serial, src.alive,
-                                            None, copy)
+                                            copy)
             bolts.append(BoltHandle(env_id, bolt_id, src.serial))
         return self._register_bundle(copy, tuple(bolts))
 
     # -- inspection ---------------------------------------------------
 
     def owner_of(self, handle: BoltHandle | BundleHandle) -> str:
-        """Holder of a bolt or a bundle; a bundled bolt's is its bundle's."""
+        """Holder of a bundle, or of the bundle a bolt belongs to."""
         if isinstance(handle, BundleHandle):
             return self._bundle(handle).owner
-        return self._record(handle).holder
+        return self._record(handle).bundle.owner
 
     def is_alive(self, handle: BoltHandle) -> bool:
         return self._record(handle).alive
@@ -321,7 +278,7 @@ class QuantumEnv:
             h.update(rec.secret)
             h.update(rec.serial)
             h.update(b"\x01" if rec.alive else b"\x00")
-            h.update(rec.holder.encode())
+            h.update(rec.bundle.owner.encode())
             h.update(b"\x00")
         return h.digest()
 

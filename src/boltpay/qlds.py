@@ -1,8 +1,9 @@
 """One-time signatures whose signing key is a bundle of 2n bolts.
 
-The key holds two bolts per message bit.  Signing hashes the message to n
-bits and destructively measures one bolt per bit (the i-th bolt for a zero
-bit, the (n+i)-th for a one bit); the released preimages are the signature.
+The key is the bundle itself, and its serial is the public key.  It holds
+two bolts per message bit.  Signing hashes the message to n bits and
+destructively measures one bolt per bit (the i-th bolt for a zero bit, the
+(n+i)-th for a one bit); the released preimages are the signature.
 Verification is stateless hash comparison, so a smart contract can check a
 signature without touching the environment.
 
@@ -19,7 +20,6 @@ from .errors import KeyExhausted, ParseError
 from .lightning import (
     PREIMAGE_LEN,
     SERIAL_LEN,
-    BoltHandle,
     BundleHandle,
     QuantumEnv,
     verify_certificate,
@@ -43,25 +43,6 @@ class QldsParams:
             raise ParseError(f"n must be in 1..256, got {self.n}")
 
 
-@dataclass(frozen=True)
-class QldsKey:
-    """A bundle of 2n bolts in fixed order; its serial is the public key."""
-
-    bundle: BundleHandle
-
-    @property
-    def bolts(self) -> tuple[BoltHandle, ...]:
-        return self.bundle.bolts
-
-    @property
-    def serial(self) -> bytes:
-        return self.bundle.serial
-
-    @property
-    def n(self) -> int:
-        return len(self.bolts) // 2
-
-
 def message_bits(message: bytes, n: int) -> tuple[int, ...]:
     """First n bits of SHA-256(message), most significant bit first."""
     digest = hashlib.sha256(message).digest()
@@ -78,32 +59,33 @@ def signing_indices(bits: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b * n + j for j, b in enumerate(bits))
 
 
-def qlds_gen(env: QuantumEnv, params: QldsParams, owner: str) -> QldsKey:
+def qlds_gen(env: QuantumEnv, params: QldsParams, owner: str) -> BundleHandle:
     """Mint a fresh 2n-bolt key for ``owner``."""
-    return QldsKey(env.gen_bundle(owner, 2 * params.n))
+    return env.gen_bundle(owner, 2 * params.n)
 
 
-def _check_serial_length(serial: bytes) -> None:
+def _check_serial_size(serial: bytes) -> None:
     if not serial or len(serial) % SERIAL_LEN != 0:
         raise ParseError("serial length must be a positive multiple of 32")
 
 
 def split_serial(serial: bytes) -> list[bytes]:
-    _check_serial_length(serial)
+    _check_serial_size(serial)
     return [serial[i:i + SERIAL_LEN] for i in range(0, len(serial), SERIAL_LEN)]
 
 
-def qlds_ver(env: QuantumEnv, key: QldsKey, serial: bytes) -> bool:
+def qlds_ver(env: QuantumEnv, key: BundleHandle, serial: bytes) -> bool:
     """Check the key is whole: every bolt is alive and the serial matches.
 
     Rejects as soon as any bolt was consumed, which is what makes the key
     one-time: a signed-with key can no longer be passed off as money.
     """
-    _check_serial_length(serial)
-    return len(key.bolts) % 2 == 0 and env.verify_bundle(key.bundle, serial)
+    _check_serial_size(serial)
+    return len(key.bolts) % 2 == 0 and env.verify_bundle(key, serial)
 
 
-def gen_sig(env: QuantumEnv, key: QldsKey, serial: bytes, message: bytes) -> QldsSignature:
+def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
+            message: bytes) -> QldsSignature:
     """Sign by measuring one bolt per message bit; consumes those bolts.
 
     Consumption is in ascending bit position and sticks: if a needed bolt is
@@ -112,7 +94,7 @@ def gen_sig(env: QuantumEnv, key: QldsKey, serial: bytes, message: bytes) -> Qld
     """
     if serial != key.serial:
         raise ParseError("serial does not match key")
-    n = key.n
+    n = len(key.bolts) // 2
     if n == 0 or len(key.bolts) != 2 * n:
         raise ParseError("key must hold 2n bolts")
     bits = message_bits(message, n)

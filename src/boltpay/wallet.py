@@ -5,9 +5,9 @@ stored in a backing contract.  Payment is purely peer-to-peer (the payee
 only READS the ledger to check the backing), which is the whole point:
 spending costs no ledger writes.
 
-Wallets talk to the ledger through a small chain adapter so a test harness
-can interpose a message scheduler; the default adapter delivers
-immediately.  Operations whose delivery is deferred return the HELD
+Wallets send every trigger through the chain they are built with, the
+harness's message scheduler, which may deliver it at once or hold it in
+a mempool.  Operations whose delivery is deferred return the HELD
 sentinel and finish their bookkeeping in a callback.
 """
 
@@ -38,7 +38,7 @@ from .contract import (
 from .errors import KeyExhausted, MeasureFailed, MintFailed, NotOwner
 from .ledger import Ledger
 from .lightning import BoltHandle, BundleHandle, QuantumEnv
-from .qlds import QldsKey, QldsParams, gen_sig, qlds_gen
+from .qlds import QldsParams, gen_sig, qlds_gen
 
 LOST_OWNER = "@lost"
 
@@ -50,20 +50,6 @@ class _Held:
 
 # Returned by chain-routed operations whose delivery is deferred.
 HELD = _Held()
-
-
-class DirectChain:
-    """Chain adapter that delivers every submission immediately."""
-
-    def __init__(self, ledger: Ledger):
-        self.ledger = ledger
-
-    def submit_trigger(self, sender: str, ssid: int, witness, deposit: int,
-                       on_result=None):
-        paid = self.ledger.trigger(sender, ssid, witness, deposit)
-        if on_result is not None:
-            on_result(paid)
-        return paid
 
 
 @dataclass
@@ -85,9 +71,6 @@ class Banknote:
     def bolts(self) -> tuple[BoltHandle, ...]:
         return self.bundle.bolts
 
-    def key(self) -> QldsKey:
-        return QldsKey(self.bundle)
-
 
 @dataclass
 class Wallet:
@@ -103,9 +86,9 @@ class Wallet:
     env: QuantumEnv
     ledger: Ledger
     phi: PhiParams
+    chain: object  # submit_trigger(sender, ssid, witness, deposit, on_result)
     n: int = 8
     minimal: bool = False
-    chain: object = None
     notes: dict = field(default_factory=dict)
     banknote_value: int = 0
     last_scan: int = -1
@@ -114,8 +97,6 @@ class Wallet:
     on_first_note: object = None  # called with the wallet as it gains a note
 
     def __post_init__(self):
-        if self.chain is None:
-            self.chain = DirectChain(self.ledger)
         if self.minimal and self.phi.variant != "base":
             raise MintFailed("single-bolt notes cannot sign; use the base variant")
 
@@ -144,7 +125,7 @@ class Wallet:
     def _mint_bundle(self) -> BundleHandle:
         if self.minimal:
             return self.env.gen_bundle(self.pid, 1)
-        return qlds_gen(self.env, QldsParams(self.n), self.pid).bundle
+        return qlds_gen(self.env, QldsParams(self.n), self.pid)
 
     # -- minting --------------------------------------------------------
 
@@ -218,7 +199,7 @@ class Wallet:
             for b in note.bolts:
                 certs.append(self.env.gen_certificate(b, b.serial))
             return b"".join(certs)
-        return gen_sig(self.env, note.key(), note.serial, message)
+        return gen_sig(self.env, note.bundle, note.serial, message)
 
     def redeem(self, ssid: int):
         """Cash the note in for its backing coins.

@@ -91,6 +91,17 @@ def test_a_key_size_outside_1_to_256_is_refused_before_any_line_runs(n, tmp_path
     assert "n must be in 1..256" in r.stderr
 
 
+@pytest.mark.parametrize("k,code", [("0", 0), ("-5", 2)])
+def test_a_negative_tick_count_is_refused_with_its_line(k, code, tmp_path):
+    script = tmp_path / "tick.bolt"
+    script.write_text(f"AddParty\talice:50\nTICK\t{k}\n")
+    r = boltpay("run", str(script))
+    assert r.returncode == code, r.stderr
+    if code:
+        assert r.stdout == ""
+        assert "line 2: TICK: tick count must not be negative" in r.stderr
+
+
 def test_double_spend_needs_the_unsound_flag(tmp_path):
     scenario = str(SCENARIOS / "double-spend-attempt.bolt")
     sound = boltpay("run", scenario)

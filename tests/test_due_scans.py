@@ -132,18 +132,6 @@ class GiftStrategy:
             sim.pay(self.thief, payee, ssid)
 
 
-class WhileCorrupt:
-    """Act only while the thief is corrupt, so its own messages skip the
-    mempool and it never reacts to itself."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def on_pending(self, sim, pending) -> None:
-        if self.inner.thief in sim.corrupted and pending.sender != self.inner.thief:
-            self.inner.on_pending(sim, pending)
-
-
 STRATEGIES = {
     "none": None,
     "proof-theft": ProofTheftStrategy,
@@ -206,7 +194,7 @@ def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
             sim.add_party(pid)
         sim.corrupt(THIEF)
         if STRATEGIES[strategy] is not None:
-            sim.adversary = WhileCorrupt(STRATEGIES[strategy](THIEF))
+            sim.adversary = STRATEGIES[strategy](THIEF)
         sims.append(sim)
     real, walk = sims
     for tokens in lines:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
+from boltpay.attacks import (
+    ClaimFrontRunStrategy,
+    ProofTheftStrategy,
+    run_attack_i,
+    run_attack_ii,
+    run_attack_iii,
+)
 from boltpay.contract import (
     BanknoteLost,
     ChallengeClaim,
@@ -362,6 +368,53 @@ def test_attack_traces_replay_cleanly(runner, variant):
     replay = replay_trace(outcome.trace)
     assert replay.max_net == outcome.max_net
     assert outcome.succeeded == (outcome.max_net > 0)
+
+
+def honest_thief_sim(variant, strategy_cls):
+    """The attack set-up with mallory's strategy on but mallory honest, so
+    the strategy's own messages wait in the mempool it watches."""
+    sim = Simulation(SimConfig(variant=variant, d0=10, t_tr=12, n=8,
+                               scheduler="reorder:3"))
+    for pid in (ALICE, BOB, MALLORY):
+        sim.add_party(pid)
+    sim.adversary = strategy_cls(MALLORY)
+    return sim
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_proof_theft_by_an_honest_thief_does_not_replay_itself(variant):
+    sim = honest_thief_sim(variant, ProofTheftStrategy)
+    ssid = sim.mint(ALICE, 25)
+    sim.file_claim(MALLORY, ssid)
+    sim.tick(4)
+    assert sim.watchdog(ALICE) == [(ssid, "challenge")]
+    sim.tick(4)
+    # alice's challenge lands first, the replay held behind it finds no claim
+    replays = [ln for ln in sim.trace
+               if ln.split("\t")[1:3] == [MALLORY, "trigger"]]
+    assert len(replays) == 2 and replays[1].endswith("\trejected")
+    assert sim.wallets[ALICE].holds(ssid) and not sim.wallets[MALLORY].holds(ssid)
+    assert sim.redeem(ALICE, ssid) is HELD
+    sim.tick(4)
+    assert sim.ledger.parties[ALICE].coins == 60
+    assert sim.ledger.parties[MALLORY].coins == 30
+    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
+
+
+def test_claim_front_running_by_an_honest_thief_does_not_answer_itself():
+    sim = honest_thief_sim("base", ClaimFrontRunStrategy)
+    ssid = sim.mint(ALICE, 25)
+    sim.lose(ALICE, ssid)
+    sim.file_claim(ALICE, ssid)
+    sim.tick(sim.config.t_tr + 4)
+    claims = [ln for ln in sim.trace if "\tBanknoteLost\t" in ln]
+    assert [ln.split("\t")[1] for ln in claims] == [ALICE, MALLORY]
+    assert claims[1].endswith("\trejected")
+    assert sim.settle(ALICE, ssid) is HELD
+    sim.tick(4)
+    assert sim.wallets[ALICE].holds(ssid)
+    assert sim.ledger.parties[MALLORY].coins == 40
+    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
 
 
 # -- witness codec ---------------------------------------------------------

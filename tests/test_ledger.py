@@ -313,7 +313,7 @@ def test_triggers_see_the_current_tick():
 
 def test_real_banknote_circuit_pays_out_through_the_ledger():
     env = ql_setup(128, bytes(32))
-    bolt = env.gen_bolt("alice")
+    bolt = env.gen_bundle("alice", 1).bolts[0]
     phi = PhiParams()
     led = Ledger()
     led.add_party(ALICE)

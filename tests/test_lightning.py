@@ -36,20 +36,25 @@ def test_setup_rejects_low_security_level():
     ql_setup(64, SEED0)  # smallest accepted
 
 
+def bolt(env, owner="a"):
+    """The one bolt of a fresh 1-bolt bundle."""
+    return env.gen_bundle(owner, 1).bolts[0]
+
+
 def test_same_seed_reproduces_the_same_bolts():
     a, b = fresh_env(), fresh_env()
-    sa = [a.gen_bolt("p").serial for _ in range(5)]
-    sb = [b.gen_bolt("p").serial for _ in range(5)]
+    sa = [bolt(a).serial for _ in range(5)]
+    sb = [bolt(b).serial for _ in range(5)]
     assert sa == sb
 
 
 def test_different_seeds_diverge_immediately():
-    assert fresh_env(SEED0).gen_bolt("p").serial != fresh_env(SEED1).gen_bolt("p").serial
+    assert bolt(fresh_env(SEED0)).serial != bolt(fresh_env(SEED1)).serial
 
 
 def test_serial_is_tagged_hash_of_registry_secret():
     env = fresh_env()
-    h = env.gen_bolt("alice")
+    h = bolt(env, "alice")
     secret = env._registry[h.bolt_id].secret
     assert h.serial == hashlib.sha256(b"QLBOLT" + secret).digest()
     assert serial_of(secret) == h.serial
@@ -63,20 +68,20 @@ def test_serial_of_pinned_value():
 
 def test_fresh_bolts_get_distinct_serials():
     env = fresh_env()
-    assert env.gen_bolt("a").serial != env.gen_bolt("a").serial
+    assert bolt(env).serial != bolt(env).serial
 
 
 def test_verify_accepts_only_the_bound_serial():
     env = fresh_env()
-    h = env.gen_bolt("a")
-    other = env.gen_bolt("a")
+    h = bolt(env)
+    other = bolt(env)
     assert env.verify_bolt(h, h.serial)
     assert not env.verify_bolt(h, other.serial)
 
 
 def test_verification_is_repeatable_and_nondestructive():
     env = fresh_env()
-    h = env.gen_bolt("a")
+    h = bolt(env)
     for _ in range(1000):
         assert env.verify_bolt(h, h.serial)
     assert env.is_alive(h)
@@ -85,7 +90,7 @@ def test_verification_is_repeatable_and_nondestructive():
 
 def test_certificate_roundtrip_and_exclusivity():
     env = fresh_env()
-    h = env.gen_bolt("a")
+    h = bolt(env)
     c = env.gen_certificate(h, h.serial)
     # independent recomputation of the binding
     assert hashlib.sha256(b"QLBOLT" + c).digest() == h.serial
@@ -99,7 +104,7 @@ def test_certificate_roundtrip_and_exclusivity():
 
 def test_certificate_against_wrong_serial_fails():
     env = fresh_env()
-    h = env.gen_bolt("a")
+    h = bolt(env)
     with pytest.raises(MeasureFailed):
         env.gen_certificate(h, bytes(32))
     assert env.is_alive(h)  # a failed measurement must not burn the bolt
@@ -107,7 +112,7 @@ def test_certificate_against_wrong_serial_fails():
 
 def test_random_or_foreign_certificates_rejected():
     env = fresh_env()
-    h1, h2 = env.gen_bolt("a"), env.gen_bolt("a")
+    h1, h2 = bolt(env), bolt(env)
     assert not verify_certificate(h1.serial, env.draw_bytes(16))
     c2 = env.gen_certificate(h2, h2.serial)
     assert not verify_certificate(h1.serial, c2)
@@ -115,7 +120,7 @@ def test_random_or_foreign_certificates_rejected():
 
 def test_segment_certificates():
     env = fresh_env()
-    h1, h2 = env.gen_bolt("a"), env.gen_bolt("a")
+    h1, h2 = bolt(env), bolt(env)
     serial = h1.serial + h2.serial
     cert = env.gen_certificate(h1, h1.serial) + env.gen_certificate(h2, h2.serial)
     assert verify_certificate_segments(serial, cert)
@@ -127,25 +132,26 @@ def test_segment_certificates():
 
 def test_transfer_moves_ownership():
     env = fresh_env()
-    h = env.gen_bolt("alice")
-    env.transfer_bolt(h, "alice", "bob")
-    assert env.owner_of(h) == "bob"
+    b = env.gen_bundle("alice", 1)
+    env.transfer_bundle(b, "alice", "bob")
+    assert env.owner_of(b) == env.owner_of(b.bolts[0]) == "bob"
     with pytest.raises(NotOwner):
-        env.transfer_bolt(h, "alice", "carol")
+        env.transfer_bundle(b, "alice", "carol")
 
 
 def test_clone_refused_in_sound_mode():
     env = fresh_env()
-    h = env.gen_bolt("a")
-    assert all(env.clone_attempt(h) is None for _ in range(1000))
+    b = env.gen_bundle("a", 1)
+    assert all(env.clone_bundle(b) is None for _ in range(1000))
     assert env.audit_violations() == []
 
 
 def test_clone_negative_control_in_unsound_mode():
     env = fresh_env(sound=False)
-    h = env.gen_bolt("a")
-    copy = env.clone_attempt(h)
-    assert copy is not None and copy.bolt_id != h.bolt_id
+    b = env.gen_bundle("a", 1)
+    h = b.bolts[0]
+    copy = env.clone_bundle(b).bolts[0]
+    assert copy.bolt_id != h.bolt_id
     assert copy.serial == h.serial
     assert env.verify_bolt(h, h.serial) and env.verify_bolt(copy, h.serial)
     violations = env.audit_violations()
@@ -154,8 +160,9 @@ def test_clone_negative_control_in_unsound_mode():
 
 def test_certificate_release_flags_surviving_copies():
     env = fresh_env(sound=False)
-    h = env.gen_bolt("a")
-    copy = env.clone_attempt(h)
+    b = env.gen_bundle("a", 1)
+    h = b.bolts[0]
+    copy = env.clone_bundle(b).bolts[0]
     env.gen_certificate(h, h.serial)
     # the copy is still alive although a certificate is out: two violations
     assert env.is_alive(copy)
@@ -164,7 +171,7 @@ def test_certificate_release_flags_surviving_copies():
 
 def test_foreign_handles_are_rejected():
     env_a, env_b = fresh_env(), fresh_env(SEED1)
-    h = env_a.gen_bolt("a")
+    h = bolt(env_a)
     with pytest.raises(DomainError):
         env_b.verify_bolt(h, h.serial)
 
@@ -172,7 +179,7 @@ def test_foreign_handles_are_rejected():
 def test_snapshot_tracks_state():
     env = fresh_env()
     s0 = env.snapshot()
-    h = env.gen_bolt("a")
+    h = bolt(env)
     s1 = env.snapshot()
     assert s0 != s1
     env.gen_certificate(h, h.serial)
@@ -183,20 +190,22 @@ def test_snapshot_tracks_state():
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 999)), max_size=40),
        st.integers(0, 2**32 - 1))
 def test_operation_sequences_preserve_exclusivity(ops, seed):
-    """Whatever the order of gen/verify/certify/transfer requests, sound
-    mode never produces two live handles per serial, and a released
-    certificate marks its bolt dead forever."""
+    """Whatever the order of mint/verify/certify/transfer requests on 1-bolt
+    bundles, sound mode never produces two live handles per serial, and a
+    released certificate marks its bolt dead forever."""
     env = ql_setup(128, seed.to_bytes(32, "big"))
-    handles, certified = [], []
+    bundles, certified = [], []
     parties = ["p1", "p2", "p3"]
     for op, pick in ops:
-        if op == 0 or not handles:
-            handles.append(env.gen_bolt(parties[pick % 3]))
+        if op == 0 or not bundles:
+            bundles.append(env.gen_bundle(parties[pick % 3], 1))
             continue
-        h = handles[pick % len(handles)]
+        b = bundles[pick % len(bundles)]
+        h = b.bolts[0]
         if op == 1:
             expected = env.is_alive(h)
             assert env.verify_bolt(h, h.serial) == expected
+            assert env.verify_bundle(b, b.serial) == expected
         elif op == 2:
             if env.is_alive(h):
                 c = env.gen_certificate(h, h.serial)
@@ -205,8 +214,8 @@ def test_operation_sequences_preserve_exclusivity(ops, seed):
                 with pytest.raises(MeasureFailed):
                     env.gen_certificate(h, h.serial)
         else:
-            owner = env.owner_of(h)
-            env.transfer_bolt(h, owner, parties[pick % 3])
+            owner = env.owner_of(b)
+            env.transfer_bundle(b, owner, parties[pick % 3])
     assert env.audit_violations() == []
     for h, c in certified:
         assert not env.verify_bolt(h, h.serial)
@@ -220,15 +229,16 @@ def _ids_and_serials(handles) -> list[tuple[int, bytes]]:
     return [(h.bolt_id, h.serial) for h in handles]
 
 
-def test_bundle_draws_and_numbers_like_single_bolts():
+def test_bundle_draws_and_numbers_like_one_bolt_bundles():
     a, b = fresh_env(), fresh_env()
-    singles = [a.gen_bolt("p") for _ in range(5)]
+    singles = [a.gen_bundle("p", 1) for _ in range(5)]
+    bolts = [s.bolts[0] for s in singles]
     bundle = b.gen_bundle("p", 5)
-    assert _ids_and_serials(bundle.bolts) == _ids_and_serials(singles)
-    assert bundle.serial == b"".join(h.serial for h in singles)
+    assert _ids_and_serials(bundle.bolts) == _ids_and_serials(bolts)
+    assert bundle.serial == b"".join(s.serial for s in singles)
     assert a.snapshot() == b.snapshot()
     # the next mint continues from the same random stream and id
-    assert _ids_and_serials([a.gen_bolt("p")]) == _ids_and_serials([b.gen_bolt("p")])
+    assert _ids_and_serials([bolt(a)]) == _ids_and_serials([bolt(b)])
 
 
 def test_bundle_needs_at_least_one_bolt():
@@ -258,13 +268,10 @@ def test_not_owner_refusal_leaves_the_bundle_where_it_was():
 def test_bundled_bolts_move_only_with_their_bundle():
     env = fresh_env()
     bundle = env.gen_bundle("alice", 2)
-    with pytest.raises(DomainError):
-        env.transfer_bolt(bundle.bolts[1], "alice", "bob")
-    assert env.owner_of(bundle.bolts[1]) == "alice"
-    # a bolt from gen_bolt keeps its own owner and still moves alone
-    single = env.gen_bolt("alice")
-    env.transfer_bolt(single, "alice", "bob")
-    assert env.owner_of(single) == "bob" and env.owner_of(bundle) == "alice"
+    single = env.gen_bundle("alice", 1)
+    env.transfer_bundle(single, "alice", "bob")
+    assert env.owner_of(single.bolts[0]) == "bob"
+    assert [env.owner_of(h) for h in bundle.bolts] == ["alice"] * 2
 
 
 def test_foreign_bundles_are_rejected():
@@ -316,8 +323,8 @@ def test_clone_bundle_refused_in_sound_mode():
 
 def test_clone_bundle_numbers_copies_like_single_clones():
     a, b = fresh_env(sound=False), fresh_env(sound=False)
-    singles = [a.gen_bolt("p") for _ in range(3)]
-    copies = [a.clone_attempt(h) for h in singles]
+    singles = [a.gen_bundle("p", 1) for _ in range(3)]
+    copies = [a.clone_bundle(s).bolts[0] for s in singles]
     bundle = b.gen_bundle("p", 3)
     copy = b.clone_bundle(bundle)
     assert _ids_and_serials(copy.bolts) == _ids_and_serials(copies)

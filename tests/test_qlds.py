@@ -43,7 +43,6 @@ def test_key_shape_for_n8():
     _, key = make_key(8)
     assert len(key.bolts) == 16
     assert len(key.serial) == 16 * 32
-    assert key.n == 8
 
 
 def test_fresh_key_passes_verification():
@@ -149,6 +148,18 @@ def test_signing_under_wrong_serial_rejected():
     env, key = make_key(2)
     with pytest.raises(ParseError):
         gen_sig(env, key, bytes(128), b"msg")
+
+
+def test_a_bundle_of_an_odd_bolt_count_is_no_key():
+    env = fresh_env()
+    for count in (1, 3):
+        bundle = env.gen_bundle("signer", count)
+        assert env.verify_bundle(bundle, bundle.serial)
+        assert not qlds_ver(env, bundle, bundle.serial)
+        with pytest.raises(ParseError):
+            gen_sig(env, bundle, bundle.serial, b"msg")
+        with pytest.raises(ParseError):
+            qlds_ver(env, bundle, bundle.serial[:-1])
 
 
 def test_split_serial_shape():

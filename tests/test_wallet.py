@@ -7,27 +7,25 @@ import pytest
 from boltpay.contract import (
     BanknoteState,
     ChallengeClaimSig,
-    ClaimBy,
     NO_CLAIM,
-    PhiParams,
     challenge_message,
 )
 from boltpay.errors import MintFailed, NotOwner
-from boltpay.ledger import Ledger
-from boltpay.lightning import QuantumEnv, ql_setup
+from boltpay.harness import ReorderChain, SimConfig, Simulation
+from boltpay.lightning import QuantumEnv
 from boltpay.qlds import verify_sig
-from boltpay.wallet import LOST_OWNER, DirectChain, Wallet
+from boltpay.wallet import LOST_OWNER
 
 ALICE = "alice:50"
 BOB = "bob:50"
 MALLORY = "mallory:40"
 
 
-class SpyChain(DirectChain):
-    """DirectChain that records every submission for inspection."""
+class SpyChain(ReorderChain):
+    """The delta-0 chain, recording every submission for inspection."""
 
-    def __init__(self, ledger):
-        super().__init__(ledger)
+    def __init__(self, sim):
+        super().__init__(sim, 0)
         self.submissions = []
 
     def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
@@ -36,16 +34,13 @@ class SpyChain(DirectChain):
 
 
 def setup(variant="base", n=2, minimal=False, chain_for=()):
-    env = ql_setup(128, bytes(32))
-    led = Ledger()
-    phi = PhiParams(variant=variant, d0=10, t_tr=12, t0=10, t1=10)
-    wallets = {}
+    sim = Simulation(SimConfig(variant=variant, d0=10, t_tr=12, t0=10, t1=10,
+                               n=n, minimal=minimal))
     for pid in (ALICE, BOB, MALLORY):
-        led.add_party(pid)
-        chain = SpyChain(led) if pid in chain_for else None
-        wallets[pid] = Wallet(pid, env, led, phi, n=n, minimal=minimal,
-                              chain=chain)
-    return env, led, wallets
+        sim.add_party(pid)
+        if pid in chain_for:
+            sim.wallets[pid].chain = SpyChain(sim)
+    return sim.env, sim.ledger, sim.wallets
 
 
 def test_mint_moves_the_face_value_into_a_backing_contract():
@@ -82,11 +77,8 @@ def test_minimal_wallet_mints_single_bolt_notes():
 
 
 def test_minimal_wallet_refuses_signature_variants():
-    env = ql_setup(128, bytes(32))
-    led = Ledger()
-    led.add_party(ALICE)
     with pytest.raises(MintFailed):
-        Wallet(ALICE, env, led, PhiParams(variant="sig-gated"), minimal=True)
+        setup(variant="sig-gated", minimal=True)
 
 
 def test_payment_chain_costs_no_ledger_writes():
@@ -144,8 +136,7 @@ def _env_calls_during_one_payment(n: int, monkeypatch) -> Counter:
     env, led, w = setup(n=n)
     note = w[ALICE].mint(25)
     calls = Counter()
-    for name in ("transfer_bolt", "verify_bolt", "_record",
-                 "transfer_bundle", "verify_bundle", "_bundle"):
+    for name in ("verify_bolt", "_record", "transfer_bundle", "verify_bundle", "_bundle"):
         original = getattr(QuantumEnv, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -161,7 +152,7 @@ def test_payment_env_calls_do_not_grow_with_the_key_size(monkeypatch):
     small = _env_calls_during_one_payment(8, monkeypatch)
     large = _env_calls_during_one_payment(256, monkeypatch)
     assert small == large
-    assert small["transfer_bolt"] == small["verify_bolt"] == small["_record"] == 0
+    assert small["verify_bolt"] == small["_record"] == 0
     assert small["transfer_bundle"] == small["verify_bundle"] == 1
 
 
