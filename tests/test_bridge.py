@@ -263,6 +263,12 @@ def test_split_rejects_indivisible_totals():
         split_denominations(env, scheme, sk, 7, 2, "mint")
 
 
+def test_split_rejects_a_negative_level_count():
+    env, scheme, sk, pk = split_env()
+    with pytest.raises(DomainError):
+        split_denominations(env, scheme, sk, 8, -1, "mint")
+
+
 def test_note_verification_rejects_lies():
     env, scheme, sk, pk = split_env()
     msg, notes = split_denominations(env, scheme, sk, 8, 2, "mint")
