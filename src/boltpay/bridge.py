@@ -225,9 +225,9 @@ def split_denominations(env: QuantumEnv, scheme, sk, total: int, n: int,
                         owner: str) -> tuple[BridgeMessage, list[BridgeNote]]:
     """Mint 2^n notes of value total/2^n under one signed message; their
     bolts are one bundle for ``owner``, each verified on its own."""
-    count = 1 << n
-    if n < 0 or total < 0 or total % count != 0:
+    if n < 0 or total < 0 or total % (1 << n) != 0:
         raise DomainError(f"cannot split {total} into 2^{n} integral parts")
+    count = 1 << n
     each = total // count
     bolts = env.gen_bundle(owner, count).bolts
     tree = merkle_build([b.serial for b in bolts], n)

@@ -3,14 +3,16 @@
 A bolt is a quantum state that anybody can verify against a public serial
 number but nobody can copy.  The simulation replaces the state with a
 move-only handle: the secret preimage behind each serial lives only inside
-the environment's registry, and every operation that physics would forbid
-is refused by construction.  With ``sound_mode=False`` the no-cloning rule
-is switched off, giving a negative control for the security harness.
+the environment, and every operation that physics would forbid is refused
+by construction.  With ``sound_mode=False`` the no-cloning rule is switched
+off, giving a negative control for the security harness.
 
 Every bolt belongs to a bundle: a fixed sequence of bolts with one owner.
 A banknote, a signing key and a lone bolt (a 1-bolt bundle) all change
 hands, verify and get cloned in one step, whatever their size, while
-their bolts can still be verified and measured one at a time.
+their bolts can still be verified and measured one at a time.  A bundle
+is stored flat (secrets from one draw, serials, a liveness bytearray), so
+a mint makes O(1) Python objects; bolt handles are made only on request.
 
 All randomness comes from a caller-supplied 32-byte seed, so two
 environments driven through the same operation sequence are bit-identical.
@@ -21,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError, MeasureFailed, NotOwner, SetupRejected
@@ -29,6 +33,7 @@ SERIAL_TAG = b"QLBOLT"
 PREIMAGE_LEN = 16
 SERIAL_LEN = 32
 MIN_LAMBDA = 64
+_PREIMAGES = struct.Struct(f"{PREIMAGE_LEN}s")
 
 _env_counter = itertools.count(1)
 
@@ -59,30 +64,36 @@ class BoltHandle:
 class BundleHandle:
     """Possession of a fixed sequence of bolts that move together.
 
-    ``serial`` is the concatenation of the bolts' serials, in order.  The
-    bolts keep their own liveness, so a single one can be measured, but
-    they have one owner, held by the bundle, and move only with it.
+    ``serial`` is the concatenation of the bolts' serials, in order, and
+    the bolts' ids run on from ``first_bolt``.  The bolts keep their own
+    liveness, so a single one can be measured, but they have one owner,
+    held by the bundle, and move only with it.
     """
 
     env_id: int
     bundle_id: int
     serial: bytes
-    bolts: tuple[BoltHandle, ...]
+    first_bolt: int
+
+    @property
+    def count(self) -> int:
+        return len(self.serial) // SERIAL_LEN
+
+    @property
+    def bolts(self) -> tuple[BoltHandle, ...]:
+        """A handle per bolt, in order; made afresh on every call."""
+        env_id, first, serial = self.env_id, self.first_bolt, self.serial
+        return tuple(BoltHandle(env_id, first + i, serial[o:o + SERIAL_LEN])
+                     for i, o in enumerate(range(0, len(serial), SERIAL_LEN)))
 
 
 @dataclass(slots=True)
 class _BundleRecord:
-    serial: bytes
+    first: int          # id of the first bolt; bolt first + i is at index i
+    secrets: bytes      # the bolts' preimages, concatenated
+    serial: bytes       # the bolts' serials, concatenated
+    alive: bytearray    # one byte per bolt: 1 alive, 0 measured
     owner: str
-    measured: int  # bolts of the bundle measured so far
-
-
-@dataclass(slots=True)
-class _BoltRecord:
-    secret: bytes
-    serial: bytes
-    alive: bool
-    bundle: _BundleRecord  # holds the owner
 
 
 def serial_of(secret: bytes) -> bytes:
@@ -90,11 +101,16 @@ def serial_of(secret: bytes) -> bytes:
     return hashlib.sha256(SERIAL_TAG + secret).digest()
 
 
+def serials_of(secrets: bytes) -> bytes:
+    """serial_of for each 16-byte preimage of ``secrets``, concatenated."""
+    sha256 = hashlib.sha256
+    return b"".join([sha256(SERIAL_TAG + secret).digest()
+                     for (secret,) in _PREIMAGES.iter_unpack(secrets)])
+
+
 def verify_certificate(serial: bytes, certificate: bytes) -> bool:
     """Stateless check that a certificate opens a single serial."""
-    if len(serial) != SERIAL_LEN or len(certificate) != PREIMAGE_LEN:
-        return False
-    return serial_of(certificate) == serial
+    return len(serial) == SERIAL_LEN and verify_certificate_segments(serial, certificate)
 
 
 def verify_certificate_segments(serial: bytes, certificate: bytes) -> bool:
@@ -103,21 +119,14 @@ def verify_certificate_segments(serial: bytes, certificate: bytes) -> bool:
     A serial made of k 32-byte segments is opened by k concatenated 16-byte
     preimages, one per segment.  k=1 reduces to verify_certificate.
     """
-    if not serial or len(serial) % SERIAL_LEN != 0:
+    if (not serial or len(serial) % SERIAL_LEN != 0
+            or len(certificate) != len(serial) // SERIAL_LEN * PREIMAGE_LEN):
         return False
-    k = len(serial) // SERIAL_LEN
-    if len(certificate) != k * PREIMAGE_LEN:
-        return False
-    for i in range(k):
-        s = serial[i * SERIAL_LEN:(i + 1) * SERIAL_LEN]
-        c = certificate[i * PREIMAGE_LEN:(i + 1) * PREIMAGE_LEN]
-        if not verify_certificate(s, c):
-            return False
-    return True
+    return serials_of(certificate) == serial
 
 
 class QuantumEnv:
-    """Registry of live bolts plus the deterministic randomness source.
+    """Store of every bundle's bolts plus the deterministic randomness source.
 
     Everything the "physics" knows lives here: secrets, liveness, and
     ownership.  Callers only ever hold BoltHandle and BundleHandle values.
@@ -131,10 +140,9 @@ class QuantumEnv:
         self.params = params
         self.env_id = next(_env_counter)
         self._rng = random.Random(int.from_bytes(seed, "big"))
-        self._registry: dict[int, _BoltRecord] = {}
-        self._bundles: dict[int, _BundleRecord] = {}
+        self._bundles: list[_BundleRecord] = []  # bundle id k at index k - 1
+        self._firsts: list[int] = []             # their first bolt ids, ascending
         self._next_id = 1
-        self._released_certs: set[bytes] = set()
 
     # -- randomness ---------------------------------------------------
 
@@ -147,40 +155,38 @@ class QuantumEnv:
     def gen_bundle(self, owner: str, count: int) -> BundleHandle:
         """Mint ``count`` fresh bolts as one bundle owned by ``owner``.
 
-        Bolt ids run on from the last mint, and each bolt draws its 16-byte
-        secret in turn, so a k-bolt bundle draws and numbers its bolts
+        Bolt ids run on from the last mint, and the secrets come from a
+        single draw of 16 bytes per bolt, which gives the same bytes as a
+        16-byte draw per bolt: a k-bolt bundle draws and numbers its bolts
         exactly as k 1-bolt bundles would.
         """
         if count < 1:
             raise DomainError("a bundle holds at least one bolt")
-        bundle = _BundleRecord(b"", owner, 0)
-        draw, registry, env_id = self._rng.randbytes, self._registry, self.env_id
+        secrets = self._rng.randbytes(PREIMAGE_LEN * count)
+        return self._register(secrets, serials_of(secrets),
+                              bytearray(b"\x01") * count, owner)
+
+    def _register(self, secrets: bytes, serial: bytes, alive: bytearray,
+                  owner: str) -> BundleHandle:
         first = self._next_id
-        self._next_id = first + count
-        bolts = []
-        for bolt_id in range(first, first + count):
-            secret = draw(PREIMAGE_LEN)
-            serial = serial_of(secret)
-            registry[bolt_id] = _BoltRecord(secret, serial, True, bundle)
-            bolts.append(BoltHandle(env_id, bolt_id, serial))
-        bundle.serial = b"".join([h.serial for h in bolts])
-        return self._register_bundle(bundle, tuple(bolts))
+        self._next_id = first + len(alive)
+        self._bundles.append(_BundleRecord(first, secrets, serial, alive, owner))
+        self._firsts.append(first)
+        return BundleHandle(self.env_id, len(self._bundles), serial, first)
 
-    def _register_bundle(self, bundle: _BundleRecord,
-                         bolts: tuple[BoltHandle, ...]) -> BundleHandle:
-        bundle_id = len(self._bundles) + 1
-        self._bundles[bundle_id] = bundle
-        return BundleHandle(self.env_id, bundle_id, bundle.serial, bolts)
-
-    def _record(self, handle: BoltHandle) -> _BoltRecord:
-        if handle.env_id != self.env_id or handle.bolt_id not in self._registry:
+    def _locate(self, handle: BoltHandle) -> tuple[_BundleRecord, int]:
+        """The bundle holding a bolt, and the bolt's index in it."""
+        bolt_id = handle.bolt_id
+        if handle.env_id != self.env_id or not 0 < bolt_id < self._next_id:
             raise DomainError("handle was not issued by this environment")
-        return self._registry[handle.bolt_id]
+        rec = self._bundles[bisect_right(self._firsts, bolt_id) - 1]
+        return rec, bolt_id - rec.first
 
     def _bundle(self, handle: BundleHandle) -> _BundleRecord:
-        if handle.env_id != self.env_id or handle.bundle_id not in self._bundles:
+        if (handle.env_id != self.env_id
+                or not 0 < handle.bundle_id <= len(self._bundles)):
             raise DomainError("bundle was not issued by this environment")
-        return self._bundles[handle.bundle_id]
+        return self._bundles[handle.bundle_id - 1]
 
     def verify_bolt(self, handle: BoltHandle, serial: bytes) -> bool:
         """Non-destructive verification against a claimed serial.
@@ -188,27 +194,46 @@ class QuantumEnv:
         Leaves the bolt exactly as found; verifying twice gives the same
         answer twice.
         """
-        rec = self._record(handle)
-        return rec.alive and rec.serial == serial
+        rec, i = self._locate(handle)
+        o = i * SERIAL_LEN
+        return rec.alive[i] == 1 and rec.serial[o:o + SERIAL_LEN] == serial
 
     def verify_bundle(self, handle: BundleHandle, serial: bytes) -> bool:
         """verify_bolt for every bolt of the bundle against its segment of
         ``serial``, in one step: no bolt is dead and the serial matches."""
         rec = self._bundle(handle)
-        return rec.measured == 0 and rec.serial == serial
+        return 0 not in rec.alive and rec.serial == serial
 
     def gen_certificate(self, handle: BoltHandle, serial: bytes) -> bytes:
         """Destructive measurement: trades the bolt for its preimage.
 
         After this call the handle is dead and will never verify again.
         """
-        rec = self._record(handle)
-        if not rec.alive or rec.serial != serial:
+        rec, i = self._locate(handle)
+        o = i * SERIAL_LEN
+        if rec.alive[i] != 1 or rec.serial[o:o + SERIAL_LEN] != serial:
             raise MeasureFailed("bolt is dead or serial does not match")
-        rec.alive = False
-        rec.bundle.measured += 1
-        self._released_certs.add(rec.serial)
-        return rec.secret
+        return self._measure(rec, (i,))
+
+    def measure_bolts(self, handle: BundleHandle, positions) -> bytes:
+        """Destructively measure the bolts at 0-based ``positions``, in
+        order, and return their preimages, concatenated.  Stops at the first
+        dead bolt, with those before it measured: the result is then short,
+        and ``positions[len(result) // 16]`` is the dead bolt."""
+        rec = self._bundle(handle)
+        if positions and not 0 <= min(positions) <= max(positions) < len(rec.alive):
+            raise DomainError("bolt position outside the bundle")
+        return self._measure(rec, positions)
+
+    @staticmethod
+    def _measure(rec: _BundleRecord, positions) -> bytes:
+        alive, secrets, certs = rec.alive, rec.secrets, []
+        for i in positions:
+            if alive[i] != 1:
+                break
+            alive[i] = 0
+            certs.append(secrets[i * PREIMAGE_LEN:(i + 1) * PREIMAGE_LEN])
+        return b"".join(certs)
 
     def transfer_bundle(self, handle: BundleHandle, sender: str, receiver: str) -> None:
         """Hand every bolt of the bundle to another party, or none."""
@@ -228,17 +253,8 @@ class QuantumEnv:
         rec = self._bundle(handle)
         if self.params.sound_mode:
             return None
-        sources = [self._record(h) for h in handle.bolts]
-        copy = _BundleRecord(rec.serial, rec.owner, rec.measured)
-        registry, env_id = self._registry, self.env_id
-        first = self._next_id
-        self._next_id = first + len(sources)
-        bolts = []
-        for bolt_id, src in enumerate(sources, first):
-            registry[bolt_id] = _BoltRecord(src.secret, src.serial, src.alive,
-                                            copy)
-            bolts.append(BoltHandle(env_id, bolt_id, src.serial))
-        return self._register_bundle(copy, tuple(bolts))
+        return self._register(rec.secrets, rec.serial, bytearray(rec.alive),
+                              rec.owner)
 
     # -- inspection ---------------------------------------------------
 
@@ -246,40 +262,50 @@ class QuantumEnv:
         """Holder of a bundle, or of the bundle a bolt belongs to."""
         if isinstance(handle, BundleHandle):
             return self._bundle(handle).owner
-        return self._record(handle).bundle.owner
+        return self._locate(handle)[0].owner
 
     def is_alive(self, handle: BoltHandle) -> bool:
-        return self._record(handle).alive
+        rec, i = self._locate(handle)
+        return rec.alive[i] == 1
+
+    def _each_bolt(self):
+        """(bolt id, secret, serial, alive 1/0, owner) of every bolt, by id."""
+        for rec in self._bundles:
+            for i, alive in enumerate(rec.alive):
+                yield (rec.first + i,
+                       rec.secrets[i * PREIMAGE_LEN:(i + 1) * PREIMAGE_LEN],
+                       rec.serial[i * SERIAL_LEN:(i + 1) * SERIAL_LEN],
+                       alive, rec.owner)
 
     def audit_violations(self) -> list[str]:
         """No-cloning and certificate-exclusivity audit.
 
         Returns one message per violated serial; empty in any sound-mode
-        history, by construction.
+        history, by construction.  A certificate is released only by
+        measuring a bolt, and a clone of a dead bolt is dead too, so the
+        serials whose certificates are out are exactly those of dead bolts.
         """
         alive_count: dict[bytes, int] = {}
-        for rec in self._registry.values():
-            if rec.alive:
-                alive_count[rec.serial] = alive_count.get(rec.serial, 0) + 1
+        released: set[bytes] = set()
+        for _, _, serial, alive, _ in self._each_bolt():
+            if alive:
+                alive_count[serial] = alive_count.get(serial, 0) + 1
+            else:
+                released.add(serial)
         out = []
         for serial, count in sorted(alive_count.items()):
             if count > 1:
                 out.append(f"serial {serial.hex()} has {count} alive handles")
-            if serial in self._released_certs:
+            if serial in released:
                 out.append(f"serial {serial.hex()} alive after certificate release")
         return out
 
     def snapshot(self) -> bytes:
-        """Canonical digest of the registry, for determinism checks."""
+        """Canonical digest of every bolt, for determinism checks."""
         h = hashlib.sha256()
-        for bolt_id in sorted(self._registry):
-            rec = self._registry[bolt_id]
-            h.update(bolt_id.to_bytes(8, "big"))
-            h.update(rec.secret)
-            h.update(rec.serial)
-            h.update(b"\x01" if rec.alive else b"\x00")
-            h.update(rec.bundle.owner.encode())
-            h.update(b"\x00")
+        for bolt_id, secret, serial, alive, owner in self._each_bolt():
+            h.update(b"".join((bolt_id.to_bytes(8, "big"), secret, serial,
+                               bytes((alive,)), owner.encode(), b"\x00")))
         return h.digest()
 
 

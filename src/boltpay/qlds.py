@@ -13,17 +13,13 @@ bolts are alive, and every signature kills n of them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import KeyExhausted, ParseError
-from .lightning import (
-    PREIMAGE_LEN,
-    SERIAL_LEN,
-    BundleHandle,
-    QuantumEnv,
-    verify_certificate,
-)
+from .lightning import PREIMAGE_LEN, SERIAL_LEN, BundleHandle, QuantumEnv, serials_of
 
 # A signature is the concatenation of n 16-byte certificates.
 QldsSignature = bytes
@@ -43,10 +39,15 @@ class QldsParams:
             raise ParseError(f"n must be in 1..256, got {self.n}")
 
 
+def _bit_string(message: bytes, n: int) -> str:
+    """First n bits of SHA-256(message) as '0'/'1', most significant first."""
+    digest = hashlib.sha256(message).digest()
+    return format(int.from_bytes(digest, "big"), f"0{DIGEST_BITS}b")[:n]
+
+
 def message_bits(message: bytes, n: int) -> tuple[int, ...]:
     """First n bits of SHA-256(message), most significant bit first."""
-    digest = hashlib.sha256(message).digest()
-    return tuple((digest[i // 8] >> (7 - i % 8)) & 1 for i in range(n))
+    return tuple(map(int, _bit_string(message, n)))
 
 
 def signing_indices(bits: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,7 +82,7 @@ def qlds_ver(env: QuantumEnv, key: BundleHandle, serial: bytes) -> bool:
     one-time: a signed-with key can no longer be passed off as money.
     """
     _check_serial_size(serial)
-    return len(key.bolts) % 2 == 0 and env.verify_bundle(key, serial)
+    return key.count % 2 == 0 and env.verify_bundle(key, serial)
 
 
 def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
@@ -90,21 +91,27 @@ def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
 
     Consumption is in ascending bit position and sticks: if a needed bolt is
     already dead the call fails with KeyExhausted, and everything measured
-    before the failure stays measured.
+    before the failure stays measured.  Only those n bolts are touched.
     """
     if serial != key.serial:
         raise ParseError("serial does not match key")
-    n = len(key.bolts) // 2
-    if n == 0 or len(key.bolts) != 2 * n:
+    n = key.count // 2
+    if n == 0 or key.count != 2 * n:
         raise ParseError("key must hold 2n bolts")
-    bits = message_bits(message, n)
-    certs = []
-    for j, idx in enumerate(signing_indices(bits)):
-        bolt = key.bolts[idx]
-        if not env.is_alive(bolt):
-            raise KeyExhausted(f"component {idx + 1} already consumed (bit {j + 1})")
-        certs.append(env.gen_certificate(bolt, bolt.serial))
-    return b"".join(certs)
+    positions = signing_indices(message_bits(message, n))
+    signature = env.measure_bolts(key, positions)
+    j = len(signature) // PREIMAGE_LEN
+    if j < n:
+        raise KeyExhausted(f"component {positions[j] + 1} already consumed (bit {j + 1})")
+    return signature
+
+
+@functools.cache
+def _segment_pairs(n: int) -> tuple[slice, ...]:
+    """Slices of segments j and n + j of a 2n-segment serial, for j = 0..n-1
+    in turn: the two key positions bit j chooses between."""
+    return tuple(slice(k * SERIAL_LEN, (k + 1) * SERIAL_LEN)
+                 for j in range(n) for k in (j, n + j))
 
 
 def verify_sig(serial: bytes, message: bytes, signature: QldsSignature) -> bool:
@@ -112,18 +119,18 @@ def verify_sig(serial: bytes, message: bytes, signature: QldsSignature) -> bool:
 
     Works from the serial alone: n is inferred from its length, and each
     certificate must open the segment its message bit selects.  Only those
-    n segments are sliced out of the serial.  A serial of more than 512
-    segments needs more message bits than SHA-256 gives and never verifies.
+    n segments are sliced out of the serial, through one memoryview at
+    precomputed offsets.  A serial of more than 512 segments needs more
+    message bits than SHA-256 gives and never verifies.
     """
     if not serial or len(serial) % (2 * SERIAL_LEN) != 0:
         return False
     n = len(serial) // (2 * SERIAL_LEN)
     if n > DIGEST_BITS or len(signature) != n * PREIMAGE_LEN:
         return False
-    bits = message_bits(message, n)
-    for j, idx in enumerate(signing_indices(bits)):
-        cert = signature[j * PREIMAGE_LEN:(j + 1) * PREIMAGE_LEN]
-        segment = serial[idx * SERIAL_LEN:(idx + 1) * SERIAL_LEN]
-        if not verify_certificate(segment, cert):
-            return False
-    return True
+    # a zero bit keeps the first slice of its pair, a one the second
+    bits = _bit_string(message, n).encode()
+    keep = bits.replace(b"0", b"\x01\x00").replace(b"1", b"\x00\x01")
+    selected = b"".join(map(memoryview(serial).__getitem__,
+                            compress(_segment_pairs(n), keep)))
+    return serials_of(signature) == selected

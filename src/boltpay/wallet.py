@@ -37,7 +37,7 @@ from .contract import (
 )
 from .errors import KeyExhausted, MeasureFailed, MintFailed, NotOwner
 from .ledger import Ledger
-from .lightning import BoltHandle, BundleHandle, QuantumEnv
+from .lightning import PREIMAGE_LEN, BundleHandle, QuantumEnv
 from .qlds import QldsParams, gen_sig, qlds_gen
 
 LOST_OWNER = "@lost"
@@ -66,10 +66,6 @@ class Banknote:
     @property
     def serial(self) -> bytes:
         return self.bundle.serial
-
-    @property
-    def bolts(self) -> tuple[BoltHandle, ...]:
-        return self.bundle.bolts
 
 
 @dataclass
@@ -195,10 +191,10 @@ class Wallet:
         cashing it in or rebinding the contract to a replacement serial.
         """
         if self.phi.variant == "base":
-            certs = []
-            for b in note.bolts:
-                certs.append(self.env.gen_certificate(b, b.serial))
-            return b"".join(certs)
+            certs = self.env.measure_bolts(note.bundle, range(note.bundle.count))
+            if len(certs) != note.bundle.count * PREIMAGE_LEN:
+                raise MeasureFailed("a bolt of the note is dead")
+            return certs
         return gen_sig(self.env, note.bundle, note.serial, message)
 
     def redeem(self, ssid: int):

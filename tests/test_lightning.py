@@ -6,6 +6,7 @@ module under test cannot agree with the test by accident of sharing code.
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,15 @@ from hypothesis import strategies as st
 
 from boltpay.errors import DomainError, MeasureFailed, NotOwner, SetupRejected
 from boltpay.lightning import (
+    BoltHandle,
+    BundleHandle,
     ql_setup,
     serial_of,
+    serials_of,
     verify_certificate,
     verify_certificate_segments,
 )
-from boltpay.qlds import split_serial
+from boltpay.qlds import QldsParams, gen_sig, qlds_gen, split_serial
 
 SEED0 = bytes(32)
 SEED1 = bytes(31) + b"\x01"
@@ -55,7 +59,7 @@ def test_different_seeds_diverge_immediately():
 def test_serial_is_tagged_hash_of_registry_secret():
     env = fresh_env()
     h = bolt(env, "alice")
-    secret = env._registry[h.bolt_id].secret
+    secret = env.gen_certificate(h, h.serial)
     assert h.serial == hashlib.sha256(b"QLBOLT" + secret).digest()
     assert serial_of(secret) == h.serial
 
@@ -85,7 +89,8 @@ def test_verification_is_repeatable_and_nondestructive():
     for _ in range(1000):
         assert env.verify_bolt(h, h.serial)
     assert env.is_alive(h)
-    assert h.serial == env._registry[h.bolt_id].serial
+    bundle = env.gen_bundle("a", 3)
+    assert [b.serial for b in bundle.bolts] == split_serial(bundle.serial)
 
 
 def test_certificate_roundtrip_and_exclusivity():
@@ -422,3 +427,117 @@ def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
         assert env.audit_violations() == _expected_violations(alive, serials, released)
         if sound:
             assert env.audit_violations() == []
+
+
+# -- flat storage -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 512])
+def test_one_draw_of_k_secrets_equals_k_draws(k):
+    """gen_bundle draws a k-bolt bundle's secrets in one call.  That keeps
+    every serial only because CPython's randbytes(16k) returns the bytes of
+    k randbytes(16) calls and leaves the generator in the same state; a
+    Python version that breaks this must fail here, not in the traces."""
+    one, many = random.Random(20020), random.Random(20020)
+    assert one.randbytes(16 * k) == b"".join(many.randbytes(16) for _ in range(k))
+    assert one.getstate() == many.getstate()
+
+
+def test_serials_of_is_serial_of_per_preimage():
+    secrets = random.Random(3).randbytes(16 * 5)
+    assert serials_of(secrets) == b"".join(
+        hashlib.sha256(b"QLBOLT" + secrets[i:i + 16]).digest()
+        for i in range(0, len(secrets), 16))
+    assert serials_of(b"") == b""
+
+
+def test_a_512_bolt_mint_keeps_at_most_40_kib():
+    """Secrets (8 KiB), serial (16 KiB) and liveness (0.5 KiB) are the
+    bundle; per-bolt objects would take several times that."""
+    env = fresh_env()
+    env.gen_bundle("w", 512)  # first-call allocations are not the mint's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bundle = env.gen_bundle("w", 512)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bundle.count == 512
+    assert kept <= 40 * 1024
+
+
+@pytest.fixture
+def bolt_handles_made(monkeypatch):
+    """Every BoltHandle constructed while the test runs."""
+    made = []
+    init = BoltHandle.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(BoltHandle, "__init__", counting)
+    return made
+
+
+def test_minting_makes_no_bolt_handle(bolt_handles_made):
+    env = fresh_env()
+    bundle = env.gen_bundle("w", 512)
+    assert bolt_handles_made == []
+    assert len(bundle.bolts) == 512 and len(bolt_handles_made) == 512
+
+
+def test_signing_touches_at_most_n_bolt_handles(bolt_handles_made):
+    env = fresh_env()
+    key = qlds_gen(env, QldsParams(256), "w")
+    gen_sig(env, key, key.serial, b"pay bob")
+    assert len(bolt_handles_made) <= 256
+
+
+def test_bolt_ids_outside_the_environment_are_rejected():
+    env, other = fresh_env(), fresh_env(SEED1)
+    bundle = env.gen_bundle("a", 3)
+    other.gen_bundle("a", 9)  # the same ids exist in the other environment
+    serial = bundle.serial[:32]
+    cases = [(env, BoltHandle(env.env_id, bolt_id, serial))
+             for bolt_id in (0, -1, 4, 10**9)]
+    cases.append((other, bundle.bolts[0]))  # issued by env, not by other
+    for target, h in cases:
+        for op in (lambda: target.verify_bolt(h, serial),
+                   lambda: target.is_alive(h),
+                   lambda: target.owner_of(h),
+                   lambda: target.gen_certificate(h, serial)):
+            with pytest.raises(DomainError):
+                op()
+    for bundle_id in (0, -1, 2):
+        forged = BundleHandle(env.env_id, bundle_id, bundle.serial, 1)
+        with pytest.raises(DomainError):
+            env.verify_bundle(forged, bundle.serial)
+    assert env.verify_bundle(bundle, bundle.serial)
+
+
+def test_measure_bolts_matches_one_certificate_at_a_time():
+    a, b = fresh_env(), fresh_env()
+    ka, kb = a.gen_bundle("p", 6), b.gen_bundle("p", 6)
+    positions = (4, 0, 5)
+    certs = a.measure_bolts(ka, positions)
+    handles = kb.bolts
+    assert certs == b"".join(
+        b.gen_certificate(handles[i], handles[i].serial) for i in positions)
+    assert a.snapshot() == b.snapshot()
+    assert not a.verify_bundle(ka, ka.serial)
+
+
+def test_measure_bolts_stops_at_the_first_dead_bolt():
+    env = fresh_env()
+    bundle = env.gen_bundle("p", 4)
+    env.measure_bolts(bundle, (2,))
+    certs = env.measure_bolts(bundle, (0, 2, 3))
+    # bolt 0 stays measured, bolt 2 was dead, bolt 3 is untouched
+    assert len(certs) == 16 and verify_certificate(bundle.bolts[0].serial, certs)
+    assert [env.is_alive(h) for h in bundle.bolts] == [False, True, False, True]
+    assert env.measure_bolts(bundle, ()) == b""
+    for positions in ((4,), (-1,), (1, 4)):
+        with pytest.raises(DomainError):
+            env.measure_bolts(bundle, positions)
+    assert env.is_alive(bundle.bolts[1])

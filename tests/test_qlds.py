@@ -202,3 +202,37 @@ def test_honest_sign_verifies_and_replay_rejects(n, a, b, seed):
     else:
         # same selection pattern: the signature legitimately covers b too
         assert verify_sig(key.serial, b, sig)
+
+
+def _reference_verify(serial: bytes, message: bytes, signature: bytes) -> bool:
+    """verify_sig one segment at a time, from hashlib alone."""
+    n = len(serial) // 64
+    if len(signature) != 16 * n:
+        return False
+    digest = hashlib.sha256(message).digest()
+    for j in range(n):
+        k = (digest[j // 8] >> (7 - j % 8) & 1) * n + j
+        opened = hashlib.sha256(b"QLBOLT" + signature[16 * j:16 * j + 16]).digest()
+        if opened != serial[32 * k:32 * k + 32]:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.binary(max_size=12), st.binary(max_size=12),
+       st.integers(0, 10**6), st.sampled_from(["none", "flip", "swap", "other key"]))
+def test_verify_sig_agrees_with_a_per_segment_check(n, signed, checked, pick, tamper):
+    env, key = make_key(n, fresh_env(pick))
+    sig = gen_sig(env, key, key.serial, signed)
+    serial = key.serial
+    if tamper == "flip":
+        i = pick % len(sig)
+        sig = sig[:i] + bytes([sig[i] ^ 1 << pick % 8]) + sig[i + 1:]
+    elif tamper == "swap":  # exchange the two columns of the key
+        serial = serial[32 * n:] + serial[:32 * n]
+    elif tamper == "other key":
+        env2, key2 = make_key(n, fresh_env(pick + 1))
+        sig = gen_sig(env2, key2, key2.serial, signed)
+    assert verify_sig(serial, checked, sig) == _reference_verify(serial, checked, sig)
+    if tamper == "none":
+        assert verify_sig(serial, signed, sig)
