@@ -17,13 +17,13 @@ first.
 Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
 last scanned scan_interval or more ticks ago, in pid order.  The
-simulation finds those wallets without walking them all: a heap holds
-at most one (due tick, pid) entry per wallet, pushed when a party joins,
-after every scan and when a wallet gains its first note, and each entry
-popped is checked against the real condition before its wallet is
-scanned.  tick(k) jumps
-from one tick where a scan or a held message is due to the next, and a
-scan reads only the held notes that the ledger's claim index names.
+simulation finds those wallets without walking them all: calendar
+buckets keyed by due tick hold each wallet's pid at most once, put there
+when a party joins, after every scan and when a wallet gains its first
+note; a heap holds the distinct due ticks, and each pid taken out is
+checked against the real condition before its wallet is scanned.  tick(k)
+jumps from one tick where a scan or a held message is due to the next,
+and a scan reads only the held notes that the ledger's claim index names.
 
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
@@ -234,19 +234,19 @@ class Simulation:
         interval = config.scan_interval
         self.scan_interval = (max(1, config.t_tr - 1) if interval is None
                               else interval)
-        # (tick a wallet's next scan is due, pid): a heap with at most one
-        # entry per wallet, those in _armed, and for every honest wallet
-        # with notes an entry no later than the tick its scan is due
-        self._due: list[tuple[int, str]] = []
+        # due tick -> the pids armed for it: each pid of _armed in exactly
+        # one bucket, and every honest wallet with notes in a bucket no
+        # later than the tick its scan is due; _ticks is a heap of the keys
+        self._due: dict[int, list[str]] = {}
+        self._ticks: list[int] = []
         self._armed: set[str] = set()
         self._expected_coins = 0
 
     # -- logging and accounting ------------------------------------------
 
     def log(self, actor: str, action: str, *fields) -> None:
-        parts = [str(self.ledger.time), actor, action]
-        parts.extend(str(f) for f in fields)
-        self.trace.append("\t".join(parts))
+        self.trace.append("\t".join(
+            (str(self.ledger.time), actor, action, *map(str, fields))))
 
     def live_corrupt_coins(self) -> int:
         return sum(self.ledger.parties[p].coins for p in self.corrupted
@@ -396,11 +396,16 @@ class Simulation:
         return r
 
     def watchdog(self, pid: str) -> list:
-        w = self.wallet(pid)
+        return self._watch(self.wallet(pid))
+
+    def _watch(self, w: Wallet) -> list:
         actions = w.watchdog_scan()
         self._arm(w)
-        self.log(pid, "watchdog", len(actions),
-                 *(f"{ssid}:{what}" for ssid, what in actions))
+        if actions:
+            self.log(w.pid, "watchdog", len(actions),
+                     *(f"{ssid}:{what}" for ssid, what in actions))
+        else:
+            self.log(w.pid, "watchdog", 0)
         return actions
 
     def clone(self, pid: str, ssid: int) -> bool:
@@ -453,8 +458,8 @@ class Simulation:
         end = ledger.time + k
         while ledger.time < end:
             stop = end
-            if self._due:
-                stop = min(stop, self._due[0][0])
+            if self._ticks:
+                stop = min(stop, self._ticks[0])
             held = self.chain.next_due()
             if held is not None:
                 stop = min(stop, held)
@@ -464,36 +469,46 @@ class Simulation:
         return ledger.time
 
     def _arm(self, w: Wallet, at: int | None = None) -> None:
-        """Give the wallet a heap entry at its due tick, or at `at`, unless
-        it has one already."""
-        if w.pid not in self._armed:
-            self._armed.add(w.pid)
-            heappush(self._due, (w.last_scan + self.scan_interval
-                                 if at is None else at, w.pid))
+        """Put the wallet in the bucket of its due tick, or of `at`, unless
+        it is in one already."""
+        pid = w.pid
+        if pid not in self._armed:
+            self._armed.add(pid)
+            due = w.last_scan + self.scan_interval if at is None else at
+            bucket = self._due.get(due)
+            if bucket is None:
+                self._due[due] = [pid]
+                heappush(self._ticks, due)
+            else:
+                bucket.append(pid)
 
     def _pop_due(self, now: int) -> list[str]:
-        due, armed = self._due, self._armed
+        ticks, due, armed = self._ticks, self._due, self._armed
         pids = []
-        while due and due[0][0] <= now:
-            pid = heappop(due)[1]
-            armed.discard(pid)
-            pids.append(pid)
+        while ticks and ticks[0] <= now:
+            bucket = due.pop(heappop(ticks))
+            armed.difference_update(bucket)
+            pids += bucket
         return pids
 
     def _scan_due(self) -> None:
-        now = self.ledger.time
+        now, ticks = self.ledger.time, self._ticks
         todo = sorted(self._pop_due(now))
+        wallets, corrupted = self.wallets, self.corrupted
+        interval, watch = self.scan_interval, self._watch
         i = 0
         while i < len(todo):
             pid = todo[i]
             i += 1
-            w = self.wallets[pid]
-            if pid in self.corrupted or not w.notes:
+            w = wallets[pid]
+            if pid in corrupted or not w.notes:
                 continue  # re-armed when it next gains a first note
-            if now - w.last_scan < self.scan_interval:
-                self._arm(w)  # scanned since this entry was pushed
+            if now - w.last_scan < interval:
+                self._arm(w)  # scanned since it was put in its bucket
                 continue
-            self.watchdog(pid)
+            watch(w)
+            if not ticks or ticks[0] > now:
+                continue
             # a wallet that gained its first note during the scan may be
             # due already: scan it in this tick if it sorts after pid, as a
             # walk over all wallets in pid order would, else in the next
@@ -503,7 +518,7 @@ class Simulation:
                     if j == len(todo) or todo[j] != other:
                         todo.insert(j, other)
                 else:
-                    self._arm(self.wallets[other], now + 1)
+                    self._arm(wallets[other], now + 1)
 
     # -- direct ledger lines (scenario support) -------------------------------
 

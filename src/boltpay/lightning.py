@@ -268,15 +268,6 @@ class QuantumEnv:
         rec, i = self._locate(handle)
         return rec.alive[i] == 1
 
-    def _each_bolt(self):
-        """(bolt id, secret, serial, alive 1/0, owner) of every bolt, by id."""
-        for rec in self._bundles:
-            for i, alive in enumerate(rec.alive):
-                yield (rec.first + i,
-                       rec.secrets[i * PREIMAGE_LEN:(i + 1) * PREIMAGE_LEN],
-                       rec.serial[i * SERIAL_LEN:(i + 1) * SERIAL_LEN],
-                       alive, rec.owner)
-
     def audit_violations(self) -> list[str]:
         """No-cloning and certificate-exclusivity audit.
 
@@ -284,14 +275,25 @@ class QuantumEnv:
         history, by construction.  A certificate is released only by
         measuring a bolt, and a clone of a dead bolt is dead too, so the
         serials whose certificates are out are exactly those of dead bolts.
+        Fresh serials never collide and a clone copies a whole serial, so
+        only bundles sharing their whole serial can share a bolt's serial:
+        those are visited bolt by bolt, and a lone bundle not at all.
         """
+        groups: dict[bytes, list[_BundleRecord]] = {}
+        for rec in self._bundles:
+            groups.setdefault(rec.serial, []).append(rec)
         alive_count: dict[bytes, int] = {}
         released: set[bytes] = set()
-        for _, _, serial, alive, _ in self._each_bolt():
-            if alive:
-                alive_count[serial] = alive_count.get(serial, 0) + 1
-            else:
-                released.add(serial)
+        for serial, recs in groups.items():
+            if len(recs) < 2:
+                continue
+            for rec in recs:
+                for i, alive in enumerate(rec.alive):
+                    segment = serial[i * SERIAL_LEN:(i + 1) * SERIAL_LEN]
+                    if alive:
+                        alive_count[segment] = alive_count.get(segment, 0) + 1
+                    else:
+                        released.add(segment)
         out = []
         for serial, count in sorted(alive_count.items()):
             if count > 1:
@@ -303,9 +305,13 @@ class QuantumEnv:
     def snapshot(self) -> bytes:
         """Canonical digest of every bolt, for determinism checks."""
         h = hashlib.sha256()
-        for bolt_id, secret, serial, alive, owner in self._each_bolt():
-            h.update(b"".join((bolt_id.to_bytes(8, "big"), secret, serial,
-                               bytes((alive,)), owner.encode(), b"\x00")))
+        for rec in self._bundles:
+            for i, alive in enumerate(rec.alive):
+                h.update(b"".join((
+                    (rec.first + i).to_bytes(8, "big"),
+                    rec.secrets[i * PREIMAGE_LEN:(i + 1) * PREIMAGE_LEN],
+                    rec.serial[i * SERIAL_LEN:(i + 1) * SERIAL_LEN],
+                    bytes((alive,)), rec.owner.encode(), b"\x00")))
         return h.digest()
 
 

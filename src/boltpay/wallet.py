@@ -290,6 +290,8 @@ class Wallet:
         """
         self.last_scan = self.ledger.time
         claimed = self.ledger.claimed
+        if claimed.isdisjoint(self.notes):
+            return []
         todo = sorted(self.notes.keys() & claimed)
         held = None
         actions = []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltpay import attacks
+from boltpay import attacks, harness
 from boltpay.attacks import (
     ClaimFrontRunStrategy,
     ProofTheftStrategy,
@@ -354,7 +354,43 @@ def test_payments_between_ticks_keep_one_due_entry_per_wallet():
     ring = ["alice:50", "bob:50", "carol:40", "zed:0"]
     for i in range(100):   # every payee gains its first note
         assert sim.pay(ring[i % 4], ring[(i + 1) % 4], ssid)
-    assert len(sim._due) <= len(sim.wallets)
+    in_buckets = [pid for bucket in sim._due.values() for pid in bucket]
+    assert sorted(in_buckets) == sorted(set(in_buckets)) == sorted(sim._armed)
+    assert sorted(sim._ticks) == sorted(set(sim._ticks)) == sorted(sim._due)
+
+
+def test_a_tick_scanning_a_thousand_idle_wallets_opens_one_bucket(monkeypatch):
+    sim = Simulation(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+    for i in range(1000):   # all due at tick 9, none holding a claimed note
+        pid = f"idle{i:04d}:100"
+        sim.add_party(pid)
+        sim.mint(pid, 5)
+    sim.tick(8)
+    scans = CallCounter(monkeypatch, Wallet, "watchdog_scan")
+    pushes = CallCounter(monkeypatch, harness, "heappush")
+    sim.tick(1)
+    assert scans.calls == 1000
+    assert pushes.calls <= 1
+    assert list(sim._due) == [18] and len(sim._due[18]) == 1000
+
+
+def test_a_long_idle_wallet_paid_between_ticks_is_scanned_on_the_next_tick():
+    traces = []
+    for cls in (Simulation, WalkSimulation):
+        sim = cls(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+        sim.add_party("alice:50")
+        sim.add_party("bob:50")
+        ssid = sim.mint("alice:50", 5)
+        sim.tick(30)   # bob, holding nothing, last scanned at 0
+        assert sim.pay("alice:50", "bob:50", ssid)
+        if cls is Simulation:   # bob's bucket, at tick 9, is past due
+            assert min(sim._due) == 9 and sim._due[9] == ["bob:50"]
+        sim.tick(1)
+        traces.append(sim.trace)
+    assert traces[0] == traces[1]
+    assert [ln.split("\t")[:2] for ln in traces[0] if "\twatchdog\t" in ln] == [
+        ["9", "alice:50"], ["18", "alice:50"], ["27", "alice:50"],
+        ["31", "bob:50"]]
 
 
 def test_a_long_idle_stretch_costs_a_bounded_number_of_steps(monkeypatch):

@@ -467,6 +467,23 @@ def test_a_512_bolt_mint_keeps_at_most_40_kib():
     assert kept <= 40 * 1024
 
 
+def test_auditing_200_sound_512_bolt_bundles_allocates_per_bundle():
+    """Only clones share a serial, so a sound audit visits no bolt: a
+    32-byte slice per bolt alone would take over 30 bytes for each of the
+    102 400 bolts, where the bound allows 512 bytes for each bundle."""
+    env = fresh_env()
+    for _ in range(200):
+        env.gen_bundle("w", 512)
+    env.audit_violations()  # first-call allocations are not the audit's
+    tracemalloc.start()
+    try:
+        assert env.audit_violations() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 512
+
+
 @pytest.fixture
 def bolt_handles_made(monkeypatch):
     """Every BoltHandle constructed while the test runs."""
