@@ -4,7 +4,7 @@ The pieces, bottom to top:
 
 * lightning: move-only "bolt" states with serial numbers, the no-cloning
   guarantee, and destructive measurement into possession certificates;
-  bundles of bolts that move and verify as one.
+  bundles of bolts that move and verify as one, each bolt a position.
 * qlds: one-time signatures whose secret key is a bundle of 2n bolts.
 * ledger: the trusted coin ledger with parties, transactions, stateful
   contracts, and logical time.
@@ -42,8 +42,7 @@ from .errors import (
 )
 from .harness import SimConfig, Simulation, run_scenario
 from .ledger import ALL_COINS, ContractParams, Ledger
-from .lightning import (BoltHandle, BundleHandle, QuantumEnv, ql_setup,
-                        verify_certificate)
+from .lightning import BundleHandle, QuantumEnv, ql_setup, verify_certificate
 from .qlds import QldsParams, gen_sig, qlds_gen, qlds_ver, verify_sig
 from .wallet import Banknote, Wallet
 
@@ -53,7 +52,6 @@ __all__ = [
     "ALL_COINS",
     "Banknote",
     "BanknoteState",
-    "BoltHandle",
     "BoltPayError",
     "BundleHandle",
     "ContractParams",

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .ledger import ContractParams, Ledger
-from .lightning import BoltHandle, QuantumEnv
-from .qlds import message_bits
+from .lightning import BundleHandle, QuantumEnv
+from .qlds import message_bits, split_serial
 
 OPCODE = b"OP_BITCOIN_TO_QUANTUM_MONEY"
 NODE_TAG = b"QLNODE"
@@ -147,7 +147,7 @@ class MerklePath:
     @classmethod
     def parse(cls, text: str) -> "MerklePath":
         parts = text.split("\t")
-        if not parts or not parts[0].isdigit():
+        if not (parts[0].isascii() and parts[0].isdigit()):
             raise ParseError("path must start with the leaf index")
         siblings = []
         for p in parts[1:]:
@@ -214,7 +214,7 @@ def merkle_verify(root: bytes, serial: bytes, path: MerklePath) -> bool:
 class BridgeNote:
     """One of the 2^n equal-value notes minted under a single burn."""
 
-    bolt: BoltHandle
+    bolt: tuple[BundleHandle, int]  # the split's bundle and the note's position
     serial: bytes
     value: int
     index: int
@@ -229,11 +229,12 @@ def split_denominations(env: QuantumEnv, scheme, sk, total: int, n: int,
         raise DomainError(f"cannot split {total} into 2^{n} integral parts")
     count = 1 << n
     each = total // count
-    bolts = env.gen_bundle(owner, count).bolts
-    tree = merkle_build([b.serial for b in bolts], n)
+    bundle = env.gen_bundle(owner, count)
+    serials = split_serial(bundle.serial)
+    tree = merkle_build(serials, n)
     msg = encode_bridge_message(scheme, sk, tree.root, total)
-    notes = [BridgeNote(b, b.serial, each, i, merkle_path(tree, i))
-             for i, b in enumerate(bolts)]
+    notes = [BridgeNote((bundle, i), serial, each, i, merkle_path(tree, i))
+             for i, serial in enumerate(serials)]
     return msg, notes
 
 
@@ -243,7 +244,7 @@ def verify_bridge_note(env: QuantumEnv, msg: BridgeMessage, note: BridgeNote) ->
         return False
     if not merkle_verify(msg.payload, note.serial, note.path):
         return False
-    return env.verify_bolt(note.bolt, note.serial)
+    return env.verify_bolt(*note.bolt, note.serial)
 
 
 # -- publishing on the coin ledger -------------------------------------------------

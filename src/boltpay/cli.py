@@ -90,8 +90,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as e:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     sim = run_scenario(_config_from(args, default_n=8), text)

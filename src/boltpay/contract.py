@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ParseError
 from .ledger import ALL_COINS, ContractParams, register_circuit
-from .lightning import SERIAL_LEN, verify_certificate_segments
+from .lightning import SERIAL_LEN, verify_certificate
 from .qlds import verify_sig
 
 COMMIT_TAG = b"QLCOMMIT"
@@ -180,7 +180,7 @@ def _proves_possession(params: PhiParams, pid: str, w, serial: bytes) -> bool:
     lifter.  Each variant refuses the other's witness types outright."""
     if params.variant == "base":
         return (isinstance(w, (RecoverCoins, ChallengeClaim))
-                and verify_certificate_segments(serial, w.certificate))
+                and verify_certificate(serial, w.certificate))
     if isinstance(w, RecoverCoinsSig):
         return verify_sig(serial, recover_message(pid), w.signature)
     return (isinstance(w, ChallengeClaimSig)

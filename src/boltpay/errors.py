@@ -10,11 +10,11 @@ class SetupRejected(BoltPayError):
 
 
 class DomainError(BoltPayError):
-    """A handle was presented to an environment that did not issue it."""
+    """A value outside its domain, such as a foreign handle or a bolt position."""
 
 
 class MeasureFailed(BoltPayError):
-    """Destructive read attempted on a dead or mismatched bolt."""
+    """Destructive read attempted on a dead bolt."""
 
 
 class NotOwner(BoltPayError):

@@ -104,7 +104,7 @@ class SimConfig:
         if self.scheduler == "fifo":
             return 0
         kind, sep, arg = self.scheduler.partition(":")
-        if kind == "reorder" and sep and arg.isdigit():
+        if kind == "reorder" and sep and arg.isascii() and arg.isdigit():
             return int(arg)
         raise ParseError(f"unknown scheduler {self.scheduler!r}")
 
@@ -668,7 +668,7 @@ def run_scenario(config: SimConfig, text: str) -> Simulation:
 
 
 def _int(tok: str) -> int:
-    if not tok.lstrip("-").isdigit():
+    if not (tok.isascii() and tok.lstrip("-").isdigit()):
         raise ParseError(f"expected integer, got {tok!r}")
     return int(tok)
 

@@ -50,7 +50,7 @@ def evaluate_circuit(circuit: Any, pid: str, witness: Any, t: int, state: Any, d
 def parse_pid(pid: str) -> tuple[str, int]:
     """Split "name:d" into (name, d); rejects anything malformed."""
     name, sep, coins = pid.rpartition(":")
-    if not sep or not name or not coins.isdigit():
+    if not sep or not name or not (coins.isascii() and coins.isdigit()):
         raise ParseError(f"bad party id {pid!r}, want 'name:coins'")
     return name, int(coins)
 

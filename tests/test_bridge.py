@@ -216,6 +216,9 @@ def test_path_parse_rejects_malformed_text():
         MerklePath.parse("0\t1zz")
     with pytest.raises(ParseError):
         MerklePath.parse("0\t1")
+    for index in ("", "\u00b2", "\u0663"):  # str.isdigit() accepts the last two
+        with pytest.raises(ParseError):
+            MerklePath.parse(index + "\t1" + "00" * 32)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,8 +285,19 @@ def test_note_verification_rejects_lies():
     assert not verify_bridge_note(env, msg, rerouted)
     swapped = BridgeNote(note.bolt, notes[1].serial, 2, 1, notes[1].path)
     assert not verify_bridge_note(env, msg, swapped)
-    env.gen_certificate(note.bolt, note.serial)
+    bundle, position = note.bolt
+    env.measure_bolts(bundle, (position,))
     assert not verify_bridge_note(env, msg, note)  # bolt spent
+
+
+def test_measuring_one_split_bolt_fails_only_its_note():
+    env, scheme, sk, pk = split_env()
+    msg, notes = split_denominations(env, scheme, sk, 16, 3, "mint")
+    bundle, position = notes[5].bolt
+    assert position == 5 and all(n.bolt[0] == bundle for n in notes)
+    env.measure_bolts(bundle, (position,))
+    assert [verify_bridge_note(env, msg, n) for n in notes] == [
+        i != 5 for i in range(8)]
 
 
 def test_message_size_does_not_grow_with_the_split():

@@ -38,6 +38,24 @@ def test_run_missing_file_exits_two():
     assert "error:" in r.stderr
 
 
+def test_run_file_that_is_not_utf8_exits_two(tmp_path):
+    script = tmp_path / "utf16.bolt"
+    script.write_bytes("\ufeffAddParty\talice:50\n".encode("utf-16-le"))
+    r = boltpay("run", str(script))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("scheduler", ["reorder:\u00b2", "reorder:\u0663"])
+def test_a_scheduler_count_in_other_digits_exits_two(scheduler):
+    r = boltpay("run", str(SCENARIOS / "honest-payment.bolt"),
+                "--scheduler", scheduler)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unknown scheduler" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_run_reports_parse_errors_with_line_numbers(tmp_path):
     bad = tmp_path / "bad.bolt"
     bad.write_text("AddParty\talice:50\nWARP\talice:50\n")

@@ -204,6 +204,9 @@ def test_scheduler_strings():
     assert SimConfig(scheduler="reorder:7").delta() == 7
     with pytest.raises(ParseError):
         SimConfig(scheduler="reorder:x").delta()
+    for count in ("\u00b2", "\u0663"):  # str.isdigit() accepts both
+        with pytest.raises(ParseError):
+            SimConfig(scheduler=f"reorder:{count}").delta()
     with pytest.raises(ParseError):
         Simulation(SimConfig(scheduler="junk"))
 
@@ -257,6 +260,13 @@ def test_bad_hex_reports_its_line():
     with pytest.raises(ScriptError) as exc:
         run_scenario(SimConfig(), text)
     assert exc.value.line_no == 4
+
+
+@pytest.mark.parametrize("line", ["AddParty alice:\u0663", "TICK \u0663"])
+def test_script_numbers_take_ascii_digits_only(line):
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), f"AddParty bob:50\n{line}\n")
+    assert exc.value.line_no == 2
 
 
 def test_wrong_witness_arity_reports_its_line():

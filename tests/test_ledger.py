@@ -75,6 +75,10 @@ def test_party_id_must_carry_a_coin_count():
         parse_pid(":5")
     with pytest.raises(ParseError):
         parse_pid("x:")
+    # str.isdigit() accepts these; int() refuses the first and reads 3, 5
+    for pid in ("a:\u00b2", "a:\u0663", "a:\uff15"):
+        with pytest.raises(ParseError):
+            parse_pid(pid)
 
 
 def test_retrieve_unknown_party():
@@ -313,13 +317,13 @@ def test_triggers_see_the_current_tick():
 
 def test_real_banknote_circuit_pays_out_through_the_ledger():
     env = ql_setup(128, bytes(32))
-    bolt = env.gen_bundle("alice", 1).bolts[0]
+    bolt = env.gen_bundle("alice", 1)
     phi = PhiParams()
     led = Ledger()
     led.add_party(ALICE)
     ssid = led.add_contract_with_coins(
         ALICE, banknote_params(ALICE, 40, phi, bolt.serial))
-    cert = env.gen_certificate(bolt, bolt.serial)
+    cert = env.measure_bolts(bolt, (0,))
     assert led.trigger(ALICE, ssid, RecoverCoins(cert), 0) == 40
     assert led.retrieve_party(ALICE) == 50
     assert led.contracts[0].terminated

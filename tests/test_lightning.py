@@ -1,4 +1,6 @@
-"""Bolt registry behavior: serial binding, certificate exclusivity, no cloning.
+"""Bolt store behavior: serial binding, certificate exclusivity, no cloning.
+
+A bolt is named by its bundle and its 0-based position there.
 
 Hash values asserted here are recomputed with hashlib directly, so the
 module under test cannot agree with the test by accident of sharing code.
@@ -12,17 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltpay.errors import DomainError, MeasureFailed, NotOwner, SetupRejected
+from boltpay.errors import DomainError, NotOwner, SetupRejected
 from boltpay.lightning import (
-    BoltHandle,
     BundleHandle,
     ql_setup,
     serial_of,
     serials_of,
     verify_certificate,
-    verify_certificate_segments,
 )
-from boltpay.qlds import QldsParams, gen_sig, qlds_gen, split_serial
+from boltpay.qlds import split_serial
 
 SEED0 = bytes(32)
 SEED1 = bytes(31) + b"\x01"
@@ -41,8 +41,9 @@ def test_setup_rejects_low_security_level():
 
 
 def bolt(env, owner="a"):
-    """The one bolt of a fresh 1-bolt bundle."""
-    return env.gen_bundle(owner, 1).bolts[0]
+    """A fresh 1-bolt bundle: its one bolt is at position 0, and the
+    bundle's serial is the bolt's."""
+    return env.gen_bundle(owner, 1)
 
 
 def test_same_seed_reproduces_the_same_bolts():
@@ -59,7 +60,7 @@ def test_different_seeds_diverge_immediately():
 def test_serial_is_tagged_hash_of_registry_secret():
     env = fresh_env()
     h = bolt(env, "alice")
-    secret = env.gen_certificate(h, h.serial)
+    secret = env.measure_bolts(h, (0,))
     assert h.serial == hashlib.sha256(b"QLBOLT" + secret).digest()
     assert serial_of(secret) == h.serial
 
@@ -79,47 +80,41 @@ def test_verify_accepts_only_the_bound_serial():
     env = fresh_env()
     h = bolt(env)
     other = bolt(env)
-    assert env.verify_bolt(h, h.serial)
-    assert not env.verify_bolt(h, other.serial)
+    assert env.verify_bolt(h, 0, h.serial)
+    assert not env.verify_bolt(h, 0, other.serial)
 
 
 def test_verification_is_repeatable_and_nondestructive():
     env = fresh_env()
     h = bolt(env)
     for _ in range(1000):
-        assert env.verify_bolt(h, h.serial)
-    assert env.is_alive(h)
+        assert env.verify_bolt(h, 0, h.serial)
+    assert env.verify_bundle(h, h.serial)
+    # each bolt of a bundle has its own segment of the bundle's serial
     bundle = env.gen_bundle("a", 3)
-    assert [b.serial for b in bundle.bolts] == split_serial(bundle.serial)
+    segments = split_serial(bundle.serial)
+    assert [[env.verify_bolt(bundle, i, s) for s in segments]
+            for i in range(3)] == [[i == j for j in range(3)] for i in range(3)]
 
 
 def test_certificate_roundtrip_and_exclusivity():
     env = fresh_env()
     h = bolt(env)
-    c = env.gen_certificate(h, h.serial)
+    c = env.measure_bolts(h, (0,))
     # independent recomputation of the binding
     assert hashlib.sha256(b"QLBOLT" + c).digest() == h.serial
     assert verify_certificate(h.serial, c)
     # the certificate and a live bolt cannot coexist
-    assert not env.verify_bolt(h, h.serial)
-    assert not env.is_alive(h)
-    with pytest.raises(MeasureFailed):
-        env.gen_certificate(h, h.serial)
-
-
-def test_certificate_against_wrong_serial_fails():
-    env = fresh_env()
-    h = bolt(env)
-    with pytest.raises(MeasureFailed):
-        env.gen_certificate(h, bytes(32))
-    assert env.is_alive(h)  # a failed measurement must not burn the bolt
+    assert not env.verify_bolt(h, 0, h.serial)
+    assert not env.verify_bundle(h, h.serial)
+    assert env.measure_bolts(h, (0,)) == b""
 
 
 def test_random_or_foreign_certificates_rejected():
     env = fresh_env()
     h1, h2 = bolt(env), bolt(env)
     assert not verify_certificate(h1.serial, env.draw_bytes(16))
-    c2 = env.gen_certificate(h2, h2.serial)
+    c2 = env.measure_bolts(h2, (0,))
     assert not verify_certificate(h1.serial, c2)
 
 
@@ -127,19 +122,20 @@ def test_segment_certificates():
     env = fresh_env()
     h1, h2 = bolt(env), bolt(env)
     serial = h1.serial + h2.serial
-    cert = env.gen_certificate(h1, h1.serial) + env.gen_certificate(h2, h2.serial)
-    assert verify_certificate_segments(serial, cert)
+    cert = env.measure_bolts(h1, (0,)) + env.measure_bolts(h2, (0,))
+    assert verify_certificate(serial, cert)
     swapped = cert[16:] + cert[:16]
-    assert not verify_certificate_segments(serial, swapped)
-    assert not verify_certificate_segments(serial, cert[:16])
-    assert not verify_certificate_segments(serial[:32], cert)
+    assert not verify_certificate(serial, swapped)
+    assert not verify_certificate(serial, cert[:16])
+    assert not verify_certificate(serial[:32], cert)
+    assert not verify_certificate(b"", b"")
 
 
 def test_transfer_moves_ownership():
     env = fresh_env()
     b = env.gen_bundle("alice", 1)
     env.transfer_bundle(b, "alice", "bob")
-    assert env.owner_of(b) == env.owner_of(b.bolts[0]) == "bob"
+    assert env.owner_of(b) == "bob"
     with pytest.raises(NotOwner):
         env.transfer_bundle(b, "alice", "carol")
 
@@ -154,23 +150,21 @@ def test_clone_refused_in_sound_mode():
 def test_clone_negative_control_in_unsound_mode():
     env = fresh_env(sound=False)
     b = env.gen_bundle("a", 1)
-    h = b.bolts[0]
-    copy = env.clone_bundle(b).bolts[0]
-    assert copy.bolt_id != h.bolt_id
-    assert copy.serial == h.serial
-    assert env.verify_bolt(h, h.serial) and env.verify_bolt(copy, h.serial)
+    copy = env.clone_bundle(b)
+    assert copy.bundle_id != b.bundle_id
+    assert copy.serial == b.serial
+    assert env.verify_bolt(b, 0, b.serial) and env.verify_bolt(copy, 0, b.serial)
     violations = env.audit_violations()
-    assert any(h.serial.hex() in v for v in violations)
+    assert any(b.serial.hex() in v for v in violations)
 
 
 def test_certificate_release_flags_surviving_copies():
     env = fresh_env(sound=False)
     b = env.gen_bundle("a", 1)
-    h = b.bolts[0]
-    copy = env.clone_bundle(b).bolts[0]
-    env.gen_certificate(h, h.serial)
+    copy = env.clone_bundle(b)
+    env.measure_bolts(b, (0,))
     # the copy is still alive although a certificate is out: two violations
-    assert env.is_alive(copy)
+    assert env.verify_bolt(copy, 0, copy.serial)
     assert len(env.audit_violations()) >= 1
 
 
@@ -178,7 +172,7 @@ def test_foreign_handles_are_rejected():
     env_a, env_b = fresh_env(), fresh_env(SEED1)
     h = bolt(env_a)
     with pytest.raises(DomainError):
-        env_b.verify_bolt(h, h.serial)
+        env_b.verify_bolt(h, 0, h.serial)
 
 
 def test_snapshot_tracks_state():
@@ -187,7 +181,7 @@ def test_snapshot_tracks_state():
     h = bolt(env)
     s1 = env.snapshot()
     assert s0 != s1
-    env.gen_certificate(h, h.serial)
+    env.measure_bolts(h, (0,))
     assert env.snapshot() != s1
 
 
@@ -196,54 +190,49 @@ def test_snapshot_tracks_state():
        st.integers(0, 2**32 - 1))
 def test_operation_sequences_preserve_exclusivity(ops, seed):
     """Whatever the order of mint/verify/certify/transfer requests on 1-bolt
-    bundles, sound mode never produces two live handles per serial, and a
+    bundles, sound mode never produces two live bolts per serial, and a
     released certificate marks its bolt dead forever."""
     env = ql_setup(128, seed.to_bytes(32, "big"))
-    bundles, certified = [], []
+    bundles, certified, dead = [], [], set()
     parties = ["p1", "p2", "p3"]
     for op, pick in ops:
         if op == 0 or not bundles:
             bundles.append(env.gen_bundle(parties[pick % 3], 1))
             continue
         b = bundles[pick % len(bundles)]
-        h = b.bolts[0]
         if op == 1:
-            expected = env.is_alive(h)
-            assert env.verify_bolt(h, h.serial) == expected
+            expected = b.bundle_id not in dead
+            assert env.verify_bolt(b, 0, b.serial) == expected
             assert env.verify_bundle(b, b.serial) == expected
         elif op == 2:
-            if env.is_alive(h):
-                c = env.gen_certificate(h, h.serial)
-                certified.append((h, c))
+            c = env.measure_bolts(b, (0,))
+            if b.bundle_id in dead:
+                assert c == b""
             else:
-                with pytest.raises(MeasureFailed):
-                    env.gen_certificate(h, h.serial)
+                dead.add(b.bundle_id)
+                certified.append((b, c))
         else:
             owner = env.owner_of(b)
             env.transfer_bundle(b, owner, parties[pick % 3])
     assert env.audit_violations() == []
-    for h, c in certified:
-        assert not env.verify_bolt(h, h.serial)
-        assert verify_certificate(h.serial, c)
+    for b, c in certified:
+        assert not env.verify_bolt(b, 0, b.serial)
+        assert verify_certificate(b.serial, c)
 
 
 # -- bundles ----------------------------------------------------------------
 
 
-def _ids_and_serials(handles) -> list[tuple[int, bytes]]:
-    return [(h.bolt_id, h.serial) for h in handles]
-
-
 def test_bundle_draws_and_numbers_like_one_bolt_bundles():
     a, b = fresh_env(), fresh_env()
     singles = [a.gen_bundle("p", 1) for _ in range(5)]
-    bolts = [s.bolts[0] for s in singles]
     bundle = b.gen_bundle("p", 5)
-    assert _ids_and_serials(bundle.bolts) == _ids_and_serials(bolts)
-    assert bundle.serial == b"".join(s.serial for s in singles)
+    assert split_serial(bundle.serial) == [s.serial for s in singles]
+    # the snapshot numbers bolts in bundle order, so this pins the numbering
     assert a.snapshot() == b.snapshot()
-    # the next mint continues from the same random stream and id
-    assert _ids_and_serials([bolt(a)]) == _ids_and_serials([bolt(b)])
+    # the next mint continues from the same random stream and number
+    assert bolt(a).serial == bolt(b).serial
+    assert a.snapshot() == b.snapshot()
 
 
 def test_bundle_needs_at_least_one_bolt():
@@ -256,7 +245,10 @@ def test_bundle_owner_is_every_bolts_owner():
     bundle = env.gen_bundle("alice", 3)
     env.transfer_bundle(bundle, "alice", "bob")
     assert env.owner_of(bundle) == "bob"
-    assert [env.owner_of(h) for h in bundle.bolts] == ["bob"] * 3
+    # no bolt stayed behind with alice
+    with pytest.raises(NotOwner):
+        env.transfer_bundle(bundle, "alice", "carol")
+    assert env.verify_bundle(bundle, bundle.serial)
 
 
 def test_not_owner_refusal_leaves_the_bundle_where_it_was():
@@ -266,7 +258,6 @@ def test_not_owner_refusal_leaves_the_bundle_where_it_was():
     with pytest.raises(NotOwner):
         env.transfer_bundle(bundle, "mallory", "mallory")
     assert env.owner_of(bundle) == "alice"
-    assert all(env.owner_of(h) == "alice" for h in bundle.bolts)
     assert env.snapshot() == before
 
 
@@ -275,8 +266,8 @@ def test_bundled_bolts_move_only_with_their_bundle():
     bundle = env.gen_bundle("alice", 2)
     single = env.gen_bundle("alice", 1)
     env.transfer_bundle(single, "alice", "bob")
-    assert env.owner_of(single.bolts[0]) == "bob"
-    assert [env.owner_of(h) for h in bundle.bolts] == ["alice"] * 2
+    assert env.owner_of(single) == "bob"
+    assert env.owner_of(bundle) == "alice"
 
 
 def test_foreign_bundles_are_rejected():
@@ -284,28 +275,32 @@ def test_foreign_bundles_are_rejected():
     bundle = env_a.gen_bundle("a", 2)
     env_b.gen_bundle("a", 2)  # same bundle id, other environment
     for op in (lambda: env_b.verify_bundle(bundle, bundle.serial),
+               lambda: env_b.verify_bolt(bundle, 0, bundle.serial[:32]),
+               lambda: env_b.measure_bolts(bundle, (0,)),
                lambda: env_b.transfer_bundle(bundle, "a", "b"),
                lambda: env_b.clone_bundle(bundle),
                lambda: env_b.owner_of(bundle)):
         with pytest.raises(DomainError):
             op()
     assert env_a.owner_of(bundle) == "a"
+    assert env_a.verify_bundle(bundle, bundle.serial)
 
 
 def test_measuring_any_one_bolt_fails_the_bundle():
     for position in (0, 3, 7):
         env = fresh_env()
         bundle = env.gen_bundle("a", 8)
+        segments = split_serial(bundle.serial)
         assert env.verify_bundle(bundle, bundle.serial)
-        h = bundle.bolts[position]
-        env.gen_certificate(h, h.serial)
+        env.measure_bolts(bundle, (position,))
         assert not env.verify_bundle(bundle, bundle.serial)
-        # a failed measurement does not count as a dead bolt
-        with pytest.raises(MeasureFailed):
-            env.gen_certificate(h, h.serial)
+        assert [env.verify_bolt(bundle, i, s) for i, s in enumerate(segments)] == [
+            i != position for i in range(8)]
+        assert env.measure_bolts(bundle, (position,)) == b""
+        # a refused measurement measures nothing, not even the bolts in range
         other = env.gen_bundle("a", 8)
-        with pytest.raises(MeasureFailed):
-            env.gen_certificate(other.bolts[0], bytes(32))
+        with pytest.raises(DomainError):
+            env.measure_bolts(other, (0, 8))
         assert env.verify_bundle(other, other.serial)
 
 
@@ -329,10 +324,10 @@ def test_clone_bundle_refused_in_sound_mode():
 def test_clone_bundle_numbers_copies_like_single_clones():
     a, b = fresh_env(sound=False), fresh_env(sound=False)
     singles = [a.gen_bundle("p", 1) for _ in range(3)]
-    copies = [a.clone_bundle(s).bolts[0] for s in singles]
+    copies = [a.clone_bundle(s) for s in singles]
     bundle = b.gen_bundle("p", 3)
     copy = b.clone_bundle(bundle)
-    assert _ids_and_serials(copy.bolts) == _ids_and_serials(copies)
+    assert split_serial(copy.serial) == [c.serial for c in copies]
     assert copy.serial == bundle.serial and copy.bundle_id != bundle.bundle_id
     assert a.snapshot() == b.snapshot()
     assert b.audit_violations() == a.audit_violations() != []
@@ -343,9 +338,9 @@ def test_clone_bundle_numbers_copies_like_single_clones():
 
 def _expected_violations(alive: dict, serials: dict, released: set) -> list[str]:
     alive_count = {}
-    for bolt_id, is_alive in alive.items():
+    for key, is_alive in alive.items():
         if is_alive:
-            alive_count[serials[bolt_id]] = alive_count.get(serials[bolt_id], 0) + 1
+            alive_count[serials[key]] = alive_count.get(serials[key], 0) + 1
     out = []
     for serial, count in sorted(alive_count.items()):
         if count > 1:
@@ -357,8 +352,8 @@ def _expected_violations(alive: dict, serials: dict, released: set) -> list[str]
 
 def _per_bolt_verify(env, bundle, serial: bytes) -> bool:
     segments = split_serial(serial)
-    return len(segments) == len(bundle.bolts) and all(
-        env.verify_bolt(h, s) for h, s in zip(bundle.bolts, segments))
+    return len(segments) == bundle.count and all(
+        env.verify_bolt(bundle, i, s) for i, s in enumerate(segments))
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,34 +363,32 @@ def _per_bolt_verify(env, bundle, serial: bytes) -> bool:
 def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
     """After every step of a random mix of gen_bundle, measuring one bolt,
     transfer_bundle and clone_bundle, the bundle answers agree with the
-    per-bolt ones and with a model kept here, and the audit reports what
-    the model says it should."""
+    per-bolt ones and with a model kept here, keyed by (bundle id,
+    position), and the audit reports what the model says it should."""
     env = ql_setup(128, seed.to_bytes(32, "big"), sound_mode=sound)
     parties = ["p1", "p2", "p3"]
     bundles, owner = [], {}           # owner: bundle_id -> model owner
     alive, serials, released = {}, {}, set()
-    next_id = 1
     for op, pick, arg in ops:
         if op == 0 or not bundles:
             b = env.gen_bundle(parties[pick % 3], 1 + arg % 4)
-            assert [h.bolt_id for h in b.bolts] == list(
-                range(next_id, next_id + len(b.bolts)))
-            next_id += len(b.bolts)
+            assert b.bundle_id == len(bundles) + 1
             bundles.append(b)
             owner[b.bundle_id] = parties[pick % 3]
-            for h in b.bolts:
-                alive[h.bolt_id], serials[h.bolt_id] = True, h.serial
+            for i, segment in enumerate(split_serial(b.serial)):
+                alive[b.bundle_id, i], serials[b.bundle_id, i] = True, segment
         else:
             b = bundles[pick % len(bundles)]
             if op == 1:
-                h = b.bolts[arg % len(b.bolts)]
-                if alive[h.bolt_id]:
-                    assert verify_certificate(h.serial, env.gen_certificate(h, h.serial))
-                    alive[h.bolt_id] = False
-                    released.add(h.serial)
+                position = arg % b.count
+                key = b.bundle_id, position
+                cert = env.measure_bolts(b, (position,))
+                if alive[key]:
+                    assert verify_certificate(serials[key], cert)
+                    alive[key] = False
+                    released.add(serials[key])
                 else:
-                    with pytest.raises(MeasureFailed):
-                        env.gen_certificate(h, h.serial)
+                    assert cert == b""
             elif op == 2:
                 sender, receiver = parties[arg % 3], parties[pick % 3]
                 if sender == owner[b.bundle_id]:
@@ -409,21 +402,21 @@ def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
                 if sound:
                     assert copy is None
                 else:
-                    assert [h.bolt_id for h in copy.bolts] == list(
-                        range(next_id, next_id + len(b.bolts)))
-                    next_id += len(b.bolts)
+                    assert copy.bundle_id == len(bundles) + 1
                     bundles.append(copy)
                     owner[copy.bundle_id] = owner[b.bundle_id]
-                    for h, src in zip(copy.bolts, b.bolts):
-                        alive[h.bolt_id] = alive[src.bolt_id]
-                        serials[h.bolt_id] = h.serial
+                    for i, segment in enumerate(split_serial(copy.serial)):
+                        alive[copy.bundle_id, i] = alive[b.bundle_id, i]
+                        serials[copy.bundle_id, i] = segment
         for b in bundles:
             for serial in (b.serial, bundles[0].serial):
                 assert env.verify_bundle(b, serial) == _per_bolt_verify(env, b, serial)
             assert env.verify_bundle(b, b.serial) == all(
-                alive[h.bolt_id] for h in b.bolts)
+                alive[b.bundle_id, i] for i in range(b.count))
+            assert [env.verify_bolt(b, i, serials[b.bundle_id, i])
+                    for i in range(b.count)] == [
+                alive[b.bundle_id, i] for i in range(b.count)]
             assert env.owner_of(b) == owner[b.bundle_id]
-            assert all(env.owner_of(h) == owner[b.bundle_id] for h in b.bolts)
         assert env.audit_violations() == _expected_violations(alive, serials, released)
         if sound:
             assert env.audit_violations() == []
@@ -484,50 +477,24 @@ def test_auditing_200_sound_512_bolt_bundles_allocates_per_bundle():
     assert peak <= 200 * 512
 
 
-@pytest.fixture
-def bolt_handles_made(monkeypatch):
-    """Every BoltHandle constructed while the test runs."""
-    made = []
-    init = BoltHandle.__init__
-
-    def counting(self, *args):
-        made.append(args)
-        init(self, *args)
-    monkeypatch.setattr(BoltHandle, "__init__", counting)
-    return made
-
-
-def test_minting_makes_no_bolt_handle(bolt_handles_made):
-    env = fresh_env()
-    bundle = env.gen_bundle("w", 512)
-    assert bolt_handles_made == []
-    assert len(bundle.bolts) == 512 and len(bolt_handles_made) == 512
-
-
-def test_signing_touches_at_most_n_bolt_handles(bolt_handles_made):
-    env = fresh_env()
-    key = qlds_gen(env, QldsParams(256), "w")
-    gen_sig(env, key, key.serial, b"pay bob")
-    assert len(bolt_handles_made) <= 256
-
-
 def test_bolt_ids_outside_the_environment_are_rejected():
+    """A bolt is named by a bundle of this environment and a position in
+    0..count-1; any other name is refused before anything is read."""
     env, other = fresh_env(), fresh_env(SEED1)
     bundle = env.gen_bundle("a", 3)
-    other.gen_bundle("a", 9)  # the same ids exist in the other environment
+    other.gen_bundle("a", 9)  # the same bundle id exists in the other environment
     serial = bundle.serial[:32]
-    cases = [(env, BoltHandle(env.env_id, bolt_id, serial))
-             for bolt_id in (0, -1, 4, 10**9)]
-    cases.append((other, bundle.bolts[0]))  # issued by env, not by other
-    for target, h in cases:
-        for op in (lambda: target.verify_bolt(h, serial),
-                   lambda: target.is_alive(h),
-                   lambda: target.owner_of(h),
-                   lambda: target.gen_certificate(h, serial)):
+    cases = [(env, bundle, position) for position in (-1, 3)]
+    cases.append((other, bundle, 0))  # issued by env, not by other
+    cases.extend((env, BundleHandle(env.env_id, bundle_id, bundle.serial), 0)
+                 for bundle_id in (0, 2))
+    for target, handle, position in cases:
+        for op in (lambda: target.verify_bolt(handle, position, serial),
+                   lambda: target.measure_bolts(handle, (position,))):
             with pytest.raises(DomainError):
                 op()
     for bundle_id in (0, -1, 2):
-        forged = BundleHandle(env.env_id, bundle_id, bundle.serial, 1)
+        forged = BundleHandle(env.env_id, bundle_id, bundle.serial)
         with pytest.raises(DomainError):
             env.verify_bundle(forged, bundle.serial)
     assert env.verify_bundle(bundle, bundle.serial)
@@ -538,9 +505,7 @@ def test_measure_bolts_matches_one_certificate_at_a_time():
     ka, kb = a.gen_bundle("p", 6), b.gen_bundle("p", 6)
     positions = (4, 0, 5)
     certs = a.measure_bolts(ka, positions)
-    handles = kb.bolts
-    assert certs == b"".join(
-        b.gen_certificate(handles[i], handles[i].serial) for i in positions)
+    assert certs == b"".join(b.measure_bolts(kb, (i,)) for i in positions)
     assert a.snapshot() == b.snapshot()
     assert not a.verify_bundle(ka, ka.serial)
 
@@ -548,13 +513,15 @@ def test_measure_bolts_matches_one_certificate_at_a_time():
 def test_measure_bolts_stops_at_the_first_dead_bolt():
     env = fresh_env()
     bundle = env.gen_bundle("p", 4)
+    segments = split_serial(bundle.serial)
     env.measure_bolts(bundle, (2,))
     certs = env.measure_bolts(bundle, (0, 2, 3))
     # bolt 0 stays measured, bolt 2 was dead, bolt 3 is untouched
-    assert len(certs) == 16 and verify_certificate(bundle.bolts[0].serial, certs)
-    assert [env.is_alive(h) for h in bundle.bolts] == [False, True, False, True]
+    assert len(certs) == 16 and verify_certificate(segments[0], certs)
+    assert [env.verify_bolt(bundle, i, s) for i, s in enumerate(segments)] == [
+        False, True, False, True]
     assert env.measure_bolts(bundle, ()) == b""
     for positions in ((4,), (-1,), (1, 4)):
         with pytest.raises(DomainError):
             env.measure_bolts(bundle, positions)
-    assert env.is_alive(bundle.bolts[1])
+    assert env.verify_bolt(bundle, 1, segments[1])

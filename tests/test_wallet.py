@@ -56,7 +56,7 @@ def test_mint_moves_the_face_value_into_a_backing_contract():
 def test_mint_key_shape_tracks_the_bit_parameter():
     env, led, w = setup(n=8)
     note = w[ALICE].mint(5)
-    assert len(note.bundle.bolts) == 16
+    assert note.bundle.count == 16
     assert len(note.serial) == 16 * 32
 
 
@@ -73,7 +73,7 @@ def test_mint_needs_strictly_more_coins_than_the_value():
 def test_minimal_wallet_mints_single_bolt_notes():
     env, led, w = setup(minimal=True)
     note = w[ALICE].mint(10)
-    assert len(note.bundle.bolts) == 1 and len(note.serial) == 32
+    assert note.bundle.count == 1 and len(note.serial) == 32
 
 
 def test_minimal_wallet_refuses_signature_variants():
@@ -120,14 +120,14 @@ def test_payee_rejects_a_note_under_claim():
 def test_payee_rejects_a_note_with_a_dead_bolt():
     env, led, w = setup()
     note = w[ALICE].mint(25)
-    env.gen_certificate(note.bundle.bolts[0], note.bundle.bolts[0].serial)
+    env.measure_bolts(note.bundle, (0,))
     assert not w[ALICE].pay(w[BOB], note.ssid)
     assert w[ALICE].holds(note.ssid)
     # the last bolt of a full-size key counts as much as the first
     env, led, w = setup(n=256)
     note = w[ALICE].mint(25)
-    assert len(note.bundle.bolts) == 512
-    env.gen_certificate(note.bundle.bolts[-1], note.bundle.bolts[-1].serial)
+    assert note.bundle.count == 512
+    env.measure_bolts(note.bundle, (511,))
     assert not w[ALICE].pay(w[BOB], note.ssid)
     assert w[ALICE].holds(note.ssid)
 
@@ -136,7 +136,7 @@ def _env_calls_during_one_payment(n: int, monkeypatch) -> Counter:
     env, led, w = setup(n=n)
     note = w[ALICE].mint(25)
     calls = Counter()
-    for name in ("verify_bolt", "_locate", "transfer_bundle", "verify_bundle", "_bundle"):
+    for name in ("verify_bolt", "transfer_bundle", "verify_bundle", "_bundle"):
         original = getattr(QuantumEnv, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -152,7 +152,7 @@ def test_payment_env_calls_do_not_grow_with_the_key_size(monkeypatch):
     small = _env_calls_during_one_payment(8, monkeypatch)
     large = _env_calls_during_one_payment(256, monkeypatch)
     assert small == large
-    assert small["verify_bolt"] == small["_locate"] == 0
+    assert small["verify_bolt"] == 0
     assert small["transfer_bundle"] == small["verify_bundle"] == 1
 
 
@@ -234,7 +234,7 @@ def test_lost_bolts_belong_to_nobody():
     w[ALICE].lose_note(note.ssid)
     assert not w[ALICE].holds(note.ssid)
     assert w[ALICE].banknote_value == 0
-    assert all(env.owner_of(b) == LOST_OWNER for b in note.bundle.bolts)
+    assert env.owner_of(note.bundle) == LOST_OWNER
     for payer, payee in ((ALICE, BOB), (BOB, MALLORY), (MALLORY, ALICE)):
         assert not w[payer].pay(w[payee], note.ssid)
     # a wallet handed the lost note itself still cannot move its bolts
