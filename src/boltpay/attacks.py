@@ -38,13 +38,11 @@ BOB = "bob:50"
 MALLORY = "mallory:40"
 
 UNMITIGATED = "unmitigated-by-design"
+DELTA = 5  # ticks an honest message waits in the mempool
 
 
 @dataclass
 class AttackOutcome:
-    name: str
-    variant: str
-    seed: int
     succeeded: bool
     max_net: int
     label: str = ""
@@ -91,9 +89,9 @@ class ClaimFrontRunStrategy:
             sim.file_claim(self.thief, pending.ssid)
 
 
-def _attack_sim(variant: str, seed: int, delta: int) -> Simulation:
+def _attack_sim(variant: str, seed: int) -> Simulation:
     config = SimConfig(seed=seed, variant=variant, d0=10, t_tr=12, n=8,
-                       scheduler=f"reorder:{delta}")
+                       scheduler=f"reorder:{DELTA}")
     sim = Simulation(config)
     for pid in (ALICE, BOB, MALLORY):
         sim.add_party(pid)
@@ -101,47 +99,40 @@ def _attack_sim(variant: str, seed: int, delta: int) -> Simulation:
     return sim
 
 
-def run_attack_i(variant: str = "base", seed: int = 0, delta: int = 5) -> AttackOutcome:
+def run_attack_i(variant: str = "base", seed: int = 0) -> AttackOutcome:
     """Lost-claim bait, then steal the watchdog's challenge proof."""
-    sim = _attack_sim(variant, seed, delta)
-    strategy = ProofTheftStrategy(MALLORY)
-    sim.adversary = strategy
+    sim = _attack_sim(variant, seed)
+    sim.adversary = ProofTheftStrategy(MALLORY)
     ssid = sim.mint(ALICE, 25)
     sim.file_claim(MALLORY, ssid)
     sim.tick(1)
     sim.watchdog(ALICE)
-    sim.tick(delta + 1)
+    sim.tick(DELTA + 1)
     if sim.wallets[MALLORY].holds(ssid):
         sim.pay(MALLORY, BOB, ssid)
-    return AttackOutcome("attack-i", variant, seed,
-                         sim.value.max_net > 0, sim.value.max_net,
-                         trace=sim.trace)
+    return AttackOutcome(sim.value.max_net > 0, sim.value.max_net, trace=sim.trace)
 
 
-def run_attack_ii(variant: str = "base", seed: int = 0, delta: int = 5) -> AttackOutcome:
+def run_attack_ii(variant: str = "base", seed: int = 0) -> AttackOutcome:
     """Steal the possession proof out of a pending redeem."""
-    sim = _attack_sim(variant, seed, delta)
-    strategy = ProofTheftStrategy(MALLORY)
-    sim.adversary = strategy
+    sim = _attack_sim(variant, seed)
+    sim.adversary = ProofTheftStrategy(MALLORY)
     ssid = sim.mint(ALICE, 25)
     sim.tick(1)
     sim.redeem(ALICE, ssid)
-    sim.tick(delta + 1)
-    return AttackOutcome("attack-ii", variant, seed,
-                         sim.value.max_net > 0, sim.value.max_net,
-                         trace=sim.trace)
+    sim.tick(DELTA + 1)
+    return AttackOutcome(sim.value.max_net > 0, sim.value.max_net, trace=sim.trace)
 
 
-def run_attack_iii(variant: str = "base", seed: int = 0, delta: int = 5) -> AttackOutcome:
+def run_attack_iii(variant: str = "base", seed: int = 0) -> AttackOutcome:
     """Front-run the lost claim of a genuinely lost note.
 
     No possession proof exists on either side, so the earlier claim wins
     and nothing in any shipped variant prevents this; the outcome carries
     the unmitigated-by-design label.
     """
-    sim = _attack_sim(variant, seed, delta)
-    strategy = ClaimFrontRunStrategy(MALLORY)
-    sim.adversary = strategy
+    sim = _attack_sim(variant, seed)
+    sim.adversary = ClaimFrontRunStrategy(MALLORY)
     ssid = sim.mint(ALICE, 25)
     sim.lose(ALICE, ssid)
     sim.file_claim(ALICE, ssid)
@@ -149,6 +140,5 @@ def run_attack_iii(variant: str = "base", seed: int = 0, delta: int = 5) -> Atta
     sim.settle(MALLORY, ssid)
     if sim.wallets[MALLORY].holds(ssid):
         sim.pay(MALLORY, BOB, ssid)
-    return AttackOutcome("attack-iii", variant, seed,
-                         sim.value.max_net > 0, sim.value.max_net,
+    return AttackOutcome(sim.value.max_net > 0, sim.value.max_net,
                          label=UNMITIGATED, trace=sim.trace)

@@ -98,30 +98,6 @@ def verify_bridge_message(scheme, vk, msg: BridgeMessage, x: int) -> bool:
     return scheme.verify(vk, msg.body(), msg.signature)
 
 
-def decode_bridge_message(data: bytes, sig_len: int) -> BridgeMessage:
-    """Inverse of encode(); needs the scheme's signature length to split."""
-    prefix = OPCODE + b"\x00"
-    if not data.startswith(prefix):
-        raise ParseError("missing opcode prefix")
-    rest = data[len(prefix):]
-    if len(rest) < sig_len + 8 + 2:
-        raise ParseError("message too short")
-    signature = rest[-sig_len:]
-    y = int.from_bytes(rest[-sig_len - 8:-sig_len], "big")
-    mid = rest[:-sig_len - 8]
-    if not mid.endswith(b"\x00"):
-        raise ParseError("missing payload separator")
-    return BridgeMessage(mid[:-1], y, signature)
-
-
-def decode_bridge_hex(text: str, sig_len: int) -> BridgeMessage:
-    try:
-        data = bytes.fromhex(text)
-    except ValueError as e:
-        raise ParseError(f"bad hex: {e}") from None
-    return decode_bridge_message(data, sig_len)
-
-
 # -- Merkle tree over serial numbers --------------------------------------------
 
 def merkle_node(left: bytes, right: bytes) -> bytes:
@@ -138,26 +114,6 @@ class MerklePath:
 
     index: int
     siblings: tuple[tuple[int, bytes], ...]
-
-    def serialize(self) -> str:
-        parts = [str(self.index)]
-        parts.extend(f"{side}{h.hex()}" for side, h in self.siblings)
-        return "\t".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "MerklePath":
-        parts = text.split("\t")
-        if not (parts[0].isascii() and parts[0].isdigit()):
-            raise ParseError("path must start with the leaf index")
-        siblings = []
-        for p in parts[1:]:
-            if len(p) < 3 or p[0] not in "01":
-                raise ParseError(f"bad path element {p!r}")
-            try:
-                siblings.append((int(p[0]), bytes.fromhex(p[1:])))
-            except ValueError as e:
-                raise ParseError(f"bad path element hex: {e}") from None
-        return cls(int(parts[0]), tuple(siblings))
 
 
 class MerkleTree:

@@ -5,8 +5,10 @@ Exit codes, uniform across subcommands:
      no invariant violations); for games, no wins while sound
   1  an invariant broke or the adversary finished with positive net value
   2  could not even start: unreadable file, scenario parse error (reported
-     with its line number), negative window or deposit, key size n outside
-     1..256, unknown demo name
+     with its line number), negative window or deposit (the --d0 flag or a
+     script's contract deposit), key size n outside 1..256, a malformed
+     --scheduler, unknown demo name; every flag is checked when the
+     configuration is built, before any subcommand does work
 """
 
 from __future__ import annotations

@@ -272,9 +272,8 @@ def is_banknote_contract(params: ContractParams, network: PhiParams) -> bool:
     if not isinstance(params, ContractParams) or len(params.members) != 1:
         return False
     member = params.members[0]
-    if len(params.deposits) != 1 or params.deposits[0][0] != member:
-        return False
-    if params.deposits[0][1] < 0 or params.circuit != network:
+    if (len(params.deposits) != 1 or params.deposits[0][0] != member
+            or params.circuit != network):
         return False
     st = params.initial_state
     return (isinstance(st, BanknoteState) and _serial_ok(st.serial)

@@ -80,38 +80,36 @@ def shuffle_and_submit_strategy(env: QuantumEnv):
 
 # -- games ----------------------------------------------------------------
 
-def game_counterfeit(seed: int, trials: int, sound: bool = True,
-                     strategy=clone_strategy) -> GameResult:
+def game_counterfeit(seed: int, trials: int, sound: bool = True) -> GameResult:
     """Produce two registers that both verify against one serial."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "counterfeit", k, sound)
-        h1, h2, serial = strategy(env)
+        h1, h2, serial = clone_strategy(env)
         if (h1.bundle_id != h2.bundle_id
                 and env.verify_bundle(h1, serial) and env.verify_bundle(h2, serial)):
             wins += 1
     return GameResult("counterfeit", wins, trials)
 
 
-def game_forge_certificate(seed: int, trials: int, sound: bool = True,
-                           strategy=guess_certificate_strategy) -> GameResult:
+def game_forge_certificate(seed: int, trials: int, sound: bool = True) -> GameResult:
     """Produce a valid certificate while the bolt still verifies."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "forge-certificate", k, sound)
-        cert, h, serial = strategy(env)
+        cert, h, serial = guess_certificate_strategy(env)
         if verify_certificate(serial, cert) and env.verify_bundle(h, serial):
             wins += 1
     return GameResult("forge-certificate", wins, trials)
 
 
-def game_forge_signature(seed: int, trials: int, n: int = 8, sound: bool = True,
-                         strategy_cls=ReplaySigStrategy) -> GameResult:
+def game_forge_signature(seed: int, trials: int, n: int = 8,
+                         sound: bool = True) -> GameResult:
     """One signature given; win by signing any second, differing message."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "forge-signature", k, sound)
-        strategy = strategy_cls()
+        strategy = ReplaySigStrategy()
         key, serial, alpha = strategy.prepare(env, n)
         sigma = gen_sig(env, key, serial, alpha)
         alpha2, sigma2 = strategy.respond(sigma)
@@ -120,13 +118,12 @@ def game_forge_signature(seed: int, trials: int, n: int = 8, sound: bool = True,
     return GameResult("forge-signature", wins, trials)
 
 
-def game_sabotage_money(seed: int, trials: int, sound: bool = True,
-                        strategy=shuffle_and_submit_strategy) -> GameResult:
+def game_sabotage_money(seed: int, trials: int, sound: bool = True) -> GameResult:
     """Hand over a bundle that verifies once and then stops verifying."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "sabotage-money", k, sound)
-        h, serial = strategy(env)
+        h, serial = shuffle_and_submit_strategy(env)
         first = env.verify_bundle(h, serial)
         second = env.verify_bundle(h, serial)
         if first and not second:
@@ -134,13 +131,13 @@ def game_sabotage_money(seed: int, trials: int, sound: bool = True,
     return GameResult("sabotage-money", wins, trials)
 
 
-def game_sabotage_certificate(seed: int, trials: int, sound: bool = True,
-                              strategy=shuffle_and_submit_strategy) -> GameResult:
+def game_sabotage_certificate(seed: int, trials: int,
+                              sound: bool = True) -> GameResult:
     """Hand over a 1-bolt bundle that verifies but then cannot be measured."""
     wins = 0
     for k in range(trials):
         env = _trial_env(seed, "sabotage-certificate", k, sound)
-        h, serial = strategy(env)
+        h, serial = shuffle_and_submit_strategy(env)
         if not env.verify_bundle(h, serial):
             continue
         cert = env.measure_bolts(h, (0,))
@@ -163,16 +160,6 @@ def game_sabotage_signature(seed: int, trials: int, n: int = 8,
         if not verify_sig(key.serial, alpha, sigma):
             wins += 1
     return GameResult("sabotage-signature", wins, trials)
-
-
-GAME_ORDER = (
-    "counterfeit",
-    "forge-certificate",
-    "forge-signature",
-    "sabotage-money",
-    "sabotage-certificate",
-    "sabotage-signature",
-)
 
 
 def run_all_games(seed: int = 0, trials: int = 1000, n: int = 8,

@@ -87,15 +87,16 @@ class SimConfig:
     scheduler: str = "fifo"
     sound: bool = True
     minimal: bool = False
-    scan_interval: int | None = None  # defaults to t_tr - 1; lower only
 
     def __post_init__(self):
-        QldsParams(self.n)  # refuses n outside 1..256
-        interval = self.scan_interval
-        if interval is not None and interval < 1:
-            raise ParseError(f"scan_interval must be at least 1, got {interval}")
-        if interval is not None and interval > self.t_tr - 1:
-            raise ParseError("scan_interval must not exceed t_tr - 1")
+        # refuse a bad field when the config is made, whichever command
+        # goes on to use it
+        QldsParams(self.n)  # n outside 1..256
+        self.phi()          # unknown variant; negative d0, t_tr, t0 or t1
+        self.delta()        # a scheduler other than fifo or reorder:<k>
+
+    def phi(self) -> PhiParams:
+        return PhiParams(self.variant, self.d0, self.t_tr, self.t0, self.t1)
 
     def seed_bytes(self) -> bytes:
         return (self.seed % (1 << 256)).to_bytes(32, "big")
@@ -219,21 +220,17 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        delta = config.delta()  # validates the scheduler string early
         self.env = ql_setup(128, config.seed_bytes(), sound_mode=config.sound)
         self.ledger = Ledger()
-        self.phi = PhiParams(config.variant, config.d0, config.t_tr,
-                             config.t0, config.t1)
+        self.phi = config.phi()
         self.wallets: dict[str, Wallet] = {}
         self.corrupted: set[str] = set()
         self.pool: list[Banknote] = []
         self.value = ValueLedger()
         self.adversary = None
         self.trace: list[str] = list(config.header_lines())
-        self.chain = ReorderChain(self, delta)
-        interval = config.scan_interval
-        self.scan_interval = (max(1, config.t_tr - 1) if interval is None
-                              else interval)
+        self.chain = ReorderChain(self, config.delta())
+        self.scan_interval = max(1, config.t_tr - 1)
         # due tick -> the pids armed for it: each pid of _armed in exactly
         # one bucket, and every honest wallet with notes in a bucket no
         # later than the tick its scan is due; _ticks is a heap of the keys
@@ -612,13 +609,6 @@ def _fmt_result(r) -> str:
 _WITNESS_TYPES = {cls.__name__: cls for cls in (
     BanknoteLost, ChallengeClaim, ClaimUnchallenged, RecoverCoins,
     ChallengeClaimSig, RecoverCoinsSig, CommitLost, RevealLost)}
-
-
-def witness_to_fields(w) -> list[str]:
-    name = type(w).__name__
-    if _WITNESS_TYPES.get(name) is not type(w):
-        raise ParseError(f"unknown witness {name}")
-    return [name] + [getattr(w, f.name).hex() for f in fields(w)]
 
 
 def witness_from_fields(name: str, hex_fields: list[str]):

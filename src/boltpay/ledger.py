@@ -80,6 +80,11 @@ class ContractParams:
     circuit: Any
     initial_state: Any
 
+    def __post_init__(self):
+        for pid, d in self.deposits:
+            if d < 0:
+                raise ParseError(f"deposit of {pid} must not be negative, got {d}")
+
     def deposit_of(self, pid: str) -> int:
         for p, d in self.deposits:
             if p == pid:

@@ -65,13 +65,9 @@ class _BundleRecord:
     owner: str
 
 
-def serial_of(secret: bytes) -> bytes:
-    """Public serial bound to a secret preimage."""
-    return hashlib.sha256(SERIAL_TAG + secret).digest()
-
-
 def serials_of(secrets: bytes) -> bytes:
-    """serial_of for each 16-byte preimage of ``secrets``, concatenated."""
+    """The public serial SHA-256(SERIAL_TAG || preimage) of each 16-byte
+    preimage of ``secrets``, concatenated."""
     sha256 = hashlib.sha256
     return b"".join([sha256(SERIAL_TAG + secret).digest()
                      for (secret,) in _PREIMAGES.iter_unpack(secrets)])

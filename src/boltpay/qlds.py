@@ -21,10 +21,6 @@ from itertools import compress
 from .errors import KeyExhausted, ParseError
 from .lightning import PREIMAGE_LEN, SERIAL_LEN, BundleHandle, QuantumEnv, serials_of
 
-# A signature is the concatenation of n 16-byte certificates.
-QldsSignature = bytes
-
-DEFAULT_N = 256
 DIGEST_BITS = 256  # message bits SHA-256 gives, so the largest n
 
 
@@ -32,7 +28,7 @@ DIGEST_BITS = 256  # message bits SHA-256 gives, so the largest n
 class QldsParams:
     """n = number of message-hash bits = half the bolt count per key."""
 
-    n: int = DEFAULT_N
+    n: int = DIGEST_BITS
 
     def __post_init__(self):
         if not 1 <= self.n <= DIGEST_BITS:
@@ -86,7 +82,7 @@ def qlds_ver(env: QuantumEnv, key: BundleHandle, serial: bytes) -> bool:
 
 
 def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
-            message: bytes) -> QldsSignature:
+            message: bytes) -> bytes:
     """Sign by measuring one bolt per message bit; consumes those bolts.
 
     Consumption is in ascending bit position and sticks: if a needed bolt is
@@ -114,7 +110,7 @@ def _segment_pairs(n: int) -> tuple[slice, ...]:
                  for j in range(n) for k in (j, n + j))
 
 
-def verify_sig(serial: bytes, message: bytes, signature: QldsSignature) -> bool:
+def verify_sig(serial: bytes, message: bytes, signature: bytes) -> bool:
     """Stateless signature check against the concatenated serial.
 
     Works from the serial alone: n is inferred from its length, and each

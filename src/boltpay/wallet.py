@@ -264,18 +264,6 @@ class Wallet:
             return None
         return self.chain.submit_trigger(self.pid, ssid, RevealLost(nonce), 0)
 
-    def commit_reveal_claim(self, ssid: int) -> list:
-        """The staged lost-claim plan: commit now, reveal, settle after t1.
-
-        Returns (ticks_to_wait_before, action) pairs for a runner to play;
-        each action is a no-argument callable.
-        """
-        return [
-            (0, lambda: self.commit_lost_claim(ssid)),
-            (1, lambda: self.reveal_lost_claim(ssid)),
-            (self.phi.t1 + 1, lambda: self.settle_unchallenged(ssid)),
-        ]
-
     # -- the watchdog -------------------------------------------------------
 
     def watchdog_scan(self) -> list[tuple[int, str]]:

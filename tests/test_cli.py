@@ -78,10 +78,38 @@ def test_negative_windows_are_refused_before_any_line_runs(flag, value, tmp_path
     script = tmp_path / "front-claim.bolt"
     script.write_text(FRONT_CLAIM)
     assert boltpay("run", str(script)).returncode == 0
-    r = boltpay("run", str(script), flag, value)
+    # every subcommand refuses it, also those that never build a Simulation
+    for command in (("run", str(script)), ("games",), ("demo", "attack-i"),
+                    ("demo", "merkle-split")):
+        r = boltpay(*command, flag, value)
+        assert r.returncode == 2, command
+        assert r.stdout == ""
+        assert "must not be negative" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("games",), ("demo", "attack-i"), ("demo", "merkle-split")],
+    ids=["games", "attack-i", "merkle-split"])
+def test_an_unknown_scheduler_exits_two_without_a_run(command):
+    r = boltpay(*command, "--scheduler", "bogus")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert "must not be negative" in r.stderr
+    assert "unknown scheduler" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_a_negative_contract_deposit_is_refused_with_its_line(tmp_path):
+    # with the deposit taken as given, initialising the contract would pay
+    # mallory 5 coins out of nothing and the run would report a soundness
+    # break where the script itself is at fault
+    script = tmp_path / "negative-deposit.bolt"
+    script.write_text(
+        "AddParty\tmallory:50\nCORRUPT\tmallory:50\n"
+        f"AddSmartContract\tmallory:50\tmallory:50\tmallory:50=-5\tbase\t{'00' * 32}\n"
+        "InitializeWithCoins\tmallory:50\t1\n")
+    r = boltpay("run", str(script))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "line 3" in r.stderr and "must not be negative" in r.stderr
 
 
 def test_a_signature_over_a_514_segment_serial_is_refused(tmp_path):

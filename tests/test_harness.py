@@ -33,7 +33,6 @@ from boltpay.harness import (
     Simulation,
     run_scenario,
     witness_from_fields,
-    witness_to_fields,
 )
 from boltpay.wallet import HELD
 from trace_oracle import replay_trace
@@ -211,15 +210,8 @@ def test_scheduler_strings():
         Simulation(SimConfig(scheduler="junk"))
 
 
-def test_scan_interval_cannot_exceed_the_claim_window():
-    with pytest.raises(ParseError):
-        Simulation(SimConfig(t_tr=10, scan_interval=10))
-    sim = Simulation(SimConfig(t_tr=10, scan_interval=9))
-    assert sim.scan_interval == 9
-
-
 @pytest.mark.parametrize("bad", [
-    {"n": 0}, {"n": 257}, {"scan_interval": 0}, {"scan_interval": -5}])
+    {"n": 0}, {"n": 257}, {"d0": -1}, {"t_tr": -1}, {"scheduler": "junk"}])
 def test_a_bad_configuration_is_refused_when_built(bad):
     with pytest.raises(ParseError):
         SimConfig(**bad)
@@ -228,7 +220,6 @@ def test_a_bad_configuration_is_refused_when_built(bad):
 def test_the_default_scan_interval_is_clamped_to_one():
     assert Simulation(SimConfig(t_tr=1)).scan_interval == 1
     assert Simulation(SimConfig(t_tr=0)).scan_interval == 1
-    assert Simulation(SimConfig(t_tr=3, scan_interval=1)).scan_interval == 1
 
 
 def test_ticking_runs_due_watchdog_scans():
@@ -446,10 +437,8 @@ WITNESS_SHAPES = (
        st.lists(st.binary(max_size=48), min_size=2, max_size=2))
 def test_witness_codec_roundtrip(i, blobs):
     cls, arity = WITNESS_SHAPES[i]
-    w = cls(*blobs[:arity])
-    fields = witness_to_fields(w)
-    assert fields[0] == cls.__name__
-    assert witness_from_fields(fields[0], fields[1:]) == w
+    blobs = blobs[:arity]
+    assert witness_from_fields(cls.__name__, [b.hex() for b in blobs]) == cls(*blobs)
 
 
 def test_witness_codec_rejects_malformed_input():

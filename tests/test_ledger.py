@@ -148,6 +148,15 @@ def test_contract_with_unregistered_member_is_refused():
         initial_state=None)) is None
 
 
+def test_a_negative_deposit_is_refused_when_the_params_are_built():
+    # funding it would move coins out of the pot into the member's balance
+    for deposits in (((ALICE, -5),), ((ALICE, 3), (BOB, -1))):
+        with pytest.raises(ParseError, match="must not be negative"):
+            ContractParams(members=(ALICE, BOB), deposits=deposits,
+                           circuit=ScriptedCircuit(), initial_state="start")
+    assert scripted_contract(ALICE, 0).deposit_of(ALICE) == 0
+
+
 def test_initialization_may_spend_the_whole_balance():
     # unlike a transaction, funding a contract can zero the party out
     led = Ledger()

@@ -18,7 +18,6 @@ from boltpay.errors import DomainError, NotOwner, SetupRejected
 from boltpay.lightning import (
     BundleHandle,
     ql_setup,
-    serial_of,
     serials_of,
     verify_certificate,
 )
@@ -62,12 +61,12 @@ def test_serial_is_tagged_hash_of_registry_secret():
     h = bolt(env, "alice")
     secret = env.measure_bolts(h, (0,))
     assert h.serial == hashlib.sha256(b"QLBOLT" + secret).digest()
-    assert serial_of(secret) == h.serial
+    assert serials_of(secret) == h.serial
 
 
 def test_serial_of_pinned_value():
     # sha256("QLBOLT" || 16 zero bytes), recomputed offline
-    assert serial_of(bytes(16)).hex() == (
+    assert serials_of(bytes(16)).hex() == (
         "a6a0f8b9dedba0dac83d13a236e66ae724bc2a1f83c12fbcdb90fee29d549ff3")
 
 

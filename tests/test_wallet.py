@@ -284,11 +284,11 @@ def test_commit_reveal_claim_plays_out_in_stages():
     env, led, w = setup(variant="commit-reveal")
     note = w[ALICE].mint(30)
     w[ALICE].lose_note(note.ssid)
-    results = []
-    for wait, action in w[ALICE].commit_reveal_claim(note.ssid):
-        for _ in range(wait):
-            led.tick()
-        results.append(action())
+    results = [w[ALICE].commit_lost_claim(note.ssid)]
+    led.tick()
+    results.append(w[ALICE].reveal_lost_claim(note.ssid))
+    led.tick(w[ALICE].phi.t1 + 1)
+    results.append(w[ALICE].settle_unchallenged(note.ssid))
     assert results == [0, 0, 10]
     assert led.retrieve_party(ALICE) == 20
     rebound = w[ALICE].notes[note.ssid][0]
