@@ -48,7 +48,7 @@ class PhiParams:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ParseError(f"unknown variant {self.variant!r}")
         for name in ("d0", "t_tr", "t0", "t1"):
             value = getattr(self, name)
             if value < 0:

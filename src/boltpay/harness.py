@@ -24,6 +24,8 @@ note; a heap holds the distinct due ticks, and each pid taken out is
 checked against the real condition before its wallet is scanned.  tick(k)
 jumps from one tick where a scan or a held message is due to the next,
 and a scan reads only the held notes that the ledger's claim index names.
+A due wallet holding no claimed note costs its `watchdog 0` trace line
+and its re-arm, and never calls Wallet.watchdog_scan.
 
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
@@ -443,7 +445,8 @@ class Simulation:
     def tick(self, k: int = 1) -> int:
         """Advance k ticks; every tick delivers the held messages due by
         then and scans each honest wallet with notes whose last scan is
-        scan_interval ticks old, in pid order.
+        scan_interval ticks old, in pid order.  A due wallet none of whose
+        notes is claimed costs one trace line, with no watchdog_scan call.
 
         Only the ticks where a message or a scan is due do any work, so
         time jumps from one such tick to the next.  k may be 0, never
@@ -489,10 +492,12 @@ class Simulation:
         return pids
 
     def _scan_due(self) -> None:
-        now, ticks = self.ledger.time, self._ticks
+        now, ticks, due, armed = self.ledger.time, self._ticks, self._due, self._armed
         todo = sorted(self._pop_due(now))
         wallets, corrupted = self.wallets, self.corrupted
         interval, watch = self.scan_interval, self._watch
+        unclaimed, append = self.ledger.claimed.isdisjoint, self.trace.append
+        head, nxt, bucket = f"{now}\t", now + interval, None
         i = 0
         while i < len(todo):
             pid = todo[i]
@@ -502,6 +507,20 @@ class Simulation:
                 continue  # re-armed when it next gains a first note
             if now - w.last_scan < interval:
                 self._arm(w)  # scanned since it was put in its bucket
+                continue
+            if unclaimed(w.notes):
+                # _watch of a scan that finds nothing, inline: it runs no
+                # foreign code, so no wallet can have fallen due meanwhile
+                w.last_scan = now
+                if pid not in armed:
+                    armed.add(pid)
+                    if bucket is None:
+                        bucket = due.get(nxt)
+                        if bucket is None:
+                            bucket = due[nxt] = []
+                            heappush(ticks, nxt)
+                    bucket.append(pid)
+                append(head + pid + "\twatchdog\t0")
                 continue
             watch(w)
             if not ticks or ticks[0] > now:

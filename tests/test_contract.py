@@ -143,7 +143,7 @@ def test_note_shape_check():
 
 
 def test_unknown_variant_is_rejected_at_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         PhiParams(variant="turbo")
 
 

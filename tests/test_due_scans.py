@@ -7,6 +7,7 @@ same trace byte for byte on it and on ``Simulation``.  The cost tests
 count calls; none of them reads a clock.
 """
 
+import inspect
 from collections import deque
 
 import pytest
@@ -30,6 +31,7 @@ from boltpay.contract import (
 )
 from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
 from boltpay.ledger import Ledger
+from boltpay.lightning import QuantumEnv
 from boltpay.wallet import Wallet
 
 # -- the reference ------------------------------------------------------------
@@ -272,6 +274,45 @@ def test_a_wallet_scanned_directly_is_scanned_again_when_due():
         "13", "22", "31"]
 
 
+IDLE_PREFIXES = ("ab", "am", "bz", "cz", "n", "zz")   # around each party
+
+
+def interleaved_script(variant: str) -> list[list[str]]:
+    """240 idle wallets joining over ten ticks, every fifth with no note;
+    then one claim on each of alice's, bob's and carol's first notes, so
+    that their scans at tick 22 fall between runs of idle scans."""
+    claim = "COMMITCLAIM" if variant == "commit-reveal" else "FILECLAIM"
+    lines = [["MINT", pid, "5"] for pid in PARTIES[:3] for _ in range(2)]
+    lines += [["MINT", THIEF, "1"] for _ in range(10)]   # for the gifts
+    for i in range(240):
+        pid = f"{IDLE_PREFIXES[i % 6]}{i:03d}:10"
+        lines.append(["AddParty", pid])
+        if i % 5:
+            lines.append(["MINT", pid, "2"])
+        if i % 24 == 23:
+            lines.append(["Tick"])
+    lines += [["TICK", "5"], [claim, THIEF, "1"], [claim, THIEF, "3"],
+              [claim, THIEF, "5"], ["TICK", "30"]]
+    return lines
+
+
+@pytest.mark.parametrize("strategy", ["claim-the-rest", "gift"])
+@pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
+def test_idle_scans_interleaved_with_answers_match_the_walk(variant, strategy):
+    config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
+                       t_tr=12, t0=3, t1=3)
+    real = differential_run(config, strategy, interleaved_script(variant))
+    at_22 = [ln.split("\t") for ln in real.trace
+             if ln.startswith("22\t") and "\twatchdog\t" in ln]
+    answers = [i for i, f in enumerate(at_22) if f[3] != "0"]
+    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
+    # idle scans before, between and after the answers
+    assert 0 < answers[0] and answers[-1] < len(at_22) - 1
+    assert all(b - a > 1 for a, b in zip(answers, answers[1:]))
+    if strategy == "gift":   # two gifted wallets sort after alice
+        assert {"am025:10", "am055:10"} <= {f[1] for f in at_22}
+
+
 @pytest.mark.parametrize("runner,variant", [
     (run_attack_i, "base"), (run_attack_i, "sig-gated"),
     (run_attack_ii, "base"), (run_attack_ii, "sig-gated"),
@@ -316,6 +357,12 @@ def watched_sim() -> Simulation:
     return sim
 
 
+def watchdog_lines(sim: Simulation, now: int) -> list[str]:
+    """The pids of the watchdog lines logged at tick now, one per line."""
+    return [ln.split("\t")[1] for ln in sim.trace
+            if ln.startswith(f"{now}\t") and ln.split("\t")[2] == "watchdog"]
+
+
 def due_model(sim: Simulation, now: int) -> list[str]:
     return [pid for pid, w in sim.wallets.items()
             if pid not in sim.corrupted and w.notes
@@ -332,18 +379,22 @@ def test_one_tick_scans_the_due_wallets_and_reads_their_claimed_notes(
         sim.file_claim(pid, sim.mint(pid, 5))
     scans = CallCounter(monkeypatch, Wallet, "watchdog_scan")
     reads = CallCounter(monkeypatch, Ledger, "retrieve_contract")
-    seen = 0
+    seen = idle = 0
     for _ in range(sim.scan_interval - 1):
-        due = due_model(sim, sim.ledger.time + 1)
+        now = sim.ledger.time + 1
+        due = due_model(sim, now)
         claimed = claimed_model(sim.ledger)
+        claiming = [pid for pid in due if claimed & sim.wallets[pid].notes.keys()]
         held_claims = sum(len(claimed & sim.wallets[pid].notes.keys())
                           for pid in due)
         scans.calls = reads.calls = 0
         sim.tick(1)
-        assert scans.calls == len(due)
+        assert sorted(watchdog_lines(sim, now)) == sorted(due)
+        assert scans.calls == len(claiming)
         assert reads.calls == held_claims
         seen += held_claims
-    assert seen > 0
+        idle += len(due) - len(claiming)
+    assert seen > 0 and idle > 0
 
 
 def test_payments_between_ticks_keep_one_due_entry_per_wallet():
@@ -369,9 +420,51 @@ def test_a_tick_scanning_a_thousand_idle_wallets_opens_one_bucket(monkeypatch):
     scans = CallCounter(monkeypatch, Wallet, "watchdog_scan")
     pushes = CallCounter(monkeypatch, harness, "heappush")
     sim.tick(1)
-    assert scans.calls == 1000
+    assert scans.calls == 0
     assert pushes.calls <= 1
     assert list(sim._due) == [18] and len(sim._due[18]) == 1000
+    assert sorted(watchdog_lines(sim, 9)) == sorted(sim.wallets)
+
+
+def one_answering_tick(idle_wallets: int, monkeypatch):
+    """The calls and trace lines of a tick that answers one claim on alice's
+    note while idle_wallets wallets holding unclaimed notes fall due."""
+    sim = Simulation(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+    sim.add_party("alice:50")
+    sim.add_party(THIEF)
+    sim.corrupt(THIEF)
+    ssid = sim.mint("alice:50", 5)
+    for i in range(idle_wallets):   # all due at tick 9, with alice
+        pid = f"idle{i:04d}:100"
+        sim.add_party(pid)
+        sim.mint(pid, 5)
+    sim.file_claim(THIEF, ssid)
+    sim.tick(8)
+    counted = [(Wallet, "watchdog_scan"), (Ledger, "retrieve_contract"),
+               (harness, "heappush"), (Simulation, "log")]
+    counted += [(QuantumEnv, name) for name, f in vars(QuantumEnv).items()
+                if inspect.isfunction(f)]
+    start = len(sim.trace)
+    with monkeypatch.context() as mp:
+        counters = {name: CallCounter(mp, owner, name) for owner, name in counted}
+        sim.tick(1)
+    return {name: c.calls for name, c in counters.items()}, sim.trace[start:]
+
+
+def test_idle_wallets_add_only_their_trace_lines_to_a_tick(monkeypatch):
+    few, few_lines = one_answering_tick(250, monkeypatch)
+    many, many_lines = one_answering_tick(4000, monkeypatch)
+    assert few == many
+    assert few["watchdog_scan"] == 1 and few["log"] > 1
+
+    def split(lines):
+        rest = [ln for ln in lines if not ln.endswith("\twatchdog\t0")]
+        return len(lines) - len(rest), rest
+
+    (few_idle, few_rest), (many_idle, many_rest) = split(few_lines), split(many_lines)
+    assert few_rest == many_rest
+    assert "9\talice:50\twatchdog\t1\t1:challenge" in few_rest
+    assert (few_idle, many_idle) == (250, 4000)
 
 
 def test_a_long_idle_wallet_paid_between_ticks_is_scanned_on_the_next_tick():

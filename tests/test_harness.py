@@ -211,7 +211,8 @@ def test_scheduler_strings():
 
 
 @pytest.mark.parametrize("bad", [
-    {"n": 0}, {"n": 257}, {"d0": -1}, {"t_tr": -1}, {"scheduler": "junk"}])
+    {"n": 0}, {"n": 257}, {"d0": -1}, {"t_tr": -1}, {"scheduler": "junk"},
+    {"variant": "junk"}])
 def test_a_bad_configuration_is_refused_when_built(bad):
     with pytest.raises(ParseError):
         SimConfig(**bad)
