@@ -7,13 +7,14 @@ Exit codes, uniform across subcommands:
   2  could not even start: unreadable file, scenario parse error (reported
      with its line number), negative window or deposit (the --d0 flag or a
      script's contract deposit), key size n outside 1..256, a malformed
-     --scheduler, unknown demo name; every flag is checked when the
-     configuration is built, before any subcommand does work
+     --scheduler, unknown demo name, an --out path that cannot be written;
+     every flag is checked when the configuration is built, before any work
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -77,6 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args, default_n: int) -> SimConfig:
+    if args.out is not None:
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir() or not os.access(
+                out if out.exists() else out.parent, os.W_OK):
+            raise BoltPayError(f"cannot write --out {args.out}")
     return SimConfig(
         seed=args.seed, variant=args.variant, d0=args.d0, t_tr=args.ttr,
         t0=args.t0, t1=args.t1, n=args.n if args.n is not None else default_n,
@@ -84,10 +90,13 @@ def _config_from(args, default_n: int) -> SimConfig:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is not None:
-        Path(out_path).write_text(text)
-    else:
+    if out_path is None:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out_path).write_text(text)
+    except OSError as e:
+        raise BoltPayError(f"cannot write --out {out_path}: {e.strerror}") from e
 
 
 def cmd_run(args) -> int:

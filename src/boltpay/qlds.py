@@ -92,8 +92,8 @@ def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
     if serial != key.serial:
         raise ParseError("serial does not match key")
     n = key.count // 2
-    if n == 0 or key.count != 2 * n:
-        raise ParseError("key must hold 2n bolts")
+    if not 1 <= n <= DIGEST_BITS or key.count != 2 * n:
+        raise ParseError("key must hold 2n bolts, n in 1..256")
     positions = signing_indices(message_bits(message, n))
     signature = env.measure_bolts(key, positions)
     j = len(signature) // PREIMAGE_LEN

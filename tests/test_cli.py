@@ -97,6 +97,47 @@ def test_an_unknown_scheduler_exits_two_without_a_run(command):
     assert "unknown scheduler" in r.stderr and "Traceback" not in r.stderr
 
 
+OUT_COMMANDS = [("run", str(SCENARIOS / "honest-payment.bolt")),
+                ("games", "--n", "4"), ("demo", "attack-i")]
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS, ids=["run", "games", "demo"])
+@pytest.mark.parametrize("where", ["a-directory", "in-a-missing-directory",
+                                   "in-a-file"])
+def test_an_out_path_that_cannot_be_a_file_exits_two(command, where, tmp_path):
+    (tmp_path / "file").write_text("")
+    out = {"a-directory": tmp_path,
+           "in-a-missing-directory": tmp_path / "no" / "such" / "x",
+           "in-a-file": tmp_path / "file" / "x"}[where]
+    r = boltpay(*command, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert str(out) in r.stderr
+
+
+def test_an_unwritable_out_path_is_refused_before_any_work(monkeypatch,
+                                                            tmp_path):
+    from boltpay import cli
+
+    def work(*args, **kwargs):
+        raise AssertionError("a subcommand did work")
+
+    monkeypatch.setattr(cli, "run_scenario", work)
+    monkeypatch.setattr(cli, "run_all_games", work)
+    monkeypatch.setitem(cli._DEMOS, "attack-i", work)
+    for command in OUT_COMMANDS:
+        assert cli.main([*command, "--out", str(tmp_path)]) == 2, command
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_an_out_file_that_fails_on_write_exits_two():
+    # /dev/full passes every check made up front and then refuses the bytes
+    r = boltpay("games", "--n", "4", "--out", "/dev/full")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_a_negative_contract_deposit_is_refused_with_its_line(tmp_path):
     # with the deposit taken as given, initialising the contract would pay
     # mallory 5 coins out of nothing and the run would report a soundness

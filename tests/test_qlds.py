@@ -138,6 +138,16 @@ def test_a_serial_of_more_than_512_segments_never_verifies():
     assert not verify_sig(bytes(514 * 32), b"msg", bytes(257 * 16))
 
 
+@pytest.mark.parametrize("bolts", [514, 600])
+def test_a_key_of_more_than_512_bolts_is_refused_before_any_measurement(bolts):
+    # 257 or more message bits would be needed; SHA-256 gives 256
+    env = fresh_env()
+    key = env.gen_bundle("signer", bolts)
+    with pytest.raises(ParseError):
+        gen_sig(env, key, key.serial, b"msg")
+    assert env.verify_bundle(key, key.serial)  # every bolt still alive
+
+
 def test_parameter_bounds():
     with pytest.raises(ParseError):
         QldsParams(0)
