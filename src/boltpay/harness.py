@@ -16,16 +16,25 @@ first.
 
 Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
-last scanned scan_interval or more ticks ago, in pid order.  The
-simulation finds those wallets without walking them all: calendar
-buckets keyed by due tick hold each wallet's pid at most once, put there
-when a party joins, after every scan and when a wallet gains its first
-note; a heap holds the distinct due ticks, and each pid taken out is
-checked against the real condition before its wallet is scanned.  tick(k)
-jumps from one tick where a scan or a held message is due to the next,
-and a scan reads only the held notes that the ledger's claim index names.
-A due wallet holding no claimed note costs its `watchdog 0` trace line
-and its re-arm, and never calls Wallet.watchdog_scan.
+last scanned scan_interval or more ticks ago, in pid order.  Those
+wallets sit in cohorts.  A cohort is the pid-sorted list of the wallets
+whose scan falls due at one tick, each kept beside the tail of its
+`watchdog 0` trace line, and its tick stands in for its members' last
+scan, scan_interval ticks before.  When the tick comes, a member with
+nothing to answer costs only its trace line, its wallet is not read, and
+the cohort moves whole to the tick scan_interval later.
+
+A wallet leaves that rhythm only at an event: its first note, its last
+note gone, corruption, a scan of its own, or a claim on a note it holds.
+An event costs O(1).  It adds the pid to the checks of the tick its
+wallet is due.  A claim only notes the ssid; the next scan finds its
+holders through the ssid's notes in circulation, each of which names the
+wallet it last entered.  A checked wallet is tested against the real
+condition: it leaves its cohort, moves to the cohort of its new due tick,
+or is scanned, and only one holding a claimed note calls
+Wallet.watchdog_scan.  A heap holds the ticks with a cohort or a check,
+and tick(k) jumps from one such tick, or one where a held message is due,
+to the next.
 
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
@@ -233,12 +242,19 @@ class Simulation:
         self.trace: list[str] = list(config.header_lines())
         self.chain = ReorderChain(self, config.delta())
         self.scan_interval = max(1, config.t_tr - 1)
-        # due tick -> the pids armed for it: each pid of _armed in exactly
-        # one bucket, and every honest wallet with notes in a bucket no
-        # later than the tick its scan is due; _ticks is a heap of the keys
-        self._due: dict[int, list[str]] = {}
+        # due tick -> its cohort, and each member's pid -> its cohort.  A
+        # member with no check pending was last scanned scan_interval
+        # ticks before its cohort's tick.  _checks maps a tick to the pids
+        # to test then: wallets with an event since they joined their
+        # cohort, and holders of claimed notes.  Every honest wallet with
+        # notes is in a cohort or checked no later than its scan is due.
+        # _ticks is a heap of the keys of _cohorts and _checks, each once.
+        self._cohorts: dict[int, _Cohort] = {}
+        self._cohort_of: dict[str, _Cohort] = {}
+        self._checks: dict[int, set[str]] = {}
         self._ticks: list[int] = []
-        self._armed: set[str] = set()
+        self._notes: dict[int, list[Banknote]] = {}  # ssid -> its notes in circulation
+        self._claims: list[int] = []  # ssids claimed, their holders unchecked
         self._expected_coins = 0
 
     # -- logging and accounting ------------------------------------------
@@ -260,6 +276,8 @@ class Simulation:
 
     def _deliver_trigger(self, sender, ssid, witness, deposit, on_result=None):
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
+        if paid is not None and ssid in self.ledger.claimed:
+            self._claims.append(ssid)
         self.log(sender, "trigger", ssid, type(witness).__name__, deposit,
                  "rejected" if paid is None else paid)
         if on_result is not None:
@@ -288,9 +306,8 @@ class Simulation:
             w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
                 minimal=self.config.minimal, chain=self.chain,
-                on_first_note=self._arm)
+                on_note=self._circulate, on_change=self._mark)
             w.last_scan = self.ledger.time
-            self._arm(w)
         self.log(pid, "add-party",
                  self.ledger.parties[pid].coins if fresh else "ignored")
         return self.wallets[pid]
@@ -309,6 +326,7 @@ class Simulation:
         notes_value = self.wallets[pid].banknote_value
         self.value.received += coins + notes_value
         self.corrupted.add(pid)
+        self._mark(self.wallets[pid])
         self.log(pid, "corrupt", coins, notes_value)
         self.account()
 
@@ -321,12 +339,11 @@ class Simulation:
         self.value.received -= coins
         w = self.wallets[pid]
         for ssid in sorted(w.notes):
-            for note in w.notes[ssid]:
+            while w.holds(ssid):
+                note = w._take_note(ssid)
                 if self.env.owner_of(note.bundle) == pid:
                     self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
                 self.pool.append(note)
-        w.notes.clear()
-        w.banknote_value = 0
         self.corrupted.discard(pid)
         self.log(pid, "uncorrupt", coins)
         self.account()
@@ -399,12 +416,8 @@ class Simulation:
 
     def _watch(self, w: Wallet) -> list:
         actions = w.watchdog_scan()
-        self._arm(w)
-        if actions:
-            self.log(w.pid, "watchdog", len(actions),
-                     *(f"{ssid}:{what}" for ssid, what in actions))
-        else:
-            self.log(w.pid, "watchdog", 0)
+        self.log(w.pid, "watchdog", len(actions),
+                 *(f"{ssid}:{what}" for ssid, what in actions))
         return actions
 
     def clone(self, pid: str, ssid: int) -> bool:
@@ -445,12 +458,16 @@ class Simulation:
     def tick(self, k: int = 1) -> int:
         """Advance k ticks; every tick delivers the held messages due by
         then and scans each honest wallet with notes whose last scan is
-        scan_interval ticks old, in pid order.  A due wallet none of whose
-        notes is claimed costs one trace line, with no watchdog_scan call.
+        scan_interval ticks old, in pid order.  The wallets due at a tick
+        form its cohort: a member with no event since it joined costs one
+        `watchdog 0` trace line, without its wallet being read, and the
+        cohort moves whole to its next due tick.  Only the checked members
+        are tested, and only those holding a claimed note call
+        Wallet.watchdog_scan.
 
-        Only the ticks where a message or a scan is due do any work, so
-        time jumps from one such tick to the next.  k may be 0, never
-        negative.
+        Only the ticks where a message, a cohort or a check is due do any
+        work, so time jumps from one such tick to the next.  k may be 0,
+        never negative.
         """
         if k < 0:
             raise ParseError(f"tick count must not be negative, got {k}")
@@ -468,73 +485,141 @@ class Simulation:
             self._scan_due()
         return ledger.time
 
-    def _arm(self, w: Wallet, at: int | None = None) -> None:
-        """Put the wallet in the bucket of its due tick, or of `at`, unless
-        it is in one already."""
-        pid = w.pid
-        if pid not in self._armed:
-            self._armed.add(pid)
-            due = w.last_scan + self.scan_interval if at is None else at
-            bucket = self._due.get(due)
-            if bucket is None:
-                self._due[due] = [pid]
-                heappush(self._ticks, due)
-            else:
-                bucket.append(pid)
+    def last_scan(self, pid: str) -> int:
+        """The tick of the wallet's last watchdog scan, read between ticks."""
+        w = self.wallet(pid)
+        cohort = self._cohort_of.get(pid)
+        if cohort is None:
+            return w.last_scan
+        return max(w.last_scan, cohort.tick - self.scan_interval)
 
-    def _pop_due(self, now: int) -> list[str]:
-        ticks, due, armed = self._ticks, self._due, self._armed
-        pids = []
-        while ticks and ticks[0] <= now:
-            bucket = due.pop(heappop(ticks))
-            armed.difference_update(bucket)
-            pids += bucket
-        return pids
+    # -- cohorts --------------------------------------------------------------
+
+    def _circulate(self, note: Banknote, live: bool) -> None:
+        """Wallet hook: a note enters circulation, or leaves it."""
+        if live:
+            self._notes.setdefault(note.ssid, []).append(note)
+            return
+        notes = self._notes[note.ssid]
+        del notes[next(i for i, n in enumerate(notes) if n is note)]
+        if not notes:
+            del self._notes[note.ssid]
+
+    def _mark(self, w: Wallet) -> None:
+        """Check the wallet at its cohort's tick, or, in none, at the tick
+        its scan falls due: it had an event that may change when, or
+        whether, it is scanned."""
+        cohort = self._cohort_of.get(w.pid)
+        if cohort is not None:
+            self._check(w.pid, cohort.tick)
+        elif w.notes and w.pid not in self.corrupted:
+            self._check(w.pid, w.last_scan + self.scan_interval)
+
+    def _check_claimed(self) -> None:
+        """Mark the wallets holding a note claimed since this last ran.  A
+        wallet that gains a claimed note later is marked as it gains it."""
+        claims, notes, wallets = self._claims, self._notes, self.wallets
+        while claims:
+            for note in notes.get(claims.pop(), ()):
+                self._mark(wallets[note.holder])
+
+    def _check(self, pid: str, tick: int) -> None:
+        pids = self._checks.get(tick)
+        if pids is not None:
+            pids.add(pid)
+            return
+        self._checks[tick] = {pid}
+        if tick not in self._cohorts:
+            heappush(self._ticks, tick)
+
+    def _join(self, pid: str, tick: int) -> None:
+        """Put pid in the cohort of tick, opening it if need be."""
+        cohort = self._cohorts.get(tick)
+        if cohort is None:
+            cohort = self._cohorts[tick] = _Cohort(tick)
+            if tick not in self._checks:
+                heappush(self._ticks, tick)
+        cohort.insert(bisect_left(cohort.pids, pid), pid)
+        self._cohort_of[pid] = cohort
 
     def _scan_due(self) -> None:
-        now, ticks, due, armed = self.ledger.time, self._ticks, self._due, self._armed
-        todo = sorted(self._pop_due(now))
-        wallets, corrupted = self.wallets, self.corrupted
-        interval, watch = self.scan_interval, self._watch
-        unclaimed, append = self.ledger.claimed.isdisjoint, self.trace.append
-        head, nxt, bucket = f"{now}\t", now + interval, None
-        i = 0
-        while i < len(todo):
-            pid = todo[i]
-            i += 1
+        now, ticks = self.ledger.time, self._ticks
+        if not ticks or ticks[0] > now:
+            return
+        interval, cohorts, checks = self.scan_interval, self._cohorts, self._checks
+        # a holder of a new claim is in a cohort, or checked, no earlier
+        # than the first tick of the heap, so its mark can wait until now
+        self._check_claimed()
+        # every tick is processed when it comes, so no cohort is overdue
+        cohort = cohorts.pop(now, None) or _Cohort(now)
+        todo = set()
+        while ticks and ticks[0] <= now:
+            todo.update(checks.pop(heappop(ticks), ()))
+        todo = sorted(todo)
+        wallets, corrupted, cohort_of = self.wallets, self.corrupted, self._cohort_of
+        unclaimed, trace = self.ledger.claimed.isdisjoint, self.trace
+        pids, lines, head = cohort.pids, cohort.lines, str(now)
+        i = k = 0   # members before i are done; todo before k is done
+        while k < len(todo):
+            pid = todo[k]
+            k += 1
+            j = bisect_left(pids, pid, i)
+            trace += [head + s for s in lines[i:j]]
+            i = j
+            home = cohort_of.get(pid)
+            if home is not None and home is not cohort:
+                continue  # in a later cohort, whose tick checks it
             w = wallets[pid]
+            last = w.last_scan if home is None else max(w.last_scan, now - interval)
             if pid in corrupted or not w.notes:
-                continue  # re-armed when it next gains a first note
-            if now - w.last_scan < interval:
-                self._arm(w)  # scanned since it was put in its bucket
+                if home is not None:
+                    cohort.remove(i)
+                    del cohort_of[pid]
+                    w.last_scan = last
                 continue
-            if unclaimed(w.notes):
-                # _watch of a scan that finds nothing, inline: it runs no
-                # foreign code, so no wallet can have fallen due meanwhile
-                w.last_scan = now
-                if pid not in armed:
-                    armed.add(pid)
-                    if bucket is None:
-                        bucket = due.get(nxt)
-                        if bucket is None:
-                            bucket = due[nxt] = []
-                            heappush(ticks, nxt)
-                    bucket.append(pid)
-                append(head + pid + "\twatchdog\t0")
-                continue
-            watch(w)
-            if not ticks or ticks[0] > now:
-                continue
-            # a wallet that gained its first note during the scan may be
-            # due already: scan it in this tick if it sorts after pid, as a
-            # walk over all wallets in pid order would, else in the next
-            for other in self._pop_due(now):
-                if other > pid:
-                    j = bisect_left(todo, other, i)
-                    if j == len(todo) or todo[j] != other:
-                        todo.insert(j, other)
+            if now - last < interval:  # scanned since it joined the cohort
+                if last == now:   # at this tick: it stays, behind the cursor
+                    if home is None:
+                        cohort.insert(i, pid)
+                        cohort_of[pid] = cohort
+                    i += 1
                 else:
-                    self._arm(wallets[other], now + 1)
+                    if home is not None:
+                        cohort.remove(i)
+                    self._join(pid, last + interval)
+                if not unclaimed(w.notes):
+                    self._check(pid, last + interval)
+                continue
+            if home is None:
+                cohort.insert(i, pid)
+                cohort_of[pid] = cohort
+            i += 1
+            if unclaimed(w.notes):
+                trace.append(head + lines[i - 1])
+                continue
+            self._watch(w)   # marks w again, so it is checked when next due
+            # the scan ran foreign code, whose events checked wallets at
+            # this tick or before: check one that sorts after pid in this
+            # tick, as a walk over all wallets in pid order would; check a
+            # member done already when the cohort is next due, and any
+            # other wallet in the next tick
+            self._check_claimed()
+            while ticks and ticks[0] <= now:
+                for other in checks.pop(heappop(ticks)):
+                    if other > pid:
+                        j = bisect_left(todo, other, k)
+                        if j == len(todo) or todo[j] != other:
+                            todo.insert(j, other)
+                    elif cohort_of.get(other) is cohort:
+                        self._check(other, now + interval)
+                    else:
+                        self._check(other, now + 1)
+        trace += [head + s for s in lines[i:]]
+        if pids:
+            cohort.tick = now + interval
+            cohorts[cohort.tick] = cohort
+            if cohort.tick not in checks:
+                heappush(ticks, cohort.tick)
 
     # -- direct ledger lines (scenario support) -------------------------------
 
@@ -604,6 +689,26 @@ class Simulation:
                 out.append(f"{pid}: banknote_value {w.banknote_value}, "
                            f"backing {backing}")
         return out
+
+
+class _Cohort:
+    """The wallets due at one tick: their pids in order and, beside each,
+    the tail of its `watchdog 0` trace line."""
+
+    __slots__ = ("tick", "pids", "lines")
+
+    def __init__(self, tick: int):
+        self.tick = tick
+        self.pids: list[str] = []
+        self.lines: list[str] = []
+
+    def insert(self, i: int, pid: str) -> None:
+        self.pids.insert(i, pid)
+        self.lines.insert(i, f"\t{pid}\twatchdog\t0")
+
+    def remove(self, i: int) -> None:
+        del self.pids[i]
+        del self.lines[i]
 
 
 def _claim_deposits(claim) -> int:

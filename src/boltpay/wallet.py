@@ -62,6 +62,8 @@ class Banknote:
     ssid: int
     bundle: BundleHandle
     value: int
+    # the pid of the wallet the note last entered, None until it enters one
+    holder: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def serial(self) -> bytes:
@@ -90,7 +92,12 @@ class Wallet:
     last_scan: int = -1
     pending_challenges: set = field(default_factory=set)
     pending_commits: dict = field(default_factory=dict)
-    on_first_note: object = None  # called with the wallet as it gains a note
+    # called as (note, True) when a note first enters a wallet, and as
+    # (note, False) when it is spent, lost or superseded
+    on_note: object = None
+    # called with the wallet when its watchdog's schedule may change: it
+    # gains its first note or a claimed one, loses its last, or scans
+    on_change: object = None
 
     def __post_init__(self):
         if self.minimal and self.phi.variant != "base":
@@ -102,13 +109,21 @@ class Wallet:
         return bool(self.notes.get(ssid))
 
     def _add_note(self, note: Banknote, front: bool = False) -> None:
-        if not self.notes and self.on_first_note is not None:
-            self.on_first_note(self)
-        held = self.notes.setdefault(note.ssid, [])
-        held.insert(0, note) if front else held.append(note)
+        if note.holder is None and self.on_note is not None:
+            self.on_note(note, True)
+        note.holder = self.pid
         self.banknote_value += note.value
+        held = self.notes.get(note.ssid)
+        if held:
+            held.insert(0, note) if front else held.append(note)
+            return
+        self.notes[note.ssid] = [note]
+        if self.on_change is not None and (
+                len(self.notes) == 1 or note.ssid in self.ledger.claimed):
+            self.on_change(self)
 
     def _take_note(self, ssid: int) -> Banknote | None:
+        """Take the first note held for ssid out of the wallet, to hand on."""
         held = self.notes.get(ssid)
         if not held:
             return None
@@ -116,6 +131,15 @@ class Wallet:
         if not held:
             del self.notes[ssid]
         self.banknote_value -= note.value
+        if not self.notes and self.on_change is not None:
+            self.on_change(self)
+        return note
+
+    def _drop_note(self, ssid: int) -> Banknote | None:
+        """Take the note out of circulation: spent, lost or superseded."""
+        note = self._take_note(ssid)
+        if note is not None and self.on_note is not None:
+            self.on_note(note, False)
         return note
 
     def _mint_bundle(self) -> BundleHandle:
@@ -204,7 +228,7 @@ class Wallet:
         spent either way: the measurement is destructive), or HELD when the
         chain defers delivery.
         """
-        note = self._take_note(ssid)
+        note = self._drop_note(ssid)
         if note is None:
             return None
         try:
@@ -235,7 +259,7 @@ class Wallet:
             if paid is None:
                 return
             while self.holds(ssid):
-                self._take_note(ssid)
+                self._drop_note(ssid)
             z = self.ledger.retrieve_contract(ssid)
             if z is not None:
                 self._add_note(Banknote(ssid, bundle, z[2]))
@@ -277,6 +301,8 @@ class Wallet:
         the scan did.
         """
         self.last_scan = self.ledger.time
+        if self.on_change is not None:
+            self.on_change(self)
         claimed = self.ledger.claimed
         if claimed.isdisjoint(self.notes):
             return []
@@ -322,7 +348,7 @@ class Wallet:
         def finish(paid):
             self.pending_challenges.discard(ssid)
             while self.holds(ssid):
-                self._take_note(ssid)
+                self._drop_note(ssid)
             if paid is None:
                 return
             z = self.ledger.retrieve_contract(ssid)
@@ -336,7 +362,7 @@ class Wallet:
 
     def lose_note(self, ssid: int) -> Banknote | None:
         """Drop the note as lost; its bolts become unusable by anyone."""
-        note = self._take_note(ssid)
+        note = self._drop_note(ssid)
         if note is None:
             return None
         try:
