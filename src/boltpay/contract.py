@@ -267,14 +267,17 @@ def is_banknote_contract(params: ContractParams, network: PhiParams) -> bool:
 
     One member, that member's deposit is the face value, the circuit equals
     the network-wide constants, and the initial state is an unclaimed
-    serial of whole segments.
+    serial of whole segments.  Every note of a deployment carries the
+    deployment's own PhiParams object, so the circuit and the claim are
+    tested by identity first and compared only when that fails.
     """
     if not isinstance(params, ContractParams) or len(params.members) != 1:
         return False
     member = params.members[0]
+    circuit = params.circuit
     if (len(params.deposits) != 1 or params.deposits[0][0] != member
-            or params.circuit != network):
+            or circuit is not network and circuit != network):
         return False
     st = params.initial_state
     return (isinstance(st, BanknoteState) and _serial_ok(st.serial)
-            and st.claim == NO_CLAIM)
+            and (st.claim is NO_CLAIM or st.claim == NO_CLAIM))

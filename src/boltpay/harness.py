@@ -182,8 +182,8 @@ class ReorderChain:
         self._seq += 1
         due = sim.ledger.time + self.delta
         self._held.append((due, self._seq, deliver, pending))
-        sim.log("@chain", "held", sender, pending.kind,
-                pending.ssid if pending.ssid is not None else "-", due)
+        ssid = "-" if pending.ssid is None else pending.ssid
+        sim.log("@chain", "held", f"{sender}\t{pending.kind}\t{ssid}\t{due}")
         if sim.adversary is not None:
             sim.adversary.on_pending(sim, pending)
         return HELD
@@ -259,18 +259,22 @@ class Simulation:
 
     # -- logging and accounting ------------------------------------------
 
-    def log(self, actor: str, action: str, *fields) -> None:
-        self.trace.append("\t".join(
-            (str(self.ledger.time), actor, action, *map(str, fields))))
+    def log(self, actor: str, action: str, rest: str) -> None:
+        """Append the trace line `time actor action rest`, tab-separated.
+
+        rest is the rest of the line, its fields already formatted and
+        joined by tabs, so each caller builds it with one f-string."""
+        self.trace.append(f"{self.ledger.time}\t{actor}\t{action}\t{rest}")
 
     def live_corrupt_coins(self) -> int:
         return sum(self.ledger.parties[p].coins for p in self.corrupted
                    if p in self.ledger.parties)
 
     def account(self) -> None:
-        net = self.value.update(self.live_corrupt_coins())
-        self.log("@value", "counters", self.value.received,
-                 self.value.current_or_spent, net, self.value.max_net)
+        value = self.value
+        net = value.update(self.live_corrupt_coins() if self.corrupted else 0)
+        self.log("@value", "counters", f"{value.received}\t"
+                 f"{value.current_or_spent}\t{net}\t{value.max_net}")
 
     # -- message delivery (called by the chain) ----------------------------
 
@@ -278,8 +282,8 @@ class Simulation:
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
         if paid is not None and ssid in self.ledger.claimed:
             self._claims.append(ssid)
-        self.log(sender, "trigger", ssid, type(witness).__name__, deposit,
-                 "rejected" if paid is None else paid)
+        self.log(sender, "trigger", f"{ssid}\t{type(witness).__name__}\t"
+                 f"{deposit}\t{'rejected' if paid is None else paid}")
         if on_result is not None:
             on_result(paid)
         self.account()
@@ -292,8 +296,8 @@ class Simulation:
                 self.value.received += amount
             if sender in self.corrupted and payee not in self.corrupted:
                 self.value.spent_to_honest += amount
-        self.log(sender, "transaction", payee, amount,
-                 "rejected" if tr_id is None else tr_id)
+        self.log(sender, "transaction", f"{payee}\t{amount}\t"
+                 f"{'rejected' if tr_id is None else tr_id}")
         self.account()
         return tr_id
 
@@ -309,7 +313,7 @@ class Simulation:
                 on_note=self._circulate, on_change=self._mark)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
-                 self.ledger.parties[pid].coins if fresh else "ignored")
+                 f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
         return self.wallets[pid]
 
     def wallet(self, pid: str) -> Wallet:
@@ -327,7 +331,7 @@ class Simulation:
         self.value.received += coins + notes_value
         self.corrupted.add(pid)
         self._mark(self.wallets[pid])
-        self.log(pid, "corrupt", coins, notes_value)
+        self.log(pid, "corrupt", f"{coins}\t{notes_value}")
         self.account()
 
     def uncorrupt(self, pid: str) -> None:
@@ -345,7 +349,7 @@ class Simulation:
                     self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
                 self.pool.append(note)
         self.corrupted.discard(pid)
-        self.log(pid, "uncorrupt", coins)
+        self.log(pid, "uncorrupt", f"{coins}")
         self.account()
 
     # -- protocol actions ---------------------------------------------------
@@ -355,10 +359,10 @@ class Simulation:
         try:
             note = w.mint(value)
         except MintFailed:
-            self.log(pid, "mint", "rejected", value)
+            self.log(pid, "mint", f"rejected\t{value}")
             self.account()
             return None
-        self.log(pid, "mint", note.ssid, value, fingerprint(note.serial))
+        self.log(pid, "mint", f"{note.ssid}\t{value}\t{fingerprint(note.serial)}")
         self.account()
         return note.ssid
 
@@ -367,7 +371,7 @@ class Simulation:
         pw, ew = self.wallet(payer), self.wallet(payee)
         held = pw.notes.get(ssid)
         if not held:
-            self.log(payer, "pay", payee, ssid, 0, "no-note")
+            self.log(payer, "pay", f"{payee}\t{ssid}\t0\tno-note")
             return False
         value = held[0].value
         if payer not in self.corrupted and payee in self.corrupted:
@@ -377,8 +381,8 @@ class Simulation:
         accept = pw.pay(ew, ssid, payee_rejects=payee_rejects)
         if accept and payer in self.corrupted and payee not in self.corrupted:
             self.value.spent_to_honest += value
-        self.log(payer, "pay", payee, ssid, value,
-                 "accept" if accept else "reject")
+        self.log(payer, "pay", f"{payee}\t{ssid}\t{value}\t"
+                 f"{'accept' if accept else 'reject'}")
         self.account()
         return accept
 
@@ -388,27 +392,27 @@ class Simulation:
 
     def redeem(self, pid: str, ssid: int):
         r = self.wallet(pid).redeem(ssid)
-        self.log(pid, "redeem", ssid, _fmt_result(r))
+        self.log(pid, "redeem", f"{ssid}\t{_fmt_result(r)}")
         return r
 
     def file_claim(self, pid: str, ssid: int):
         r = self.wallet(pid).file_lost_claim(ssid)
-        self.log(pid, "file-claim", ssid, _fmt_result(r))
+        self.log(pid, "file-claim", f"{ssid}\t{_fmt_result(r)}")
         return r
 
     def settle(self, pid: str, ssid: int):
         r = self.wallet(pid).settle_unchallenged(ssid)
-        self.log(pid, "settle", ssid, _fmt_result(r))
+        self.log(pid, "settle", f"{ssid}\t{_fmt_result(r)}")
         return r
 
     def commit_claim(self, pid: str, ssid: int):
         r = self.wallet(pid).commit_lost_claim(ssid)
-        self.log(pid, "commit-claim", ssid, _fmt_result(r))
+        self.log(pid, "commit-claim", f"{ssid}\t{_fmt_result(r)}")
         return r
 
     def reveal_claim(self, pid: str, ssid: int):
         r = self.wallet(pid).reveal_lost_claim(ssid)
-        self.log(pid, "reveal-claim", ssid, _fmt_result(r))
+        self.log(pid, "reveal-claim", f"{ssid}\t{_fmt_result(r)}")
         return r
 
     def watchdog(self, pid: str) -> list:
@@ -416,23 +420,23 @@ class Simulation:
 
     def _watch(self, w: Wallet) -> list:
         actions = w.watchdog_scan()
-        self.log(w.pid, "watchdog", len(actions),
-                 *(f"{ssid}:{what}" for ssid, what in actions))
+        self.log(w.pid, "watchdog", f"{len(actions)}" + "".join(
+            f"\t{ssid}:{what}" for ssid, what in actions))
         return actions
 
     def clone(self, pid: str, ssid: int) -> bool:
         w = self.wallet(pid)
         held = w.notes.get(ssid)
         if not held:
-            self.log(pid, "clone", ssid, "no-note")
+            self.log(pid, "clone", f"{ssid}\tno-note")
             return False
         note = held[0]
         copy = self.env.clone_bundle(note.bundle)
         if copy is None:
-            self.log(pid, "clone", ssid, "refused")
+            self.log(pid, "clone", f"{ssid}\trefused")
             return False
         w._add_note(Banknote(ssid, copy, note.value))
-        self.log(pid, "clone", ssid, "ok")
+        self.log(pid, "clone", f"{ssid}\tok")
         return True
 
     def move_note(self, ssid: int, pid: str) -> bool:
@@ -443,14 +447,14 @@ class Simulation:
                 del self.pool[i]
                 self.env.transfer_bundle(note.bundle, ADVERSARY, pid)
                 w._add_note(note)
-                self.log(pid, "move-note", ssid, note.value)
+                self.log(pid, "move-note", f"{ssid}\t{note.value}")
                 return True
-        self.log(pid, "move-note", ssid, "no-note")
+        self.log(pid, "move-note", f"{ssid}\tno-note")
         return False
 
     def lose(self, pid: str, ssid: int):
         note = self.wallet(pid).lose_note(ssid)
-        self.log(pid, "lose", ssid, note.value if note else "no-note")
+        self.log(pid, "lose", f"{ssid}\t{note.value if note else 'no-note'}")
         return note
 
     # -- time ---------------------------------------------------------------
@@ -625,28 +629,30 @@ class Simulation:
 
     def raw_retrieve_party(self, sender: str, pid: str):
         coins = self.ledger.retrieve_party(pid)
-        self.log(sender, "retrieve-party", pid, "none" if coins is None else coins)
+        self.log(sender, "retrieve-party",
+                 f"{pid}\t{'none' if coins is None else coins}")
         return coins
 
     def raw_retrieve_transaction(self, sender: str, tr_id: int):
         rec = self.ledger.retrieve_transaction(tr_id)
-        self.log(sender, "retrieve-transaction", tr_id,
-                 "none" if rec is None else f"{rec.payer}>{rec.payee}:{rec.amount}")
+        found = "none" if rec is None else f"{rec.payer}>{rec.payee}:{rec.amount}"
+        self.log(sender, "retrieve-transaction", f"{tr_id}\t{found}")
         return rec
 
     def raw_retrieve_contract(self, sender: str, ssid: int):
         z = self.ledger.retrieve_contract(ssid)
         if z is None:
-            self.log(sender, "retrieve-contract", ssid, "none")
+            self.log(sender, "retrieve-contract", f"{ssid}\tnone")
         else:
             _, state, coins = z
-            self.log(sender, "retrieve-contract", ssid, coins,
-                     type(state.claim).__name__ if state.claim is not None else "terminated")
+            claim = ("terminated" if state.claim is None
+                     else type(state.claim).__name__)
+            self.log(sender, "retrieve-contract", f"{ssid}\t{coins}\t{claim}")
         return z
 
     def raw_add_contract(self, sender: str, params: ContractParams):
         ssid = self.ledger.add_smart_contract(params)
-        self.log(sender, "add-contract", "ignored" if ssid is None else ssid)
+        self.log(sender, "add-contract", f"{'ignored' if ssid is None else ssid}")
         return ssid
 
     def raw_initialize(self, sender: str, ssid: int):
@@ -654,7 +660,8 @@ class Simulation:
         params = rec.params if rec is not None else None
         r = (None if params is None
              else self.ledger.initialize_with_coins(sender, ssid, params))
-        self.log(sender, "init-contract", ssid, "rejected" if r is None else r)
+        self.log(sender, "init-contract",
+                 f"{ssid}\t{'rejected' if r is None else r}")
         self.account()
         return r
 

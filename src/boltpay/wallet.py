@@ -195,6 +195,10 @@ class Wallet:
         wallet's network constants, hold exactly the claimed value, carry no
         active claim, and store the note's serial; then the bundle must
         verify against that serial (every bolt alive, every segment equal).
+        The state is tested as BanknoteState(note.serial, NO_CLAIM) == state
+        would test it, without building that state: its class must be
+        BanknoteState itself, not a subclass, its serial must equal the
+        note's, and its claim must be NO_CLAIM or equal to it.
         """
         z = self.ledger.retrieve_contract(note.ssid)
         if z is None:
@@ -202,7 +206,9 @@ class Wallet:
         params, state, coins = z
         if not is_banknote_contract(params, self.phi):
             return False
-        if state != BanknoteState(note.serial, NO_CLAIM) or coins != note.value:
+        if (state.__class__ is not BanknoteState or state.serial != note.serial
+                or not (state.claim is NO_CLAIM or state.claim == NO_CLAIM)
+                or coins != note.value):
             return False
         return self.env.verify_bundle(note.bundle, state.serial)
 

@@ -7,8 +7,11 @@ same trace byte for byte on it and on ``Simulation``.  The cost tests
 count calls; none of them reads a clock.
 """
 
+import importlib
 import inspect
+import pkgutil
 from collections import deque
+from dataclasses import is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from strategies import PARTIES, THIEF, script
 
+import boltpay
 from boltpay import attacks, harness
 from boltpay.attacks import (
     ClaimFrontRunStrategy,
@@ -26,10 +30,12 @@ from boltpay.attacks import (
 )
 from boltpay.contract import (
     NO_CLAIM,
+    BanknoteState,
     ChallengeClaim,
     ChallengeClaimSig,
     ClaimBy,
     LostClaimCommits,
+    PhiParams,
 )
 from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
 from boltpay.ledger import Ledger
@@ -85,8 +91,8 @@ class WalkSimulation(Simulation):
 
     def watchdog(self, pid: str) -> list:
         actions = full_scan(self.wallet(pid))
-        self.log(pid, "watchdog", len(actions),
-                 *(f"{ssid}:{what}" for ssid, what in actions))
+        self.log(pid, "watchdog", f"{len(actions)}" + "".join(
+            f"\t{ssid}:{what}" for ssid, what in actions))
         return actions
 
 
@@ -586,29 +592,57 @@ def test_a_long_idle_wallet_paid_between_ticks_is_scanned_on_the_next_tick():
         ["31", "bob:50"]]
 
 
-def one_payment(n: int, monkeypatch) -> dict:
-    """The QuantumEnv and Ledger calls of one payment of a note of n bolts."""
+def generated_eq() -> list[type]:
+    """Every dataclass of the package whose __eq__ the decorator wrote."""
+    modules = [importlib.import_module(f"boltpay.{m.name}")
+               for m in pkgutil.iter_modules(boltpay.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and is_dataclass(cls)
+            and cls.__module__ == module.__name__ and "__eq__" in vars(cls)]
+
+
+def one_payment(n: int, monkeypatch) -> tuple[dict, list[str]]:
+    """The QuantumEnv and Ledger calls of one payment of a note of n bolts,
+    with the BanknoteState and PhiParams it builds and the generated
+    dataclass equalities it calls, and the trace lines it appends.  The
+    payment runs without the ledger's party table, which no step of it
+    may read while no party is corrupt."""
     sim = Simulation(SimConfig(variant="sig-gated", n=n))
     sim.add_party("alice:50")
     sim.add_party("bob:50")
     ssid = sim.mint("alice:50", 5)
     counted = [(owner, name) for owner in (QuantumEnv, Ledger)
                for name, f in vars(owner).items() if inspect.isfunction(f)]
+    counted += [(BanknoteState, "__init__"), (PhiParams, "__init__")]
+    counted += [(cls, "__eq__") for cls in generated_eq()]
+    start = len(sim.trace)
     with monkeypatch.context() as mp:
         counters = {f"{owner.__name__}.{name}": CallCounter(mp, owner, name)
                     for owner, name in counted}
+        mp.setattr(sim.ledger, "parties", None)
         assert sim.pay("alice:50", "bob:50", ssid)
-    return {name: c.calls for name, c in counters.items() if c.calls}
+    calls = {name: c.calls for name, c in counters.items() if c.calls}
+    return calls, sim.trace[start:]
 
 
 def test_a_payment_makes_the_same_calls_at_every_key_size(monkeypatch):
-    small, large = one_payment(8, monkeypatch), one_payment(256, monkeypatch)
+    (small, small_lines), (large, large_lines) = (
+        one_payment(8, monkeypatch), one_payment(256, monkeypatch))
     assert small == large
     assert small["QuantumEnv.transfer_bundle"] == 1
     assert small["QuantumEnv.verify_bundle"] == 1
     assert small["Ledger.retrieve_contract"] == 1
     assert {name for name in small if name.startswith("Ledger.")} == {
         "Ledger.retrieve_contract", "Ledger._contract"}
+    # the payee's check builds no state to compare and compares no
+    # dataclass field by field
+    assert {"BanknoteState.__init__", "PhiParams.__init__"}.isdisjoint(small)
+    assert {BanknoteState, NO_CLAIM.__class__, PhiParams} <= set(generated_eq())
+    assert not [name for name in small if name.endswith(".__eq__")]
+    # the pay line and the counters line, and nothing else
+    assert small_lines == large_lines == [
+        "0\talice:50\tpay\tbob:50\t1\t5\taccept",
+        "0\t@value\tcounters\t0\t0\t0\t0"]
 
 
 def test_a_long_idle_stretch_costs_a_bounded_number_of_steps(monkeypatch):

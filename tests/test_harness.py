@@ -26,7 +26,7 @@ from boltpay.contract import (
     RecoverCoinsSig,
     RevealLost,
 )
-from boltpay.errors import ParseError, ScriptError
+from boltpay.errors import BoltPayError, ParseError, ScriptError
 from boltpay.harness import (
     _DIRECTIVES,
     SimConfig,
@@ -35,7 +35,8 @@ from boltpay.harness import (
     witness_from_fields,
 )
 from boltpay.wallet import HELD
-from trace_oracle import replay_trace
+from strategies import PARTIES, THIEF, script
+from trace_oracle import TraceReplay, replay_trace
 
 ALICE = "alice:50"
 BOB = "bob:50"
@@ -145,6 +146,42 @@ def test_redeeming_a_received_note_nets_zero():
     assert sim.value.received == 65
     assert sim.value.max_net == 0
     checked(sim)
+
+
+# a transaction from an honest payer, held, to a party corrupted before
+# it lands; then every party honest again, and one more delivery, so the
+# counters are written again with nobody corrupt
+HELD_TO_THE_CORRUPT = [["AddTransaction", ALICE, THIEF, "4"], ["CORRUPT", THIEF],
+                       ["TICK", "3"], *(["UNCORRUPT", pid] for pid in PARTIES),
+                       ["AddTransaction", THIEF, BOB, "1"], ["TICK", "3"]]
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
+@settings(max_examples=40)
+@given(lines=script, at=st.integers(0, 40))
+def test_every_counters_line_matches_a_recount_under_reordering(variant, lines, at):
+    sim = Simulation(SimConfig(variant=variant, scheduler="reorder:3", n=2,
+                               d0=5, t_tr=12, t0=3, t1=3))
+    for pid in PARTIES:
+        sim.add_party(pid)
+    replay, fed = TraceReplay(), 0
+    for op, *args in lines[:at] + HELD_TO_THE_CORRUPT + lines[at:]:
+        try:
+            _DIRECTIVES[op][2](sim, *args)
+        except (BoltPayError, ValueError, KeyError, IndexError):
+            break
+        # the replay rebuilds received and spent from the trace by the
+        # harness docstring's rules, and checks each new counters line
+        for line in sim.trace[fed:]:
+            replay.feed(line)
+        fed = len(sim.trace)
+        assert replay.corrupt == sim.corrupted
+        live = sum(sim.ledger.parties[pid].coins for pid in sim.corrupted)
+        current_or_spent = live + replay.spent
+        counters = [ln for ln in sim.trace if "\t@value\tcounters\t" in ln]
+        last = [int(f) for f in counters[-1].split("\t")[3:]] if counters else [0] * 4
+        assert last == [replay.received, current_or_spent,
+                        current_or_spent - replay.received, replay.max_net], (op, *args)
 
 
 # -- schedulers ----------------------------------------------------------

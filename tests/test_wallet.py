@@ -1,12 +1,16 @@
 """Wallet protocols: minting, hand-to-hand payment, redemption, the watchdog."""
 
 from collections import Counter
+from dataclasses import dataclass, replace
 
 import pytest
 
 from boltpay.contract import (
     BanknoteState,
     ChallengeClaimSig,
+    ClaimBy,
+    CommitEntry,
+    LostClaimCommits,
     NO_CLAIM,
     challenge_message,
 )
@@ -130,6 +134,63 @@ def test_payee_rejects_a_note_with_a_dead_bolt():
     env.measure_bolts(note.bundle, (511,))
     assert not w[ALICE].pay(w[BOB], note.ssid)
     assert w[ALICE].holds(note.ssid)
+
+
+@dataclass(frozen=True)
+class LookAlikeState:
+    """Not a BanknoteState, with a BanknoteState's fields."""
+
+    serial: bytes | None
+    claim: object
+
+
+def _circuit(**changes):
+    """The contract with its circuit replaced by a changed copy."""
+    return lambda params, state, coins, other: (
+        replace(params, circuit=replace(params.circuit, **changes)), state, coins)
+
+
+def _state(make):
+    """The contract with its state replaced by make(state, other serial)."""
+    return lambda params, state, coins, other: (params, make(state, other), coins)
+
+
+# (what the backing contract of the paid note carries, whether the payee
+# accepts, how it is made from the minted note's contract)
+PAYEE_VERDICTS = [
+    ("the-networks-own-phi", True, lambda p, s, c, o: (p, s, c)),
+    ("an-equal-copy-of-phi", True, _circuit()),
+    ("a-foreign-d0", False, _circuit(d0=11)),
+    ("a-foreign-t_tr", False, _circuit(t_tr=13)),
+    ("a-foreign-variant", False, _circuit(variant="base")),
+    ("coins-above-face-value", False, lambda p, s, c, o: (p, s, c + 1)),
+    ("coins-below-face-value", False, lambda p, s, c, o: (p, s, c - 1)),
+    ("a-ClaimBy-claim", False,
+     _state(lambda s, o: BanknoteState(s.serial, ClaimBy(MALLORY, 0)))),
+    ("a-LostClaimCommits-claim", False, _state(lambda s, o: BanknoteState(
+        s.serial, LostClaimCommits((CommitEntry(MALLORY, bytes(32), 0),))))),
+    ("a-redeemed-state", False, _state(lambda s, o: BanknoteState(None, None))),
+    ("another-serial", False, _state(lambda s, o: BanknoteState(o, NO_CLAIM))),
+    ("a-look-alike-state-class", False,
+     _state(lambda s, o: LookAlikeState(s.serial, s.claim))),
+]
+
+
+@pytest.mark.parametrize("accepted,tamper", [v[1:] for v in PAYEE_VERDICTS],
+                         ids=[v[0] for v in PAYEE_VERDICTS])
+def test_the_payee_accepts_exactly_an_unclaimed_note_on_the_networks_terms(
+        accepted, tamper):
+    env, led, w = setup(variant="sig-gated")
+    note = w[ALICE].mint(25)
+    other = w[ALICE].mint(5)
+    rec = led._contract(note.ssid)
+    assert rec.params.circuit is w[BOB].phi
+    params, state, coins = tamper(rec.params, rec.state, rec.coins, other.serial)
+    rec.params, rec.coins = params, coins
+    led._set_state(rec, state)
+    assert w[ALICE].pay(w[BOB], note.ssid) is accepted
+    assert w[BOB].holds(note.ssid) is accepted
+    assert w[ALICE].holds(note.ssid) is not accepted
 
 
 def _env_calls_during_one_payment(n: int, monkeypatch) -> Counter:
