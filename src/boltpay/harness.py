@@ -16,25 +16,23 @@ first.
 
 Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
-last scanned scan_interval or more ticks ago, in pid order.  Those
-wallets sit in cohorts.  A cohort is the pid-sorted list of the wallets
-whose scan falls due at one tick, each kept beside the tail of its
-`watchdog 0` trace line, and its tick stands in for its members' last
-scan, scan_interval ticks before.  When the tick comes, a member with
-nothing to answer costs only its trace line, its wallet is not read, and
-the cohort moves whole to the tick scan_interval later.
+last scanned scan_interval or more ticks ago, in pid order.  Every such
+wallet sits in a cohort: the pid-sorted list of the wallets whose scan
+falls due at one tick, each kept beside the tail of its `watchdog 0`
+trace line.  A cohort's tick stands in for its members' last scan,
+scan_interval ticks before, except for a member flagged overdue, which
+joined after its scan fell due and keeps its own.
 
-A wallet leaves that rhythm only at an event: its first note, its last
-note gone, corruption, a scan of its own, or a claim on a note it holds.
-An event costs O(1).  It adds the pid to the checks of the tick its
-wallet is due.  A claim only notes the ssid; the next scan finds its
-holders through the ssid's notes in circulation, each of which names the
-wallet it last entered.  A checked wallet is tested against the real
-condition: it leaves its cohort, moves to the cohort of its new due tick,
-or is scanned, and only one holding a claimed note calls
-Wallet.watchdog_scan.  A heap holds the ticks with a cohort or a check,
-and tick(k) jumps from one such tick, or one where a held message is due,
-to the next.
+A wallet changes cohort only at an event: its first note, its last note
+gone, corruption, or a scan of its own.  The event moves it straight into
+the cohort of its due tick, or out of every cohort.  When a cohort's tick
+comes, the holders of claimed notes among its members are found through
+each claimed ssid's notes in circulation, each of which names the wallet
+it last entered.  Only they call Wallet.watchdog_scan; every other member
+costs its trace line, its wallet is not read, and the cohort moves whole
+to the tick scan_interval later.  A heap holds the cohorts' ticks, and
+tick(k) jumps from one such tick, or one where a held message is due, to
+the next.
 
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
@@ -55,7 +53,7 @@ count only once spent.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from heapq import heappop, heappush
@@ -218,9 +216,6 @@ class ReorderChain:
         """The tick the earliest held message lands, or None."""
         return self._held[0][0] if self._held else None
 
-    def pending(self) -> list[PendingMessage]:
-        return [e[3] for e in self._held]
-
 
 def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -242,19 +237,20 @@ class Simulation:
         self.trace: list[str] = list(config.header_lines())
         self.chain = ReorderChain(self, config.delta())
         self.scan_interval = max(1, config.t_tr - 1)
-        # due tick -> its cohort, and each member's pid -> its cohort.  A
-        # member with no check pending was last scanned scan_interval
-        # ticks before its cohort's tick.  _checks maps a tick to the pids
-        # to test then: wallets with an event since they joined their
-        # cohort, and holders of claimed notes.  Every honest wallet with
-        # notes is in a cohort or checked no later than its scan is due.
-        # _ticks is a heap of the keys of _cohorts and _checks, each once.
+        # due tick -> its cohort, and each member's pid -> its cohort.  Every
+        # honest wallet with notes is in the cohort of the tick its scan is
+        # due, or, when that tick had passed as it joined, of the first tick
+        # that can still scan it.  _ticks is a heap of the cohorts' ticks,
+        # each once; a cohort its events empty stays until its tick, so
+        # that it keeps its one entry.  _cursor is "" from the moment a
+        # tick advances the ledger, the pid being scanned during the tick's
+        # scans, and None between ticks: a pid at or before it has had this
+        # tick's scan.
         self._cohorts: dict[int, _Cohort] = {}
         self._cohort_of: dict[str, _Cohort] = {}
-        self._checks: dict[int, set[str]] = {}
         self._ticks: list[int] = []
+        self._cursor: str | None = None
         self._notes: dict[int, list[Banknote]] = {}  # ssid -> its notes in circulation
-        self._claims: list[int] = []  # ssids claimed, their holders unchecked
         self._expected_coins = 0
 
     # -- logging and accounting ------------------------------------------
@@ -280,8 +276,6 @@ class Simulation:
 
     def _deliver_trigger(self, sender, ssid, witness, deposit, on_result=None):
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
-        if paid is not None and ssid in self.ledger.claimed:
-            self._claims.append(ssid)
         self.log(sender, "trigger", f"{ssid}\t{type(witness).__name__}\t"
                  f"{deposit}\t{'rejected' if paid is None else paid}")
         if on_result is not None:
@@ -310,7 +304,7 @@ class Simulation:
             w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
                 minimal=self.config.minimal, chain=self.chain,
-                on_note=self._circulate, on_change=self._mark)
+                on_note=self._circulate, on_change=self._place)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
                  f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
@@ -330,7 +324,7 @@ class Simulation:
         notes_value = self.wallets[pid].banknote_value
         self.value.received += coins + notes_value
         self.corrupted.add(pid)
-        self._mark(self.wallets[pid])
+        self._place(self.wallets[pid])
         self.log(pid, "corrupt", f"{coins}\t{notes_value}")
         self.account()
 
@@ -463,15 +457,14 @@ class Simulation:
         """Advance k ticks; every tick delivers the held messages due by
         then and scans each honest wallet with notes whose last scan is
         scan_interval ticks old, in pid order.  The wallets due at a tick
-        form its cohort: a member with no event since it joined costs one
-        `watchdog 0` trace line, without its wallet being read, and the
-        cohort moves whole to its next due tick.  Only the checked members
-        are tested, and only those holding a claimed note call
-        Wallet.watchdog_scan.
+        form its cohort.  Only its members holding a claimed note call
+        Wallet.watchdog_scan; every other member costs one `watchdog 0`
+        trace line, without its wallet being read, and the cohort moves
+        whole to its next due tick.
 
-        Only the ticks where a message, a cohort or a check is due do any
-        work, so time jumps from one such tick to the next.  k may be 0,
-        never negative.
+        Only the ticks where a message or a cohort is due do any work, so
+        time jumps from one such tick to the next.  k may be 0, never
+        negative.
         """
         if k < 0:
             raise ParseError(f"tick count must not be negative, got {k}")
@@ -485,17 +478,20 @@ class Simulation:
             if held is not None:
                 stop = min(stop, held)
             ledger.tick(max(stop - ledger.time, 1))
+            self._cursor = ""
             self.chain.deliver_due()
-            self._scan_due()
+            if self._ticks and self._ticks[0] == ledger.time:
+                self._scan_due(heappop(self._ticks))
+            self._cursor = None
         return ledger.time
 
     def last_scan(self, pid: str) -> int:
         """The tick of the wallet's last watchdog scan, read between ticks."""
         w = self.wallet(pid)
         cohort = self._cohort_of.get(pid)
-        if cohort is None:
+        if cohort is None or pid in cohort.overdue:
             return w.last_scan
-        return max(w.last_scan, cohort.tick - self.scan_interval)
+        return cohort.tick - self.scan_interval
 
     # -- cohorts --------------------------------------------------------------
 
@@ -509,121 +505,71 @@ class Simulation:
         if not notes:
             del self._notes[note.ssid]
 
-    def _mark(self, w: Wallet) -> None:
-        """Check the wallet at its cohort's tick, or, in none, at the tick
-        its scan falls due: it had an event that may change when, or
-        whether, it is scanned."""
-        cohort = self._cohort_of.get(w.pid)
-        if cohort is not None:
-            self._check(w.pid, cohort.tick)
-        elif w.notes and w.pid not in self.corrupted:
-            self._check(w.pid, w.last_scan + self.scan_interval)
-
-    def _check_claimed(self) -> None:
-        """Mark the wallets holding a note claimed since this last ran.  A
-        wallet that gains a claimed note later is marked as it gains it."""
-        claims, notes, wallets = self._claims, self._notes, self.wallets
-        while claims:
-            for note in notes.get(claims.pop(), ()):
-                self._mark(wallets[note.holder])
-
-    def _check(self, pid: str, tick: int) -> None:
-        pids = self._checks.get(tick)
-        if pids is not None:
-            pids.add(pid)
+    def _place(self, w: Wallet) -> None:
+        """Move the wallet into the cohort of the tick its scan falls due,
+        or out of every cohort if it is corrupt or holds no note: it had an
+        event that may change when, or whether, it is scanned."""
+        pid, now, cursor = w.pid, self.ledger.time, self._cursor
+        cohort = self._cohort_of.pop(pid, None)
+        if cohort is not None:   # its last scan becomes the one its place stood for
+            cohort.remove(bisect_left(cohort.pids, pid))
+            if cohort.tick == now and (cursor is None or pid <= cursor):
+                w.last_scan = now
+                cohort.overdue.discard(pid)
+            elif pid in cohort.overdue:
+                cohort.overdue.discard(pid)
+            elif w.last_scan < cohort.tick - self.scan_interval:
+                w.last_scan = cohort.tick - self.scan_interval
+        if not w.notes or pid in self.corrupted:
             return
-        self._checks[tick] = {pid}
-        if tick not in self._cohorts:
-            heappush(self._ticks, tick)
-
-    def _join(self, pid: str, tick: int) -> None:
-        """Put pid in the cohort of tick, opening it if need be."""
+        tick = w.last_scan + self.scan_interval
+        overdue = tick <= now
+        if overdue:   # the first tick whose scans have not passed it
+            tick = now + 1 if cursor is None or pid <= cursor else now
         cohort = self._cohorts.get(tick)
         if cohort is None:
             cohort = self._cohorts[tick] = _Cohort(tick)
-            if tick not in self._checks:
-                heappush(self._ticks, tick)
+            heappush(self._ticks, tick)
         cohort.insert(bisect_left(cohort.pids, pid), pid)
+        if overdue:
+            cohort.overdue.add(pid)
         self._cohort_of[pid] = cohort
 
-    def _scan_due(self) -> None:
-        now, ticks = self.ledger.time, self._ticks
-        if not ticks or ticks[0] > now:
-            return
-        interval, cohorts, checks = self.scan_interval, self._cohorts, self._checks
-        # a holder of a new claim is in a cohort, or checked, no earlier
-        # than the first tick of the heap, so its mark can wait until now
-        self._check_claimed()
-        # every tick is processed when it comes, so no cohort is overdue
-        cohort = cohorts.pop(now, None) or _Cohort(now)
-        todo = set()
-        while ticks and ticks[0] <= now:
-            todo.update(checks.pop(heappop(ticks), ()))
-        todo = sorted(todo)
-        wallets, corrupted, cohort_of = self.wallets, self.corrupted, self._cohort_of
-        unclaimed, trace = self.ledger.claimed.isdisjoint, self.trace
-        pids, lines, head = cohort.pids, cohort.lines, str(now)
-        i = k = 0   # members before i are done; todo before k is done
-        while k < len(todo):
-            pid = todo[k]
-            k += 1
-            j = bisect_left(pids, pid, i)
-            trace += [head + s for s in lines[i:j]]
-            i = j
-            home = cohort_of.get(pid)
-            if home is not None and home is not cohort:
-                continue  # in a later cohort, whose tick checks it
-            w = wallets[pid]
-            last = w.last_scan if home is None else max(w.last_scan, now - interval)
-            if pid in corrupted or not w.notes:
-                if home is not None:
-                    cohort.remove(i)
-                    del cohort_of[pid]
-                    w.last_scan = last
-                continue
-            if now - last < interval:  # scanned since it joined the cohort
-                if last == now:   # at this tick: it stays, behind the cursor
-                    if home is None:
-                        cohort.insert(i, pid)
-                        cohort_of[pid] = cohort
-                    i += 1
-                else:
-                    if home is not None:
-                        cohort.remove(i)
-                    self._join(pid, last + interval)
-                if not unclaimed(w.notes):
-                    self._check(pid, last + interval)
-                continue
-            if home is None:
-                cohort.insert(i, pid)
+    def _scan_due(self, now: int) -> None:
+        """Scan the cohort due at now, then move it whole to its next tick."""
+        cohorts, ticks = self._cohorts, self._ticks
+        cohort, cohort_of, wallets = cohorts[now], self._cohort_of, self.wallets
+        claimed, notes, trace = self.ledger.claimed, self._notes, self.trace
+        pids, lines, head, cursor = cohort.pids, cohort.lines, str(now), ""
+        while True:
+            pid = None   # the first member after the cursor holding a claimed note
+            for ssid in claimed:
+                for note in notes.get(ssid, ()):
+                    holder = note.holder
+                    if (cohort_of.get(holder) is cohort and cursor < holder
+                            and (pid is None or holder < pid)
+                            and ssid in wallets[holder].notes):
+                        pid = holder
+            j = len(pids) if pid is None else bisect_left(pids, pid)
+            trace += [head + s for s in lines[bisect_right(pids, cursor):j]]
+            if pid is None:
+                break
+            self._cursor = cursor = pid
+            self._watch(wallets[pid])   # its scan moves it to now + interval
+        del cohorts[now]
+        later = now + self.scan_interval
+        merged = cohorts.get(later)   # the wallets that scanned for a claim
+        if merged is None:
+            if not pids:
+                return
+            heappush(ticks, later)
+        else:
+            for pid in merged.pids:
+                cohort.insert(bisect_left(pids, pid), pid)
                 cohort_of[pid] = cohort
-            i += 1
-            if unclaimed(w.notes):
-                trace.append(head + lines[i - 1])
-                continue
-            self._watch(w)   # marks w again, so it is checked when next due
-            # the scan ran foreign code, whose events checked wallets at
-            # this tick or before: check one that sorts after pid in this
-            # tick, as a walk over all wallets in pid order would; check a
-            # member done already when the cohort is next due, and any
-            # other wallet in the next tick
-            self._check_claimed()
-            while ticks and ticks[0] <= now:
-                for other in checks.pop(heappop(ticks)):
-                    if other > pid:
-                        j = bisect_left(todo, other, k)
-                        if j == len(todo) or todo[j] != other:
-                            todo.insert(j, other)
-                    elif cohort_of.get(other) is cohort:
-                        self._check(other, now + interval)
-                    else:
-                        self._check(other, now + 1)
-        trace += [head + s for s in lines[i:]]
-        if pids:
-            cohort.tick = now + interval
-            cohorts[cohort.tick] = cohort
-            if cohort.tick not in checks:
-                heappush(ticks, cohort.tick)
+        cohort.tick = later
+        cohort.overdue = set() if merged is None else merged.overdue
+        cohorts[later] = cohort
 
     # -- direct ledger lines (scenario support) -------------------------------
 
@@ -700,14 +646,16 @@ class Simulation:
 
 class _Cohort:
     """The wallets due at one tick: their pids in order and, beside each,
-    the tail of its `watchdog 0` trace line."""
+    the tail of its `watchdog 0` trace line; and the overdue members, which
+    joined after their scan fell due and keep their own last scan."""
 
-    __slots__ = ("tick", "pids", "lines")
+    __slots__ = ("tick", "pids", "lines", "overdue")
 
     def __init__(self, tick: int):
         self.tick = tick
         self.pids: list[str] = []
         self.lines: list[str] = []
+        self.overdue: set[str] = set()
 
     def insert(self, i: int, pid: str) -> None:
         self.pids.insert(i, pid)

@@ -96,7 +96,7 @@ class Wallet:
     # (note, False) when it is spent, lost or superseded
     on_note: object = None
     # called with the wallet when its watchdog's schedule may change: it
-    # gains its first note or a claimed one, loses its last, or scans
+    # gains its first note, loses its last, or scans
     on_change: object = None
 
     def __post_init__(self):
@@ -118,8 +118,7 @@ class Wallet:
             held.insert(0, note) if front else held.append(note)
             return
         self.notes[note.ssid] = [note]
-        if self.on_change is not None and (
-                len(self.notes) == 1 or note.ssid in self.ledger.claimed):
+        if len(self.notes) == 1 and self.on_change is not None:
             self.on_change(self)
 
     def _take_note(self, ssid: int) -> Banknote | None:

@@ -1,6 +1,15 @@
-"""Test-wide settings: every property test runs the same examples each run."""
+"""Test-wide settings: every property test runs the same examples each run.
+
+HYPOTHESIS_PROFILE=soak selects a longer run of the same derandomised
+examples, for the properties that read their example count from it:
+    HYPOTHESIS_PROFILE=soak python -m pytest tests/test_due_scans.py
+"""
+
+import os
 
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
-settings.load_profile("deterministic")
+settings.register_profile("soak", settings.get_profile("deterministic"),
+                          max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))

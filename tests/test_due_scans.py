@@ -12,6 +12,7 @@ import inspect
 import pkgutil
 from collections import deque
 from dataclasses import is_dataclass
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,9 @@ class WalkSimulation(Simulation):
                     self.watchdog(pid)
         return self.ledger.time
 
+    def _place(self, w: Wallet) -> None:
+        """No cohorts: placing a wallet in one would set its last scan."""
+
     def watchdog(self, pid: str) -> list:
         actions = full_scan(self.wallet(pid))
         self.log(pid, "watchdog", f"{len(actions)}" + "".join(
@@ -104,6 +108,10 @@ def claimed_model(ledger: Ledger) -> set:
 
 # -- mempool strategies -------------------------------------------------------------
 
+def is_challenge(pending) -> bool:
+    return isinstance(pending.witness, (ChallengeClaim, ChallengeClaimSig))
+
+
 class ClaimTheRestStrategy:
     """On seeing a pending challenge, claim every other note its sender
     holds, so the scan that sent it meets claims it did not start with."""
@@ -112,7 +120,7 @@ class ClaimTheRestStrategy:
         self.thief = thief
 
     def on_pending(self, sim, pending) -> None:
-        if not isinstance(pending.witness, (ChallengeClaim, ChallengeClaimSig)):
+        if not is_challenge(pending):
             return
         for ssid in sorted(sim.wallets[pending.sender].notes):
             if ssid == pending.ssid:
@@ -138,12 +146,64 @@ class GiftStrategy:
             sim.pay(self.thief, payee, ssid)
 
 
+class ClaimOthersStrategy:
+    """On seeing a pending challenge, claim the first note of every other
+    honest wallet, taking them in turn from those sorting before the
+    sender and those sorting after it, so that claims land on wallets the
+    tick's scans have passed and on wallets they have still to reach."""
+
+    def __init__(self, thief: str):
+        self.thief = thief
+
+    def on_pending(self, sim, pending) -> None:
+        if not is_challenge(pending):
+            return
+        holders = [pid for pid in sorted(sim.wallets)
+                   if pid not in sim.corrupted and pid != pending.sender
+                   and sim.wallets[pid].notes]
+        before = [pid for pid in holders if pid < pending.sender]
+        after = [pid for pid in holders if pid > pending.sender]
+        turns = [pid for pair in zip_longest(before, after) for pid in pair if pid]
+        for pid in turns:
+            ssid = min(sim.wallets[pid].notes)
+            if sim.config.variant == "commit-reveal":
+                sim.commit_claim(self.thief, ssid)
+            else:
+                sim.file_claim(self.thief, ssid)
+
+
+class CorruptNeighboursStrategy:
+    """On seeing a pending challenge, uncorrupt the first wallet this
+    strategy corrupted and has not uncorrupted yet, then corrupt the honest
+    note-holders just before and just after the sender in pid order, so
+    that wallets leave a tick's cohort on both sides of the scanning one
+    and come back empty."""
+
+    def __init__(self, thief: str):
+        self.victims = []
+
+    def on_pending(self, sim, pending) -> None:
+        if not is_challenge(pending):
+            return
+        if self.victims:
+            sim.uncorrupt(self.victims.pop(0))
+        holders = [pid for pid in sorted(sim.wallets)
+                   if pid not in sim.corrupted and sim.wallets[pid].notes]
+        before = [pid for pid in holders if pid < pending.sender][-1:]
+        after = [pid for pid in holders if pid > pending.sender][:1]
+        for pid in before + after:
+            sim.corrupt(pid)
+            self.victims.append(pid)
+
+
 STRATEGIES = {
     "none": None,
     "proof-theft": ProofTheftStrategy,
     "claim-front-run": ClaimFrontRunStrategy,
     "claim-the-rest": ClaimTheRestStrategy,
     "gift": GiftStrategy,
+    "claim-others": ClaimOthersStrategy,
+    "corrupt-neighbours": CorruptNeighboursStrategy,
 }
 
 # the script directives, and SCAN pid: a Wallet.watchdog_scan call that
@@ -193,37 +253,42 @@ def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
 
 
 def assert_cohorts_hold(sim: Simulation) -> None:
-    """Between ticks: each wallet is in at most one cohort, under the tick
-    it is due; one cohort per tick, and each tick of a cohort or a check
-    once in the heap; every honest wallet with notes in a cohort or checked
-    no later than its scan is due."""
+    """Between ticks: each wallet is in at most one cohort, and one cohort
+    per tick, each tick once in the heap; every honest wallet with notes,
+    and no other wallet, is in the cohort of the tick its scan is due, or,
+    flagged overdue, of the next tick when that tick has passed."""
+    now = sim.ledger.time
     members = [pid for cohort in sim._cohorts.values() for pid in cohort.pids]
     assert sorted(members) == sorted(set(members)) == sorted(sim._cohort_of)
     for tick, cohort in sim._cohorts.items():
-        assert cohort.tick == tick > sim.ledger.time
+        assert cohort.tick == tick > now
         assert cohort.pids == sorted(cohort.pids)
         assert cohort.lines == [f"\t{pid}\twatchdog\t0" for pid in cohort.pids]
+        assert cohort.overdue <= set(cohort.pids)
         assert all(sim._cohort_of[pid] is cohort for pid in cohort.pids)
-    assert sorted(sim._ticks) == sorted(set(sim._cohorts) | set(sim._checks))
-    checked = {}
-    for tick in sorted(sim._checks, reverse=True):
-        checked.update(dict.fromkeys(sim._checks[tick], tick))
+    assert sorted(sim._ticks) == sorted(set(sim._ticks)) == sorted(sim._cohorts)
+    assert sim._cursor is None
     for pid, w in sim.wallets.items():
         if pid in sim.corrupted or not w.notes:
+            assert pid not in sim._cohort_of, pid
             continue
-        due = sim.last_scan(pid) + sim.scan_interval
-        if pid in checked:
-            assert checked[pid] <= due, pid
-        else:
-            assert sim._cohort_of[pid].tick == due, pid
+        cohort, due = sim._cohort_of[pid], sim.last_scan(pid) + sim.scan_interval
+        assert cohort.tick == max(due, now + 1), pid
+        assert (pid in cohort.overdue) == (due <= now), pid
+        assert w.last_scan <= sim.last_scan(pid), pid
 
 
 RUNS = [("fifo", "none")] + [("reorder:3", name) for name in STRATEGIES]
 
 
+# 30 examples a case in tier-1, the soak profile's count under that profile
+WALK_EXAMPLES = (settings().max_examples
+                 if settings.get_current_profile_name() == "soak" else 30)
+
+
 @pytest.mark.parametrize("scheduler,strategy", RUNS)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-@settings(max_examples=30)
+@settings(max_examples=WALK_EXAMPLES)
 @given(lines=script,
        t_tr=st.sampled_from([2, 5, 12]))
 def test_due_time_ticks_match_the_walk_over_every_wallet(
@@ -299,19 +364,48 @@ def interleaved_script(variant: str) -> list[list[str]]:
     return lines
 
 
-@pytest.mark.parametrize("strategy", ["claim-the-rest", "gift"])
+MID_TICK = ["claim-the-rest", "gift", "claim-others", "corrupt-neighbours"]
+# the wallets answering at tick 22 of both scripts below, in pid order:
+# those holding the three notes claimed, and, under claim-others, the
+# wallets it claims that sort after alice in her cohort
+ANSWERED_AT_22 = {"claim-others": ["alice:50", "am001:10", "am007:10",
+                                   "am013:10", "bob:50", "carol:40"]}
+
+
+def scans_at(sim: Simulation, now: int) -> tuple[list[list[str]], list[int]]:
+    """The fields of the watchdog lines at tick now, and the indices of
+    those that answer a claim."""
+    lines = [ln.split("\t") for ln in sim.trace
+             if ln.startswith(f"{now}\t") and "\twatchdog\t" in ln]
+    return lines, [i for i, f in enumerate(lines) if f[3] != "0"]
+
+
+def assert_mid_tick_moves(sim: Simulation, strategy: str) -> None:
+    """The answers at tick 22, and what the strategy did in its middle."""
+    at_22, answers = scans_at(sim, 22)
+    assert [at_22[i][1] for i in answers] == ANSWERED_AT_22.get(
+        strategy, ["alice:50", "bob:50", "carol:40"])
+    if strategy == "claim-others":   # claimed after the scans passed them
+        at_33, later = scans_at(sim, 33)
+        assert [at_33[i][1] for i in later] == ["ab006:10", "ab012:10", "ab018:10"]
+    if strategy == "corrupt-neighbours":   # on both sides of alice
+        hit = [ln.split("\t")[1] for ln in sim.trace
+               if ln.startswith("22\t") and "\tcorrupt\t" in ln]
+        assert min(hit) < "alice:50" < max(hit)
+
+
+@pytest.mark.parametrize("strategy", MID_TICK)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 def test_idle_scans_interleaved_with_answers_match_the_walk(variant, strategy):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
     real = differential_run(config, strategy, interleaved_script(variant))
-    at_22 = [ln.split("\t") for ln in real.trace
-             if ln.startswith("22\t") and "\twatchdog\t" in ln]
-    answers = [i for i, f in enumerate(at_22) if f[3] != "0"]
-    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
-    # idle scans before, between and after the answers
+    assert_mid_tick_moves(real, strategy)
+    at_22, answers = scans_at(real, 22)
+    # idle scans before, between and after alice's, bob's and carol's answers
     assert 0 < answers[0] and answers[-1] < len(at_22) - 1
-    assert all(b - a > 1 for a, b in zip(answers, answers[1:]))
+    named = [i for i in answers if at_22[i][1] in PARTIES]
+    assert all(b - a > 1 for a, b in zip(named, named[1:]))
     if strategy == "gift":   # two gifted wallets sort after alice
         assert {"am025:10", "am055:10"} <= {f[1] for f in at_22}
 
@@ -348,16 +442,14 @@ def cohort_events_script(variant: str) -> list[list[str]]:
     return lines
 
 
-@pytest.mark.parametrize("strategy", ["claim-the-rest", "gift"])
+@pytest.mark.parametrize("strategy", MID_TICK)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 def test_cohort_events_on_idle_wallets_match_the_walk(variant, strategy):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
     real = differential_run(config, strategy, cohort_events_script(variant))
-    at_22 = [ln.split("\t") for ln in real.trace
-             if ln.startswith("22\t") and "\twatchdog\t" in ln]
-    answers = [i for i, f in enumerate(at_22) if f[3] != "0"]
-    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
+    assert_mid_tick_moves(real, strategy)
+    at_22, answers = scans_at(real, 22)
     assert 0 < answers[0] and answers[-1] < len(at_22) - 1
     assert len(at_22) > 150
 
@@ -478,7 +570,7 @@ def test_a_tick_scanning_a_thousand_idle_wallets_moves_one_cohort(monkeypatch):
     assert scans.calls == 0
     assert pushes.calls == 1
     assert list(sim._cohorts) == [27] and sim._cohorts[27] is cohort
-    assert len(cohort.pids) == 1000 and not sim._checks
+    assert len(cohort.pids) == 1000 and sim._ticks == [27]
     assert sorted(watchdog_lines(sim, 18)) == sorted(sim.wallets)
 
 
@@ -502,18 +594,21 @@ def answering_sim(idle_wallets: int) -> Simulation:
 
 def one_answering_tick(idle_wallets: int, monkeypatch):
     """The calls and trace lines of the tick that answers the claim on
-    alice's note while the idle wallets fall due with her."""
-    sim = answering_sim(idle_wallets)
+    alice's note while the idle wallets fall due with her.  The counters
+    are in place before the wallets are made, so the hooks they call back
+    through are counted too."""
     counted = [(Wallet, "watchdog_scan"), (Ledger, "retrieve_contract"),
                (harness, "heappush"), (Simulation, "log"),
-               (Simulation, "_check"), (Simulation, "_join"),
-               (Simulation, "_mark"), (harness._Cohort, "insert"),
+               (Simulation, "_place"), (harness._Cohort, "insert"),
                (harness._Cohort, "remove")]
     counted += [(QuantumEnv, name) for name, f in vars(QuantumEnv).items()
                 if inspect.isfunction(f)]
-    start = len(sim.trace)
     with monkeypatch.context() as mp:
         counters = {name: CallCounter(mp, owner, name) for owner, name in counted}
+        sim = answering_sim(idle_wallets)
+        for counter in counters.values():
+            counter.calls = 0
+        start = len(sim.trace)
         sim.tick(1)
     return {name: c.calls for name, c in counters.items()}, sim.trace[start:]
 
@@ -572,6 +667,47 @@ def test_a_tick_answering_one_claim_never_reads_its_idle_wallets(idle_wallets):
     assert CountedWallet.uses >= idle_wallets
 
 
+def one_placing_payment(others: int, monkeypatch) -> dict:
+    """The calls of a payment that empties alice and gives bob its first
+    note, with others idle wallets in their cohort, sorting before, between
+    and after the two, whose notes and last scans no step may touch."""
+    counted = [(harness, "heappush"), (Simulation, "_place"),
+               (harness._Cohort, "insert"), (harness._Cohort, "remove")]
+    counted += [(owner, name) for owner in (QuantumEnv, Ledger)
+                for name, f in vars(owner).items() if inspect.isfunction(f)]
+    with monkeypatch.context() as mp:
+        counters = {f"{owner.__name__}.{name}": CallCounter(mp, owner, name)
+                    for owner, name in counted}
+        sim = Simulation(SimConfig(t_tr=10, n=2))   # all due at tick 9
+        sim.add_party("alice:50")
+        sim.add_party("bob:50")
+        ssid = sim.mint("alice:50", 5)
+        for i in range(others):
+            pid = f"{('ab', 'b', 'c')[i % 3]}{i:04d}:100"
+            sim.add_party(pid)
+            sim.mint(pid, 5)
+            sim.wallets[pid].__class__ = CountedWallet
+        cohort = sim._cohort_of["alice:50"]
+        assert len(cohort.pids) == others + 1
+        for counter in counters.values():
+            counter.calls = 0
+        CountedWallet.uses = 0
+        assert sim.pay("alice:50", "bob:50", ssid)
+        assert CountedWallet.uses == 0
+    assert "alice:50" not in sim._cohort_of and sim._cohort_of["bob:50"] is cohort
+    assert len(cohort.pids) == others + 1
+    return {name: c.calls for name, c in counters.items() if c.calls}
+
+
+def test_first_and_last_note_events_cost_the_same_in_any_cohort_size(monkeypatch):
+    few = one_placing_payment(250, monkeypatch)
+    many = one_placing_payment(4000, monkeypatch)
+    assert few == many
+    assert few["Simulation._place"] == 2
+    assert few["_Cohort.remove"] == few["_Cohort.insert"] == 1
+    assert "boltpay.harness.heappush" not in few   # bob joins alice's cohort
+
+
 def test_a_long_idle_wallet_paid_between_ticks_is_scanned_on_the_next_tick():
     traces = []
     for cls in (Simulation, WalkSimulation):
@@ -581,9 +717,10 @@ def test_a_long_idle_wallet_paid_between_ticks_is_scanned_on_the_next_tick():
         ssid = sim.mint("alice:50", 5)
         sim.tick(30)   # bob, holding nothing, last scanned at 0
         assert sim.pay("alice:50", "bob:50", ssid)
-        if cls is Simulation:   # bob's check, at tick 9, is past due
-            assert min(sim._checks) == 9 and sim._checks[9] == {"bob:50"}
-            assert "bob:50" not in sim._cohort_of
+        if cls is Simulation:   # bob's scan, due at tick 9, waits for 31
+            assert sim._cohort_of["bob:50"] is sim._cohorts[31]
+            assert sim._cohorts[31].overdue == {"bob:50"}
+            assert sim.last_scan("bob:50") == 0
         sim.tick(1)
         traces.append(sim.trace)
     assert traces[0] == traces[1]

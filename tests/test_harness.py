@@ -201,13 +201,13 @@ def test_honest_messages_wait_exactly_delta_ticks():
     sim.add_party(ALICE)
     ssid = sim.mint(ALICE, 20)  # minting is direct, never scheduled
     assert sim.file_claim(ALICE, ssid) is HELD
-    assert [p.kind for p in sim.chain.pending()] == ["trigger"]
+    assert [e[3].kind for e in sim.chain._held] == ["trigger"]
     assert adv.seen[0].ssid == ssid and adv.seen[0].witness == BanknoteLost()
     sim.tick(4)
     assert sim.ledger.retrieve_contract(ssid)[1].claim == NO_CLAIM
     sim.tick(1)
     assert isinstance(sim.ledger.retrieve_contract(ssid)[1].claim, ClaimBy)
-    assert sim.chain.pending() == []
+    assert not sim.chain._held
     checked(sim)
 
 
@@ -218,7 +218,7 @@ def test_corrupt_messages_skip_the_mempool():
     ssid = sim.mint(ALICE, 20)
     sim.corrupt(MALLORY)
     assert sim.file_claim(MALLORY, ssid) == 0
-    assert sim.chain.pending() == []
+    assert not sim.chain._held
     assert isinstance(sim.ledger.retrieve_contract(ssid)[1].claim, ClaimBy)
     checked(sim)
 
