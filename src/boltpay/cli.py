@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .attacks import run_attack_i, run_attack_ii, run_attack_iii
@@ -36,6 +36,7 @@ from .ledger import Ledger
 from .lightning import ql_setup
 
 
+@cache   # built once per process: each main() call only parses
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="boltpay",
@@ -246,8 +247,9 @@ def _demo_merkle_split(config: SimConfig) -> list[str]:
     say(f"Flip one sibling byte and the path is rejected:"
         f" {merkle_verify(msg.payload, notes[0].serial, bad_path)}.")
     sizes = []
-    for n in (1, 5, 10):
-        m, _ = split_denominations(env, scheme, sk, 1024, n, "mint")
+    for n in (1, 5, 10):   # a one-time key signs one message: a fresh one each
+        m, _ = split_denominations(env, scheme, scheme.key_gen(env.draw_bytes)[0],
+                                   1024, n, "mint")
         sizes.append(len(m.encode()))
     say(f"Message size for splits into 2, 32, 1024 notes: {sizes};"
         " the footprint does not grow with the note count.")

@@ -27,8 +27,8 @@ A wallet changes cohort only at an event: its first note, its last note
 gone, corruption, or a scan of its own.  The event moves it straight into
 the cohort of its due tick, or out of every cohort.  When a cohort's tick
 comes, the holders of claimed notes among its members are found through
-each claimed ssid's notes in circulation, each of which names the wallet
-it last entered.  Only they call Wallet.watchdog_scan; every other member
+the environment, as the owners of the bundles that carry each claimed
+contract's serial.  Only they call Wallet.watchdog_scan; every other member
 costs its trace line, its wallet is not read, and the cohort moves whole
 to the tick scan_interval later.  A heap holds the cohorts' ticks, and
 tick(k) jumps from one such tick, or one where a held message is due, to
@@ -250,7 +250,6 @@ class Simulation:
         self._cohort_of: dict[str, _Cohort] = {}
         self._ticks: list[int] = []
         self._cursor: str | None = None
-        self._notes: dict[int, list[Banknote]] = {}  # ssid -> its notes in circulation
         self._expected_coins = 0
 
     # -- logging and accounting ------------------------------------------
@@ -304,7 +303,7 @@ class Simulation:
             w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
                 minimal=self.config.minimal, chain=self.chain,
-                on_note=self._circulate, on_change=self._place)
+                on_change=self._place)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
                  f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
@@ -495,16 +494,6 @@ class Simulation:
 
     # -- cohorts --------------------------------------------------------------
 
-    def _circulate(self, note: Banknote, live: bool) -> None:
-        """Wallet hook: a note enters circulation, or leaves it."""
-        if live:
-            self._notes.setdefault(note.ssid, []).append(note)
-            return
-        notes = self._notes[note.ssid]
-        del notes[next(i for i, n in enumerate(notes) if n is note)]
-        if not notes:
-            del self._notes[note.ssid]
-
     def _place(self, w: Wallet) -> None:
         """Move the wallet into the cohort of the tick its scan falls due,
         or out of every cohort if it is corrupt or holds no note: it had an
@@ -537,15 +526,14 @@ class Simulation:
 
     def _scan_due(self, now: int) -> None:
         """Scan the cohort due at now, then move it whole to its next tick."""
-        cohorts, ticks = self._cohorts, self._ticks
+        cohorts, ticks, ledger = self._cohorts, self._ticks, self.ledger
         cohort, cohort_of, wallets = cohorts[now], self._cohort_of, self.wallets
-        claimed, notes, trace = self.ledger.claimed, self._notes, self.trace
+        claimed, holders, trace = ledger.claimed, self.env.holders, self.trace
         pids, lines, head, cursor = cohort.pids, cohort.lines, str(now), ""
         while True:
             pid = None   # the first member after the cursor holding a claimed note
             for ssid in claimed:
-                for note in notes.get(ssid, ()):
-                    holder = note.holder
+                for holder in holders(ledger.contracts[ssid - 1].state.serial):
                     if (cohort_of.get(holder) is cohort and cursor < holder
                             and (pid is None or holder < pid)
                             and ssid in wallets[holder].notes):

@@ -58,7 +58,6 @@ def parse_pid(pid: str) -> tuple[str, int]:
 @dataclass
 class PartyRecord:
     pid: str
-    name: str
     coins: int
 
 
@@ -120,10 +119,10 @@ class Ledger:
     def add_party(self, pid: str) -> bool:
         """Register pid with the coins named in it; repeats are ignored."""
         self.write_count += 1
-        name, coins = parse_pid(pid)
+        _, coins = parse_pid(pid)
         if pid in self.parties:
             return False
-        self.parties[pid] = PartyRecord(pid, name, coins)
+        self.parties[pid] = PartyRecord(pid, coins)
         return True
 
     def retrieve_party(self, pid: str) -> int | None:

@@ -102,6 +102,7 @@ class QuantumEnv:
         self.env_id = next(_env_counter)
         self._rng = random.Random(int.from_bytes(seed, "big"))
         self._bundles: list[_BundleRecord] = []  # bundle id k at index k - 1
+        self._by_serial: dict[bytes, list[_BundleRecord]] = {}  # a serial's bundles
 
     # -- randomness ---------------------------------------------------
 
@@ -126,7 +127,9 @@ class QuantumEnv:
 
     def _register(self, secrets: bytes, serial: bytes, alive: bytearray,
                   owner: str) -> BundleHandle:
-        self._bundles.append(_BundleRecord(secrets, serial, alive, owner))
+        rec = _BundleRecord(secrets, serial, alive, owner)
+        self._bundles.append(rec)
+        self._by_serial.setdefault(serial, []).append(rec)
         return BundleHandle(self.env_id, len(self._bundles), serial)
 
     def _bundle(self, handle: BundleHandle) -> _BundleRecord:
@@ -194,6 +197,10 @@ class QuantumEnv:
         """Holder of a bundle, and so of each of its bolts."""
         return self._bundle(handle).owner
 
+    def holders(self, serial: bytes) -> list[str]:
+        """Owners of the bundles minted or cloned with this whole serial."""
+        return [rec.owner for rec in self._by_serial.get(serial, ())]
+
     def audit_violations(self) -> list[str]:
         """No-cloning and certificate-exclusivity audit.
 
@@ -205,12 +212,9 @@ class QuantumEnv:
         only bundles sharing their whole serial can share a bolt's serial:
         those are visited bolt by bolt, and a lone bundle not at all.
         """
-        groups: dict[bytes, list[_BundleRecord]] = {}
-        for rec in self._bundles:
-            groups.setdefault(rec.serial, []).append(rec)
         alive_count: dict[bytes, int] = {}
         released: set[bytes] = set()
-        for serial, recs in groups.items():
+        for serial, recs in self._by_serial.items():
             if len(recs) < 2:
                 continue
             for rec in recs:

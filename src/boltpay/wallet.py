@@ -62,8 +62,6 @@ class Banknote:
     ssid: int
     bundle: BundleHandle
     value: int
-    # the pid of the wallet the note last entered, None until it enters one
-    holder: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def serial(self) -> bytes:
@@ -92,9 +90,6 @@ class Wallet:
     last_scan: int = -1
     pending_challenges: set = field(default_factory=set)
     pending_commits: dict = field(default_factory=dict)
-    # called as (note, True) when a note first enters a wallet, and as
-    # (note, False) when it is spent, lost or superseded
-    on_note: object = None
     # called with the wallet when its watchdog's schedule may change: it
     # gains its first note, loses its last, or scans
     on_change: object = None
@@ -109,9 +104,6 @@ class Wallet:
         return bool(self.notes.get(ssid))
 
     def _add_note(self, note: Banknote, front: bool = False) -> None:
-        if note.holder is None and self.on_note is not None:
-            self.on_note(note, True)
-        note.holder = self.pid
         self.banknote_value += note.value
         held = self.notes.get(note.ssid)
         if held:
@@ -122,7 +114,9 @@ class Wallet:
             self.on_change(self)
 
     def _take_note(self, ssid: int) -> Banknote | None:
-        """Take the first note held for ssid out of the wallet, to hand on."""
+        """Take the first note held for ssid out of the wallet: to hand on,
+        or because it is spent, lost or superseded.  Its bundle keeps its
+        owner; whoever the note goes to takes the bundle over."""
         held = self.notes.get(ssid)
         if not held:
             return None
@@ -132,13 +126,6 @@ class Wallet:
         self.banknote_value -= note.value
         if not self.notes and self.on_change is not None:
             self.on_change(self)
-        return note
-
-    def _drop_note(self, ssid: int) -> Banknote | None:
-        """Take the note out of circulation: spent, lost or superseded."""
-        note = self._take_note(ssid)
-        if note is not None and self.on_note is not None:
-            self.on_note(note, False)
         return note
 
     def _mint_bundle(self) -> BundleHandle:
@@ -233,7 +220,7 @@ class Wallet:
         spent either way: the measurement is destructive), or HELD when the
         chain defers delivery.
         """
-        note = self._drop_note(ssid)
+        note = self._take_note(ssid)
         if note is None:
             return None
         try:
@@ -264,7 +251,7 @@ class Wallet:
             if paid is None:
                 return
             while self.holds(ssid):
-                self._drop_note(ssid)
+                self._take_note(ssid)
             z = self.ledger.retrieve_contract(ssid)
             if z is not None:
                 self._add_note(Banknote(ssid, bundle, z[2]))
@@ -302,8 +289,10 @@ class Wallet:
         ascending ssid order.  Reads are free; only a foreign claim makes
         the wallet spend its proof of possession on a challenge that
         rebinds the contract to a replacement serial and collects the
-        claimant's deposit.  Returns (ssid, action) pairs describing what
-        the scan did.
+        claimant's deposit.  The proof comes from the held note that
+        carries the contract's serial; a note whose contract has been
+        rebound away from it proves nothing, so it never answers.  Returns
+        (ssid, action) pairs describing what the scan did.
         """
         self.last_scan = self.ledger.time
         if self.on_change is not None:
@@ -323,22 +312,25 @@ class Wallet:
             z = self.ledger.retrieve_contract(ssid)
             if z is None:
                 continue
-            claim = z[1].claim
+            claim, serial = z[1].claim, z[1].serial
             foreign = (isinstance(claim, ClaimBy) and claim.pid != self.pid) or (
                 isinstance(claim, LostClaimCommits)
                 and any(e.pid != self.pid for e in claim.entries))
             if not foreign:
                 continue
+            note = next((n for n in self.notes[ssid] if n.serial == serial), None)
+            if note is None:
+                continue
             if held is None:
                 held = set(self.notes)  # nothing has run since the scan began
-            actions.append((ssid, self._challenge(ssid)))
+            actions.append((ssid, self._challenge(note)))
             # submitting the challenge may have run other parties' code,
             # which can claim notes the scan has still to reach
             todo[i:] = sorted(s for s in held & claimed if s > ssid)
         return actions
 
-    def _challenge(self, ssid: int) -> str:
-        note = self.notes[ssid][0]
+    def _challenge(self, note: Banknote) -> str:
+        ssid = note.ssid
         try:
             proof = self._possession_witness(note, challenge_message(self.pid))
         except (MeasureFailed, KeyExhausted):
@@ -353,7 +345,7 @@ class Wallet:
         def finish(paid):
             self.pending_challenges.discard(ssid)
             while self.holds(ssid):
-                self._drop_note(ssid)
+                self._take_note(ssid)
             if paid is None:
                 return
             z = self.ledger.retrieve_contract(ssid)
@@ -367,7 +359,7 @@ class Wallet:
 
     def lose_note(self, ssid: int) -> Banknote | None:
         """Drop the note as lost; its bolts become unusable by anyone."""
-        note = self._drop_note(ssid)
+        note = self._take_note(ssid)
         if note is None:
             return None
         try:

@@ -2,7 +2,8 @@
 
 HYPOTHESIS_PROFILE=soak selects a longer run of the same derandomised
 examples, for the properties that read their example count from it:
-    HYPOTHESIS_PROFILE=soak python -m pytest tests/test_due_scans.py
+    HYPOTHESIS_PROFILE=soak python -m pytest tests/test_due_scans.py \
+        tests/test_lightning.py
 """
 
 import os

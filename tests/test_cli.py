@@ -237,6 +237,24 @@ def test_each_demo_runs_clean(name):
     assert r.stdout.strip() != ""
 
 
+def test_the_merkle_split_demo_signs_once_with_each_one_time_key(monkeypatch,
+                                                                 tmp_path):
+    from boltpay import cli
+    from boltpay.bridge import LamportScheme
+
+    keys = []
+    sign = LamportScheme.sign
+
+    def spy(self, sk, message):
+        keys.append(sk)
+        return sign(self, sk, message)
+
+    monkeypatch.setattr(LamportScheme, "sign", spy)
+    assert cli.main(["demo", "merkle-split", "--out", str(tmp_path / "d")]) == 0
+    assert len(keys) == 4   # the root message and three size probes
+    assert len(set(keys)) == len(keys)
+
+
 def test_unknown_demo_exits_two():
     r = boltpay("demo", "flux-capacitor")
     assert r.returncode == 2

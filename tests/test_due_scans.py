@@ -47,7 +47,8 @@ from boltpay.wallet import Wallet
 
 
 def full_scan(w: Wallet) -> list:
-    """The scan before the claim index: read every held note's contract."""
+    """The scan before the claim index: read every held note's contract,
+    and answer a foreign claim with the held note carrying its serial."""
     w.last_scan = w.ledger.time
     actions = []
     for ssid in sorted(w.notes):
@@ -60,8 +61,9 @@ def full_scan(w: Wallet) -> list:
         foreign = (isinstance(claim, ClaimBy) and claim.pid != w.pid) or (
             isinstance(claim, LostClaimCommits)
             and any(e.pid != w.pid for e in claim.entries))
-        if foreign:
-            actions.append((ssid, w._challenge(ssid)))
+        current = [n for n in w.notes[ssid] if n.serial == z[1].serial]
+        if foreign and current:
+            actions.append((ssid, w._challenge(current[0])))
     return actions
 
 
@@ -238,6 +240,10 @@ def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
         assert errors[0] == errors[1], tokens
         assert real.trace == walk.trace, tokens
         assert real.ledger.claimed == claimed_model(real.ledger), tokens
+        for sim in sims:   # what lets a tick find holders through the env
+            assert all(sim.env.owner_of(note.bundle) == pid
+                       for pid, w in sim.wallets.items()
+                       for held in w.notes.values() for note in held), tokens
         assert_cohorts_hold(real)
         assert {pid: real.last_scan(pid) for pid in real.wallets} == {
             pid: w.last_scan for pid, w in walk.wallets.items()}, tokens
@@ -325,6 +331,62 @@ def test_wallets_falling_due_during_a_scan_are_scanned_as_the_walk_scans_them():
     scans = [ln.split("\t")[:2] for ln in real.trace if "\twatchdog\t" in ln]
     assert scans[:4] == [["11", "bob:50"], ["22", "bob:50"],
                          ["22", "carol:40"], ["23", "alice:50"]]
+
+
+@pytest.mark.parametrize("payee", ["bob:50", "zed:0"])
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_clone_holders_scans_match_the_walk(variant, payee):
+    # unsound: alice clones her note and pays the original on, so two
+    # wallets hold bundles with the claimed serial; alice sorts first and
+    # answers, which closes the claim before the payee's scan reads it
+    lines = [["MINT", "alice:50", "5"], ["CLONE", "alice:50", "1"],
+             ["PAY", "alice:50", payee, "1"], ["FILECLAIM", THIEF, "1"],
+             ["TICK", "30"]]
+    config = SimConfig(variant=variant, sound=False, n=2, t_tr=12)
+    real = differential_run(config, "none", lines)
+    assert "0\talice:50\tclone\t1\tok" in real.trace
+    scans = [ln.split("\t")[1:] for ln in real.trace if ln.startswith("11\t")
+             and "\twatchdog\t" in ln]
+    assert scans == [["alice:50", "watchdog", "1", "1:challenge"],
+                     [payee, "watchdog", "0"]]
+
+
+def stale_note_script(paid: bool) -> list[list[str]]:
+    """mallory settles a claim on alice's note while alice is corrupt, so
+    the note alice gives up as she is uncorrupted is stale: its contract
+    now stores mallory's serial.  mallory moves it to bob, then, if paid,
+    pays bob the note she settled, and claims it again."""
+    lines = [["MINT", "alice:50", "5"], ["CORRUPT", "alice:50"],
+             ["FILECLAIM", THIEF, "1"], ["TICK", "14"], ["SETTLE", THIEF, "1"],
+             ["UNCORRUPT", "alice:50"], ["MOVENOTE", "1", "bob:50"]]
+    if paid:
+        lines.append(["PAY", THIEF, "bob:50", "1"])
+    return lines + [["FILECLAIM", THIEF, "1"], ["TICK", "30"],
+                    ["SETTLE", THIEF, "1"], ["REDEEM", THIEF, "1"]]
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_stale_note_never_answers_a_claim(variant):
+    lines = stale_note_script(paid=False)
+    lines.insert(-3, ["WATCHDOG", "bob:50"])   # a scan no due tick selects
+    config = SimConfig(variant=variant, n=2, t_tr=12)
+    real = differential_run(config, "none", lines)
+    bob = [ln.split("\t") for ln in real.trace if "\tbob:50\twatchdog\t" in ln]
+    assert bob[0][0] == "14" and all(fields[3:] == ["0"] for fields in bob)
+    assert len(real.wallets["bob:50"].notes[1]) == 1   # not spent on a challenge
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_current_note_behind_a_stale_one_answers_its_claim(variant):
+    # bob holds [stale, current] for ssid 1: answering with the stale note
+    # would lose the current one to mallory's second claim
+    config = SimConfig(variant=variant, n=2, t_tr=12)
+    real = differential_run(config, "none", stale_note_script(paid=True))
+    assert "15\tbob:50\twatchdog\t1\t1:challenge" in real.trace
+    assert {"44\tmallory:60\tsettle\t1\trejected",
+            "44\tmallory:60\tredeem\t1\trejected"} <= set(real.trace)
+    assert real.value.max_net == 0
+    assert real.wallets["bob:50"].banknote_value == 5
 
 
 def test_a_wallet_scanned_directly_is_scanned_again_when_due():

@@ -355,7 +355,12 @@ def _per_bolt_verify(env, bundle, serial: bytes) -> bool:
         env.verify_bolt(bundle, i, s) for i, s in enumerate(segments))
 
 
-@settings(max_examples=80, deadline=None)
+# 80 examples in tier-1, the soak profile's count under that profile
+BUNDLE_OPS_EXAMPLES = (settings().max_examples
+                       if settings.get_current_profile_name() == "soak" else 80)
+
+
+@settings(max_examples=BUNDLE_OPS_EXAMPLES, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 999),
                           st.integers(0, 999)), max_size=30),
        st.integers(0, 2**32 - 1), st.booleans())
@@ -363,7 +368,8 @@ def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
     """After every step of a random mix of gen_bundle, measuring one bolt,
     transfer_bundle and clone_bundle, the bundle answers agree with the
     per-bolt ones and with a model kept here, keyed by (bundle id,
-    position), and the audit reports what the model says it should."""
+    position), the owners listed by serial are the model's, and the audit
+    reports what the model says it should."""
     env = ql_setup(128, seed.to_bytes(32, "big"), sound_mode=sound)
     parties = ["p1", "p2", "p3"]
     bundles, owner = [], {}           # owner: bundle_id -> model owner
@@ -416,6 +422,9 @@ def test_bundle_ops_agree_with_per_bolt_ops(ops, seed, sound):
                     for i in range(b.count)] == [
                 alive[b.bundle_id, i] for i in range(b.count)]
             assert env.owner_of(b) == owner[b.bundle_id]
+            assert env.holders(b.serial) == [owner[c.bundle_id] for c in bundles
+                                             if c.serial == b.serial]
+        assert env.holders(bytes(32)) == []
         assert env.audit_violations() == _expected_violations(alive, serials, released)
         if sound:
             assert env.audit_violations() == []
