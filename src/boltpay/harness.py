@@ -95,7 +95,6 @@ class SimConfig:
     n: int = 8
     scheduler: str = "fifo"
     sound: bool = True
-    minimal: bool = False
 
     def __post_init__(self):
         # refuse a bad field when the config is made, whichever command
@@ -122,9 +121,9 @@ class SimConfig:
         return [
             "# boltpay trace v1",
             ("# seed=%d variant=%s d0=%d t_tr=%d t0=%d t1=%d n=%d"
-             " scheduler=%s sound=%s minimal=%s"
+             " scheduler=%s sound=%s minimal=False"  # the frozen v1 format
              % (self.seed, self.variant, self.d0, self.t_tr, self.t0,
-                self.t1, self.n, self.scheduler, self.sound, self.minimal)),
+                self.t1, self.n, self.scheduler, self.sound)),
         ]
 
 
@@ -302,8 +301,7 @@ class Simulation:
             self._expected_coins += self.ledger.parties[pid].coins
             w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
-                minimal=self.config.minimal, chain=self.chain,
-                on_change=self._place)
+                chain=self.chain, on_change=self._place)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
                  f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
@@ -338,8 +336,7 @@ class Simulation:
         for ssid in sorted(w.notes):
             while w.holds(ssid):
                 note = w._take_note(ssid)
-                if self.env.owner_of(note.bundle) == pid:
-                    self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
+                self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
                 self.pool.append(note)
         self.corrupted.discard(pid)
         self.log(pid, "uncorrupt", f"{coins}")
@@ -433,7 +430,8 @@ class Simulation:
         return True
 
     def move_note(self, ssid: int, pid: str) -> bool:
-        """Hand a pooled (adversary-held) note to a corrupted party's wallet."""
+        """Hand a pooled (adversary-held) note to pid's wallet, corrupt or
+        honest, unchecked: a stale note can reach an honest wallet."""
         w = self.wallet(pid)
         for i, note in enumerate(self.pool):
             if note.ssid == ssid:
@@ -622,8 +620,10 @@ class Simulation:
                 if ssid in w.pending_challenges:
                     backing += sum(n.value for n in held)
                     continue
+                # only a note carrying the contract's serial is backed
                 rec = self.ledger._contract(ssid)
-                if rec is not None:
+                if rec is not None and any(n.serial == rec.state.serial
+                                           for n in held):
                     deposits = _claim_deposits(rec.state.claim)
                     backing += rec.coins - self.phi.d0 * deposits
             if backing != w.banknote_value:

@@ -221,9 +221,10 @@ class Ledger:
         """Feed a witness to a contract's circuit.
 
         The circuit sees the pre-deposit state; the deposit is only charged
-        when the circuit accepts.  The payout is then taken from the pot
-        (deposit included), the contract terminating when the pot empties
-        or the circuit awards everything.
+        when the circuit accepts.  Its payout, a natural number or
+        ALL_COINS, is then taken from the pot (deposit included), capped at
+        the pot; the contract terminates on ALL_COINS, or when a positive
+        payout empties the pot.
         Returns the coins paid out (0 included), or None if refused.
         """
         self.write_count += 1
@@ -243,19 +244,9 @@ class Ledger:
             self.parties[pid].coins -= deposit
             rec.coins += deposit
         self._set_state(rec, new_state)
-        if payout == ALL_COINS:
-            paid = rec.coins
-            rec.coins = 0
-            rec.terminated = True
-        elif payout > 0:
-            if rec.coins > payout:
-                paid = payout
-            else:
-                paid = rec.coins
-                rec.terminated = True
-            rec.coins -= paid
-        else:
-            paid = 0
+        paid = rec.coins if payout == ALL_COINS else min(payout, rec.coins)
+        rec.coins -= paid
+        rec.terminated = payout == ALL_COINS or (payout > 0 and not rec.coins)
         if paid:
             self.parties[pid].coins += paid
         return paid

@@ -35,7 +35,7 @@ from .contract import (
     is_banknote_contract,
     recover_message,
 )
-from .errors import KeyExhausted, MeasureFailed, MintFailed, NotOwner
+from .errors import KeyExhausted, MeasureFailed, MintFailed
 from .ledger import Ledger
 from .lightning import PREIMAGE_LEN, BundleHandle, QuantumEnv
 from .qlds import QldsParams, gen_sig, qlds_gen
@@ -74,8 +74,10 @@ class Wallet:
 
     notes maps ssid to a list of held notes for that contract; honest
     operation keeps at most one per ssid (clones in the unsound negative
-    control can add more).  banknote_value tracks the face value of
-    everything held.
+    control, and stale notes handed over by MOVENOTE, can add more).  A
+    note is paid, redeemed or lost first-held first; a refused note goes
+    back behind the others held for its contract.  banknote_value tracks
+    the face value of everything held.
     """
 
     pid: str
@@ -84,7 +86,6 @@ class Wallet:
     phi: PhiParams
     chain: object  # submit_trigger(sender, ssid, witness, deposit, on_result)
     n: int = 8
-    minimal: bool = False
     notes: dict = field(default_factory=dict)
     banknote_value: int = 0
     last_scan: int = -1
@@ -94,20 +95,16 @@ class Wallet:
     # gains its first note, loses its last, or scans
     on_change: object = None
 
-    def __post_init__(self):
-        if self.minimal and self.phi.variant != "base":
-            raise MintFailed("single-bolt notes cannot sign; use the base variant")
-
     # -- note bookkeeping ----------------------------------------------
 
     def holds(self, ssid: int) -> bool:
         return bool(self.notes.get(ssid))
 
-    def _add_note(self, note: Banknote, front: bool = False) -> None:
+    def _add_note(self, note: Banknote) -> None:
         self.banknote_value += note.value
         held = self.notes.get(note.ssid)
         if held:
-            held.insert(0, note) if front else held.append(note)
+            held.append(note)
             return
         self.notes[note.ssid] = [note]
         if len(self.notes) == 1 and self.on_change is not None:
@@ -129,8 +126,6 @@ class Wallet:
         return note
 
     def _mint_bundle(self) -> BundleHandle:
-        if self.minimal:
-            return self.env.gen_bundle(self.pid, 1)
         return qlds_gen(self.env, QldsParams(self.n), self.pid)
 
     # -- minting --------------------------------------------------------
@@ -158,20 +153,19 @@ class Wallet:
     def pay(self, payee: "Wallet", ssid: int, payee_rejects: bool = False) -> bool:
         """Hand the note for ssid to the payee; zero ledger writes.
 
-        Returns the payee's accept/reject.  On reject the bundle comes back
-        and the note is restored.  payee_rejects forces a refusal (used to
-        model an uncooperative payee).
+        Returns the payee's accept/reject.  A refused note comes back,
+        behind any others held for ssid.  payee_rejects forces a refusal
+        (used to model an uncooperative payee).
         """
         note = self._take_note(ssid)
         if note is None:
             return False
         self.env.transfer_bundle(note.bundle, self.pid, payee.pid)
-        accept = (not payee_rejects) and payee._check_incoming(note)
-        if accept:
+        if not payee_rejects and payee._check_incoming(note):
             payee._add_note(note)
             return True
         self.env.transfer_bundle(note.bundle, payee.pid, self.pid)
-        self._add_note(note, front=True)
+        self._add_note(note)
         return False
 
     def _check_incoming(self, note: Banknote) -> bool:
@@ -223,14 +217,12 @@ class Wallet:
         note = self._take_note(ssid)
         if note is None:
             return None
+        base = self.phi.variant == "base"
         try:
-            proof = self._possession_witness(note, recover_message(self.pid))
+            witness = (RecoverCoins if base else RecoverCoinsSig)(
+                self._possession_witness(note, recover_message(self.pid)))
         except (MeasureFailed, KeyExhausted):
             return None
-        if self.phi.variant == "base":
-            witness = RecoverCoins(proof)
-        else:
-            witness = RecoverCoinsSig(proof)
         return self.chain.submit_trigger(self.pid, ssid, witness, 0)
 
     # -- lost-note claims -------------------------------------------------
@@ -248,13 +240,8 @@ class Wallet:
         bundle = self._mint_bundle()
 
         def finish(paid):
-            if paid is None:
-                return
-            while self.holds(ssid):
-                self._take_note(ssid)
-            z = self.ledger.retrieve_contract(ssid)
-            if z is not None:
-                self._add_note(Banknote(ssid, bundle, z[2]))
+            if paid is not None:
+                self._rebound(ssid, bundle)
 
         return self.chain.submit_trigger(
             self.pid, ssid, ClaimUnchallenged(bundle.serial), 0,
@@ -300,33 +287,22 @@ class Wallet:
         claimed = self.ledger.claimed
         if claimed.isdisjoint(self.notes):
             return []
-        todo = sorted(self.notes.keys() & claimed)
-        held = None
-        actions = []
-        i = 0
-        while i < len(todo):
-            ssid = todo[i]
-            i += 1
+        held, actions, ssid = set(self.notes), [], 0
+        # each step takes the least claimed held ssid past the last: a
+        # challenge may run other parties' code, which can claim notes
+        while ssid := min((s for s in held & claimed if s > ssid), default=0):
             if ssid in self.pending_challenges:
                 continue
-            z = self.ledger.retrieve_contract(ssid)
-            if z is None:
-                continue
-            claim, serial = z[1].claim, z[1].serial
+            state = self.ledger.retrieve_contract(ssid)[1]
+            claim, serial = state.claim, state.serial
             foreign = (isinstance(claim, ClaimBy) and claim.pid != self.pid) or (
                 isinstance(claim, LostClaimCommits)
                 and any(e.pid != self.pid for e in claim.entries))
             if not foreign:
                 continue
             note = next((n for n in self.notes[ssid] if n.serial == serial), None)
-            if note is None:
-                continue
-            if held is None:
-                held = set(self.notes)  # nothing has run since the scan began
-            actions.append((ssid, self._challenge(note)))
-            # submitting the challenge may have run other parties' code,
-            # which can claim notes the scan has still to reach
-            todo[i:] = sorted(s for s in held & claimed if s > ssid)
+            if note is not None:
+                actions.append((ssid, self._challenge(note)))
         return actions
 
     def _challenge(self, note: Banknote) -> str:
@@ -336,34 +312,31 @@ class Wallet:
         except (MeasureFailed, KeyExhausted):
             return "no-proof"
         bundle = self._mint_bundle()
-        if self.phi.variant == "base":
-            witness = ChallengeClaim(proof, bundle.serial)
-        else:
-            witness = ChallengeClaimSig(proof, bundle.serial)
+        base = self.phi.variant == "base"
+        witness = (ChallengeClaim if base else ChallengeClaimSig)(proof, bundle.serial)
         self.pending_challenges.add(ssid)
 
         def finish(paid):
             self.pending_challenges.discard(ssid)
-            while self.holds(ssid):
-                self._take_note(ssid)
-            if paid is None:
-                return
-            z = self.ledger.retrieve_contract(ssid)
-            if z is not None:
-                self._add_note(Banknote(ssid, bundle, z[2]))
+            self._rebound(ssid, None if paid is None else bundle)
 
         self.chain.submit_trigger(self.pid, ssid, witness, 0, on_result=finish)
         return "challenge"
+
+    def _rebound(self, ssid: int, bundle: BundleHandle | None) -> None:
+        """Drop every note held for ssid after a trigger that rebinds it;
+        then, if the trigger was accepted, hold the note of its bundle."""
+        while self.holds(ssid):
+            self._take_note(ssid)
+        if bundle is not None:
+            coins = self.ledger.retrieve_contract(ssid)[2]
+            self._add_note(Banknote(ssid, bundle, coins))
 
     # -- misfortune ---------------------------------------------------------
 
     def lose_note(self, ssid: int) -> Banknote | None:
         """Drop the note as lost; its bolts become unusable by anyone."""
         note = self._take_note(ssid)
-        if note is None:
-            return None
-        try:
+        if note is not None:
             self.env.transfer_bundle(note.bundle, self.pid, LOST_OWNER)
-        except NotOwner:
-            pass
         return note

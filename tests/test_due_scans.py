@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import PARTIES, THIEF, script
+from trace_oracle import replay_trace
 
 import boltpay
 from boltpay import attacks, harness
@@ -387,6 +388,29 @@ def test_a_current_note_behind_a_stale_one_answers_its_claim(variant):
             "44\tmallory:60\tredeem\t1\trejected"} <= set(real.trace)
     assert real.value.max_net == 0
     assert real.wallets["bob:50"].banknote_value == 5
+
+
+def test_a_stale_note_counts_as_unbacked():
+    lines = stale_note_script(paid=False)
+    lines = lines[:lines.index(["MOVENOTE", "1", "bob:50"]) + 1]
+    real = differential_run(SimConfig(n=2, t_tr=12), "none", lines)
+    assert real.honest_bookkeeping_violations() == [
+        "bob:50: banknote_value 5, backing 0"]
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_refused_stale_note_goes_behind_the_current_one(variant):
+    lines = stale_note_script(paid=True)
+    pay = ["PAY", "bob:50", "carol:40", "1"]
+    lines = lines[:lines.index(["PAY", THIEF, "bob:50", "1"]) + 1] + [pay, pay]
+    real = differential_run(SimConfig(variant=variant, n=2, t_tr=12), "none",
+                            lines)
+    pays = [ln.split("\t")[-1] for ln in real.trace
+            if "\tbob:50\tpay\tcarol:40\t" in ln]
+    assert pays == ["reject", "accept"]
+    assert real.honest_bookkeeping_violations() == [
+        "bob:50: banknote_value 5, backing 0"]   # the stale note bob kept
+    replay_trace(real.trace)
 
 
 def test_a_wallet_scanned_directly_is_scanned_again_when_due():

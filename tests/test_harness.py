@@ -156,8 +156,13 @@ HELD_TO_THE_CORRUPT = [["AddTransaction", ALICE, THIEF, "4"], ["CORRUPT", THIEF]
                        ["AddTransaction", THIEF, BOB, "1"], ["TICK", "3"]]
 
 
+# 40 examples a case in tier-1, the soak profile's count under that profile
+RECOUNT_EXAMPLES = (settings().max_examples
+                    if settings.get_current_profile_name() == "soak" else 40)
+
+
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-@settings(max_examples=40)
+@settings(max_examples=RECOUNT_EXAMPLES)
 @given(lines=script, at=st.integers(0, 40))
 def test_every_counters_line_matches_a_recount_under_reordering(variant, lines, at):
     sim = Simulation(SimConfig(variant=variant, scheduler="reorder:3", n=2,

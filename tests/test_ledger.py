@@ -303,6 +303,24 @@ def test_all_coins_payout_terminates():
     assert led.contracts[0].terminated
 
 
+@pytest.mark.parametrize("pot,deposit,payout,paid,pot_after,terminated", [
+    (0, 0, 5, 0, 0, True),               # a positive payout from an empty pot
+    (0, 0, 0, 0, 0, False),              # a zero payout from an empty pot
+    (10, 0, 0, 0, 10, False),
+    (10, 5, 12, 12, 3, False),           # the deposit joins the pot first
+    (10, 0, 10, 10, 0, True),            # a payout equal to the pot
+    (10, 0, 99, 10, 0, True),            # a payout above the pot
+    (10, 3, ALL_COINS, 13, 0, True),
+    (0, 0, ALL_COINS, 0, 0, True),
+])
+def test_payout_rule(pot, deposit, payout, paid, pot_after, terminated):
+    led, ssid = funded(pot=pot)
+    assert led.trigger(ALICE, ssid, ("set", "s", payout), deposit) == paid
+    assert led.contracts[0].coins == pot_after
+    assert led.contracts[0].terminated == terminated
+    assert led.retrieve_party(ALICE) == 50 - pot - deposit + paid
+
+
 def test_trigger_requires_live_initialized_contract_and_known_sender():
     led = Ledger()
     led.add_party(ALICE)

@@ -37,9 +37,9 @@ class SpyChain(ReorderChain):
         return super().submit_trigger(sender, ssid, witness, deposit, on_result)
 
 
-def setup(variant="base", n=2, minimal=False, chain_for=()):
+def setup(variant="base", n=2, chain_for=()):
     sim = Simulation(SimConfig(variant=variant, d0=10, t_tr=12, t0=10, t1=10,
-                               n=n, minimal=minimal))
+                               n=n))
     for pid in (ALICE, BOB, MALLORY):
         sim.add_party(pid)
         if pid in chain_for:
@@ -72,17 +72,6 @@ def test_mint_needs_strictly_more_coins_than_the_value():
     assert led.contracts == []
     with pytest.raises(MintFailed):
         w[ALICE].mint(-1)
-
-
-def test_minimal_wallet_mints_single_bolt_notes():
-    env, led, w = setup(minimal=True)
-    note = w[ALICE].mint(10)
-    assert note.bundle.count == 1 and len(note.serial) == 32
-
-
-def test_minimal_wallet_refuses_signature_variants():
-    with pytest.raises(MintFailed):
-        setup(variant="sig-gated", minimal=True)
 
 
 def test_payment_chain_costs_no_ledger_writes():

@@ -153,12 +153,13 @@ class TraceReplay:
             return
         if payer not in self.corrupt and payee in self.corrupt:
             self.received += value  # offered to the adversary counts as given
-        if result == "accept":
-            moved = self._take(payer, ssid, "pay")
-            self._check("pay value", moved, value)
-            self._held(payee, ssid).append(moved)
-            if payer in self.corrupt and payee not in self.corrupt:
-                self.spent += value
+        accept = result == "accept"
+        moved = self._take(payer, ssid, "pay")
+        self._check("pay value", moved, value)
+        # a refused note goes back behind the others the payer holds for ssid
+        self._held(payee if accept else payer, ssid).append(moved)
+        if accept and payer in self.corrupt and payee not in self.corrupt:
+            self.spent += value
 
     def _on_redeem(self, pid, args):
         ssid, result = int(args[0]), args[1]
