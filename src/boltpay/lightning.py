@@ -33,6 +33,7 @@ PREIMAGE_LEN = 16
 SERIAL_LEN = 32
 MIN_LAMBDA = 64
 _PREIMAGES = struct.Struct(f"{PREIMAGE_LEN}s")
+_TAGGED = hashlib.sha256(SERIAL_TAG)  # copied for each preimage, never updated
 
 _env_counter = itertools.count(1)
 
@@ -67,10 +68,14 @@ class _BundleRecord:
 
 def serials_of(secrets: bytes) -> bytes:
     """The public serial SHA-256(SERIAL_TAG || preimage) of each 16-byte
-    preimage of ``secrets``, concatenated."""
-    sha256 = hashlib.sha256
-    return b"".join([sha256(SERIAL_TAG + secret).digest()
-                     for (secret,) in _PREIMAGES.iter_unpack(secrets)])
+    preimage of ``secrets``, concatenated.  Each hash starts from a copy of
+    one state that has already taken the tag."""
+    copy, serials = _TAGGED.copy, []
+    for (secret,) in _PREIMAGES.iter_unpack(secrets):
+        h = copy()
+        h.update(secret)
+        serials.append(h.digest())
+    return b"".join(serials)
 
 
 def verify_certificate(serial: bytes, certificate: bytes) -> bool:

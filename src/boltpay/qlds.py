@@ -7,6 +7,13 @@ destructively measures one bolt per bit (the i-th bolt for a zero bit, the
 Verification is stateless hash comparison, so a smart contract can check a
 signature without touching the environment.
 
+Signing and verification pick their n positions through one bit mask over
+the position pairs (j, n + j).  Signing measures them in bit order and
+stops at the first dead bolt; a position already measured is dead.  Every
+certificate is hashed from a copy of one SHA-256 state that has already
+taken the serial tag, so the cost is the n hashes and bulk byte work, with
+no Python frame entered per bit.
+
 Holding the key proves nothing was signed yet: verification checks all 2n
 bolts are alive, and every signature kills n of them.
 """
@@ -16,7 +23,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import getitem
 
 from .errors import KeyExhausted, ParseError
 from .lightning import PREIMAGE_LEN, SERIAL_LEN, BundleHandle, QuantumEnv, serials_of
@@ -35,25 +43,45 @@ class QldsParams:
             raise ParseError(f"n must be in 1..256, got {self.n}")
 
 
-def _bit_string(message: bytes, n: int) -> str:
-    """First n bits of SHA-256(message) as '0'/'1', most significant first."""
+def _bit_string(message: bytes, n: int) -> bytes:
+    """First n bits of SHA-256(message) as b'0'/b'1', most significant first."""
     digest = hashlib.sha256(message).digest()
-    return format(int.from_bytes(digest, "big"), f"0{DIGEST_BITS}b")[:n]
+    return format(int.from_bytes(digest, "big"), f"0{DIGEST_BITS}b")[:n].encode()
+
+
+_ONES = bytes.maketrans(b"01", b"\x00\x01")   # 1 where a bit is one
+_ZEROS = bytes.maketrans(b"01", b"\x01\x00")  # 1 where a bit is zero
 
 
 def message_bits(message: bytes, n: int) -> tuple[int, ...]:
     """First n bits of SHA-256(message), most significant bit first."""
-    return tuple(map(int, _bit_string(message, n)))
+    return tuple(_bit_string(message, n).translate(_ONES))
 
 
-def signing_indices(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """0-based key positions consumed for a given bit string.
+def _choice_mask(message: bytes, n: int) -> bytearray:
+    """Which key positions the message selects, one byte per position in
+    the order j, n + j for j = 0..n-1: bit j of the message keeps position
+    j for a zero and n + j for a one (the classic two-column layout)."""
+    bits = _bit_string(message, n)
+    mask = bytearray(2 * n)
+    mask[0::2] = bits.translate(_ZEROS)
+    mask[1::2] = bits.translate(_ONES)
+    return mask
 
-    Bit j selects position j for a zero and n+j for a one (the classic
-    two-column layout, columns of width n).
-    """
-    n = len(bits)
-    return tuple(b * n + j for j, b in enumerate(bits))
+
+@functools.cache
+def _position_pairs(n: int) -> tuple[int, ...]:
+    """Key positions j and n + j for j = 0..n-1 in turn: the two positions
+    bit j chooses between, in the order of _choice_mask."""
+    return tuple(k for j in range(n) for k in (j, n + j))
+
+
+@functools.cache
+def _segment_pairs(n: int) -> tuple[slice, ...]:
+    """The serial segments of _position_pairs(n), as slices of a 2n-segment
+    serial."""
+    return tuple(slice(k * SERIAL_LEN, (k + 1) * SERIAL_LEN)
+                 for k in _position_pairs(n))
 
 
 def qlds_gen(env: QuantumEnv, params: QldsParams, owner: str) -> BundleHandle:
@@ -94,7 +122,7 @@ def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
     n = key.count // 2
     if not 1 <= n <= DIGEST_BITS or key.count != 2 * n:
         raise ParseError("key must hold 2n bolts, n in 1..256")
-    positions = signing_indices(message_bits(message, n))
+    positions = tuple(compress(_position_pairs(n), _choice_mask(message, n)))
     signature = env.measure_bolts(key, positions)
     j = len(signature) // PREIMAGE_LEN
     if j < n:
@@ -102,31 +130,20 @@ def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
     return signature
 
 
-@functools.cache
-def _segment_pairs(n: int) -> tuple[slice, ...]:
-    """Slices of segments j and n + j of a 2n-segment serial, for j = 0..n-1
-    in turn: the two key positions bit j chooses between."""
-    return tuple(slice(k * SERIAL_LEN, (k + 1) * SERIAL_LEN)
-                 for j in range(n) for k in (j, n + j))
-
-
 def verify_sig(serial: bytes, message: bytes, signature: bytes) -> bool:
     """Stateless signature check against the concatenated serial.
 
     Works from the serial alone: n is inferred from its length, and each
     certificate must open the segment its message bit selects.  Only those
-    n segments are sliced out of the serial, through one memoryview at
-    precomputed offsets.  A serial of more than 512 segments needs more
-    message bits than SHA-256 gives and never verifies.
+    n segments are sliced out of the serial, at precomputed offsets.  A
+    serial of more than 512 segments needs more message bits than SHA-256
+    gives and never verifies.
     """
     if not serial or len(serial) % (2 * SERIAL_LEN) != 0:
         return False
     n = len(serial) // (2 * SERIAL_LEN)
     if n > DIGEST_BITS or len(signature) != n * PREIMAGE_LEN:
         return False
-    # a zero bit keeps the first slice of its pair, a one the second
-    bits = _bit_string(message, n).encode()
-    keep = bits.replace(b"0", b"\x01\x00").replace(b"1", b"\x00\x01")
-    selected = b"".join(map(memoryview(serial).__getitem__,
-                            compress(_segment_pairs(n), keep)))
+    selected = b"".join(map(getitem, repeat(serial),
+                            compress(_segment_pairs(n), _choice_mask(message, n))))
     return serials_of(signature) == selected

@@ -3,7 +3,7 @@
 HYPOTHESIS_PROFILE=soak selects a longer run of the same derandomised
 examples, for the properties that read their example count from it:
     HYPOTHESIS_PROFILE=soak python -m pytest tests/test_due_scans.py \
-        tests/test_lightning.py tests/test_harness.py
+        tests/test_lightning.py tests/test_harness.py tests/test_qlds.py
 """
 
 import os

@@ -533,3 +533,20 @@ def test_measure_bolts_stops_at_the_first_dead_bolt():
         with pytest.raises(DomainError):
             env.measure_bolts(bundle, positions)
     assert env.verify_bolt(bundle, 1, segments[1])
+
+
+def test_a_repeated_position_finds_its_bolt_dead_the_second_time():
+    env = fresh_env()
+    bundle = env.gen_bundle("p", 3)
+    segments = split_serial(bundle.serial)
+    certs = env.measure_bolts(bundle, (1, 1))
+    assert len(certs) == 16 and verify_certificate(segments[1], certs)
+    assert [env.verify_bolt(bundle, i, s) for i, s in enumerate(segments)] == [
+        True, False, True]
+    # the second 0 is dead by then, so the walk stops there and bolt 2 lives
+    bundle = env.gen_bundle("p", 3)
+    segments = split_serial(bundle.serial)
+    certs = env.measure_bolts(bundle, (0, 1, 0, 2))
+    assert len(certs) == 32 and verify_certificate(b"".join(segments[:2]), certs)
+    assert [env.verify_bolt(bundle, i, s) for i, s in enumerate(segments)] == [
+        False, False, True]

@@ -6,6 +6,7 @@ the selection can be rechecked by hand.
 """
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from boltpay.qlds import (
     message_bits,
     qlds_gen,
     qlds_ver,
-    signing_indices,
     split_serial,
     verify_sig,
 )
@@ -28,6 +28,13 @@ MSG_00 = b"m2"  # sha256 starts 0x29 = 0010...
 MSG_01 = b"m8"  # 0x59 = 0101...
 MSG_10 = b"m5"  # 0xb5 = 1011...
 MSG_11 = b"m0"  # 0xe4 = 1110...
+
+
+def signing_indices(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference model of the key positions a bit string consumes: bit j
+    selects position j for a zero and n + j for a one."""
+    n = len(bits)
+    return tuple(b * n + j for j, b in enumerate(bits))
 
 
 def fresh_env(seed=0):
@@ -249,3 +256,97 @@ def test_verify_sig_agrees_with_a_per_segment_check(n, signed, checked, pick, ta
     assert verify_sig(serial, checked, sig) == _reference_verify(serial, checked, sig)
     if tamper == "none":
         assert verify_sig(serial, signed, sig)
+
+
+# 40 examples in tier-1, the soak profile's count under that profile
+REFERENCE_EXAMPLES = (settings().max_examples
+                      if settings.get_current_profile_name() == "soak" else 40)
+
+
+def reference_sign(env, key, serial: bytes, message: bytes) -> bytes:
+    """gen_sig for a well-formed key, one bit at a time: one measure_bolts
+    call per message bit, at the position signing_indices gives it."""
+    n = len(serial) // 64
+    signature = b""
+    for j, i in enumerate(signing_indices(message_bits(message, n))):
+        certificate = env.measure_bolts(key, (i,))
+        if not certificate:
+            raise KeyExhausted(f"component {i + 1} already consumed (bit {j + 1})")
+        signature += certificate
+    return signature
+
+
+def signing_outcome(sign, env, key, message: bytes):
+    try:
+        return sign(env, key, key.serial, message)
+    except KeyExhausted as e:
+        return str(e)
+
+
+@settings(max_examples=REFERENCE_EXAMPLES)
+@given(st.sampled_from([1, 2, 7, 8, 255, 256]), st.binary(max_size=12),
+       st.binary(max_size=12), st.integers(0, 10**6),
+       st.sampled_from(["none", "flip", "swap", "other message"]))
+def test_the_signature_path_matches_a_per_bit_reference(n, first, second, pick, tamper):
+    digest = hashlib.sha256(first).digest()
+    assert message_bits(first, n) == tuple(
+        digest[j // 8] >> (7 - j % 8) & 1 for j in range(n))
+    env, ref_env = fresh_env(pick), fresh_env(pick)
+    key, ref_key = (qlds_gen(e, QldsParams(n), "signer") for e in (env, ref_env))
+    assert key.serial == ref_key.serial
+    # the second message on the same key signs, or exhausts at its first
+    # dead bolt with the bolts before it measured
+    outcomes = []
+    for message in (first, second):
+        outcomes.append(signing_outcome(gen_sig, env, key, message))
+        assert outcomes[-1] == signing_outcome(reference_sign, ref_env, ref_key, message)
+        assert env.snapshot() == ref_env.snapshot()
+    sig, serial, checked = outcomes[0], key.serial, first
+    if tamper == "flip":
+        i = pick % len(sig)
+        sig = sig[:i] + bytes([sig[i] ^ 1 << pick % 8]) + sig[i + 1:]
+    elif tamper == "swap":  # exchange the two columns of the key
+        serial = serial[32 * n:] + serial[:32 * n]
+    elif tamper == "other message":
+        checked = second
+    assert verify_sig(serial, checked, sig) == _reference_verify(serial, checked, sig)
+    assert verify_sig(serial, checked, sig) == (
+        tamper == "none" or tamper == "other message"
+        and message_bits(first, n) == message_bits(second, n))
+
+
+def frames_entered(op) -> int:
+    """Python frames the second call of ``op`` enters, generator resumptions
+    included; the first call fills the caches a process fills once."""
+    op()
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return events.count("call")
+
+
+def signature_path_frames(n: int) -> dict[str, int]:
+    env = fresh_env()
+    keys = [qlds_gen(env, QldsParams(n), "signer") for _ in range(3)]
+    bundles = [env.gen_bundle("holder", 2 * n) for _ in range(2)]
+    key = keys.pop()
+    sig = gen_sig(env, key, key.serial, b"signed")
+    return {
+        "gen_sig": frames_entered(
+            lambda: gen_sig(env, keys[-1], keys.pop().serial, b"signed")),
+        "verify_sig": frames_entered(
+            lambda: verify_sig(key.serial, b"signed", sig)),
+        "gen_bundle": frames_entered(lambda: env.gen_bundle("holder", 2 * n)),
+        "measure_bolts": frames_entered(
+            lambda: env.measure_bolts(bundles.pop(), range(2 * n))),
+    }
+
+
+def test_the_signature_path_enters_the_same_frames_at_every_key_size():
+    """Signing, verifying, minting and measuring a key cost their hashes
+    and bulk byte work: no Python frame is entered once per bit."""
+    small, large = signature_path_frames(8), signature_path_frames(256)
+    assert small == large
