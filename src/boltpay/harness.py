@@ -18,10 +18,9 @@ Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
 last scanned scan_interval or more ticks ago, in pid order.  Every such
 wallet sits in a cohort: the pid-sorted list of the wallets whose scan
-falls due at one tick, each kept beside the tail of its `watchdog 0`
-trace line.  A cohort's tick stands in for its members' last scan,
-scan_interval ticks before, except for a member flagged overdue, which
-joined after its scan fell due and keeps its own.
+falls due at one tick.  A cohort's tick stands in for its members' last
+scan, scan_interval ticks before, except for a member flagged overdue,
+which joined after its scan fell due and keeps its own.
 
 A wallet changes cohort only at an event: its first note, its last note
 gone, corruption, or a scan of its own.  The event moves it straight into
@@ -29,7 +28,8 @@ the cohort of its due tick, or out of every cohort.  When a cohort's tick
 comes, the holders of claimed notes among its members are found through
 the environment, as the owners of the bundles that carry each claimed
 contract's serial.  Only they call Wallet.watchdog_scan; every other member
-costs its trace line, its wallet is not read, and the cohort moves whole
+costs a slot in its tick's scan-round, rendered into its `watchdog 0` line
+when the trace is read; its wallet is not read, and the cohort moves whole
 to the tick scan_interval later.  A heap holds the cohorts' ticks, and
 tick(k) jumps from one such tick, or one where a held message is due, to
 the next.
@@ -233,7 +233,9 @@ class Simulation:
         self.pool: list[Banknote] = []
         self.value = ValueLedger()
         self.adversary = None
-        self.trace: list[str] = list(config.header_lines())
+        # lines and scan-rounds (tick, idle pids); _unrendered: first round's index
+        self._trace: list = list(config.header_lines())
+        self._unrendered: int | None = None
         self.chain = ReorderChain(self, config.delta())
         self.scan_interval = max(1, config.t_tr - 1)
         # due tick -> its cohort, and each member's pid -> its cohort.  Every
@@ -253,12 +255,28 @@ class Simulation:
 
     # -- logging and accounting ------------------------------------------
 
+    @property
+    def trace(self) -> list[str]:
+        """The v1 trace lines so far.  A read renders, in place, the
+        scan-rounds since the last read into `watchdog 0` lines, so a run
+        nobody reads the trace of never builds them.  A list taken from one
+        read is current as of that read; later rounds render at the next."""
+        trace, start = self._trace, self._unrendered
+        if start is not None:
+            lines = []
+            for entry in trace[start:]:
+                lines += ((entry,) if type(entry) is str else [
+                    f"{entry[0]}\t{pid}\twatchdog\t0" for pid in entry[1]])
+            trace[start:] = lines
+            self._unrendered = None
+        return trace
+
     def log(self, actor: str, action: str, rest: str) -> None:
         """Append the trace line `time actor action rest`, tab-separated.
 
         rest is the rest of the line, its fields already formatted and
         joined by tabs, so each caller builds it with one f-string."""
-        self.trace.append(f"{self.ledger.time}\t{actor}\t{action}\t{rest}")
+        self._trace.append(f"{self.ledger.time}\t{actor}\t{action}\t{rest}")
 
     def live_corrupt_coins(self) -> int:
         return sum(self.ledger.parties[p].coins for p in self.corrupted
@@ -455,9 +473,9 @@ class Simulation:
         then and scans each honest wallet with notes whose last scan is
         scan_interval ticks old, in pid order.  The wallets due at a tick
         form its cohort.  Only its members holding a claimed note call
-        Wallet.watchdog_scan; every other member costs one `watchdog 0`
-        trace line, without its wallet being read, and the cohort moves
-        whole to its next due tick.
+        Wallet.watchdog_scan; every other member costs one entry in its
+        tick's scan-round, without its wallet being read, and the cohort
+        moves whole to its next due tick.
 
         Only the ticks where a message or a cohort is due do any work, so
         time jumps from one such tick to the next.  k may be 0, never
@@ -523,11 +541,12 @@ class Simulation:
         self._cohort_of[pid] = cohort
 
     def _scan_due(self, now: int) -> None:
-        """Scan the cohort due at now, then move it whole to its next tick."""
+        """Scan the cohort due at now, then move it whole to its next tick;
+        each run of idle members goes into the trace as one scan-round."""
         cohorts, ticks, ledger = self._cohorts, self._ticks, self.ledger
         cohort, cohort_of, wallets = cohorts[now], self._cohort_of, self.wallets
-        claimed, holders, trace = ledger.claimed, self.env.holders, self.trace
-        pids, lines, head, cursor = cohort.pids, cohort.lines, str(now), ""
+        claimed, holders, trace = ledger.claimed, self.env.holders, self._trace
+        pids, cursor = cohort.pids, ""
         while True:
             pid = None   # the first member after the cursor holding a claimed note
             for ssid in claimed:
@@ -536,8 +555,12 @@ class Simulation:
                             and (pid is None or holder < pid)
                             and ssid in wallets[holder].notes):
                         pid = holder
+            i = bisect_right(pids, cursor)
             j = len(pids) if pid is None else bisect_left(pids, pid)
-            trace += [head + s for s in lines[bisect_right(pids, cursor):j]]
+            if i < j:
+                if self._unrendered is None:
+                    self._unrendered = len(trace)
+                trace.append((now, pids[i:j]))
             if pid is None:
                 break
             self._cursor = cursor = pid
@@ -633,25 +656,22 @@ class Simulation:
 
 
 class _Cohort:
-    """The wallets due at one tick: their pids in order and, beside each,
-    the tail of its `watchdog 0` trace line; and the overdue members, which
-    joined after their scan fell due and keep their own last scan."""
+    """The wallets due at one tick: their pids in order, and the overdue
+    members, which joined after their scan fell due and keep their own last
+    scan."""
 
-    __slots__ = ("tick", "pids", "lines", "overdue")
+    __slots__ = ("tick", "pids", "overdue")
 
     def __init__(self, tick: int):
         self.tick = tick
         self.pids: list[str] = []
-        self.lines: list[str] = []
         self.overdue: set[str] = set()
 
     def insert(self, i: int, pid: str) -> None:
         self.pids.insert(i, pid)
-        self.lines.insert(i, f"\t{pid}\twatchdog\t0")
 
     def remove(self, i: int) -> None:
         del self.pids[i]
-        del self.lines[i]
 
 
 def _claim_deposits(claim) -> int:

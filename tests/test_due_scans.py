@@ -10,6 +10,7 @@ count calls; none of them reads a clock.
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 from collections import deque
 from dataclasses import is_dataclass
 from itertools import zip_longest
@@ -22,7 +23,7 @@ from strategies import PARTIES, THIEF, script
 from trace_oracle import replay_trace
 
 import boltpay
-from boltpay import attacks, harness
+from boltpay import attacks, cli, harness
 from boltpay.attacks import (
     ClaimFrontRunStrategy,
     ProofTheftStrategy,
@@ -39,7 +40,13 @@ from boltpay.contract import (
     LostClaimCommits,
     PhiParams,
 )
-from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
+from boltpay.harness import (
+    _DIRECTIVES,
+    SimConfig,
+    Simulation,
+    parse_scenario,
+    run_scenario,
+)
 from boltpay.ledger import Ledger
 from boltpay.lightning import QuantumEnv
 from boltpay.wallet import Wallet
@@ -263,18 +270,20 @@ def assert_cohorts_hold(sim: Simulation) -> None:
     """Between ticks: each wallet is in at most one cohort, and one cohort
     per tick, each tick once in the heap; every honest wallet with notes,
     and no other wallet, is in the cohort of the tick its scan is due, or,
-    flagged overdue, of the next tick when that tick has passed."""
+    flagged overdue, of the next tick when that tick has passed.  Reading
+    the trace twice gives the same lines, and only lines."""
     now = sim.ledger.time
     members = [pid for cohort in sim._cohorts.values() for pid in cohort.pids]
     assert sorted(members) == sorted(set(members)) == sorted(sim._cohort_of)
     for tick, cohort in sim._cohorts.items():
         assert cohort.tick == tick > now
         assert cohort.pids == sorted(cohort.pids)
-        assert cohort.lines == [f"\t{pid}\twatchdog\t0" for pid in cohort.pids]
         assert cohort.overdue <= set(cohort.pids)
         assert all(sim._cohort_of[pid] is cohort for pid in cohort.pids)
     assert sorted(sim._ticks) == sorted(set(sim._ticks)) == sorted(sim._cohorts)
     assert sim._cursor is None
+    trace = list(sim.trace)   # a read renders every scan-round
+    assert sim.trace == trace and all(type(line) is str for line in trace)
     for pid, w in sim.wallets.items():
         if pid in sim.corrupted or not w.notes:
             assert pid not in sim._cohort_of, pid
@@ -303,6 +312,35 @@ def test_due_time_ticks_match_the_walk_over_every_wallet(
     config = SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
                        t_tr=t_tr, t0=3, t1=3)
     differential_run(config, strategy, lines)
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "reorder:3"])
+@pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
+@settings(max_examples=WALK_EXAMPLES)
+@given(lines=script, t_tr=st.sampled_from([2, 5, 12]))
+def test_reading_the_trace_after_every_line_gives_the_lines_run_writes(
+        variant, scheduler, lines, t_tr, tmp_path_factory):
+    # the idle scan-rounds a tick leaves pending render when the trace is
+    # read: after every line, once at the end, or as boltpay run writes it
+    config = SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
+                       t_tr=t_tr, t0=3, t1=3)
+    text = "\n".join([f"AddParty {pid}" for pid in PARTIES]
+                     + [f"CORRUPT {THIEF}"]
+                     + [" ".join(tokens) for tokens in lines]) + "\n"
+    stepped = Simulation(config)
+    for _, tokens in parse_scenario(text):
+        _DIRECTIVES[tokens[0]][2](stepped, *tokens[1:])
+        assert all(type(line) is str for line in stepped.trace), tokens
+    once = run_scenario(config, text).trace
+    assert stepped.trace == once
+    work = tmp_path_factory.mktemp("run")
+    script_path, out = work / "script.bolt", work / "out.trace"
+    script_path.write_text(text)
+    assert cli.main(["run", str(script_path), "--variant", variant,
+                     "--scheduler", scheduler, "--n", "2", "--d0", "5",
+                     "--ttr", str(t_tr), "--t0", "3", "--t1", "3",
+                     "--out", str(out)]) in (0, 1)
+    assert out.read_text().splitlines() == once
 
 
 def test_claims_made_during_a_scan_are_answered_as_the_walk_answers_them():
@@ -751,6 +789,34 @@ def test_a_tick_answering_one_claim_never_reads_its_idle_wallets(idle_wallets):
     # control: the stand-ins count what does read the wallets
     sim.honest_bookkeeping_violations()
     assert CountedWallet.uses >= idle_wallets
+
+
+def idle_tick_kept_bytes(idle_wallets: int) -> int:
+    """The bytes a due tick over one cohort of idle_wallets members, no
+    claim open, keeps allocated while nothing reads the trace."""
+    sim = Simulation(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
+    for i in range(idle_wallets):
+        pid = f"idle{i:04d}:100"
+        sim.add_party(pid)
+        sim.mint(pid, 5)
+    sim.tick(17)   # their first scans at tick 9 make one cohort, due at 18
+    assert list(sim._cohorts) == [18]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.tick(1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sim._cohorts[27].pids) == idle_wallets
+    return kept
+
+
+def test_an_unread_trace_keeps_one_pointer_per_idle_wallet_a_tick():
+    """A line string per idle wallet would keep over 100 bytes each; a
+    slot in the tick's scan-round keeps 8."""
+    few, many = idle_tick_kept_bytes(250), idle_tick_kept_bytes(4000)
+    assert (many - few) / (4000 - 250) <= 12
 
 
 def one_placing_payment(others: int, monkeypatch) -> dict:
