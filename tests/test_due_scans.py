@@ -329,7 +329,7 @@ def test_reading_the_trace_after_every_line_gives_the_lines_run_writes(
                      + [" ".join(tokens) for tokens in lines]) + "\n"
     stepped = Simulation(config)
     for _, tokens in parse_scenario(text):
-        _DIRECTIVES[tokens[0]][2](stepped, *tokens[1:])
+        assert run_line(stepped, tokens) is None, tokens
         assert all(type(line) is str for line in stepped.trace), tokens
     once = run_scenario(config, text).trace
     assert stepped.trace == once
