@@ -22,7 +22,6 @@ The pieces, bottom to top:
 * cli: `boltpay run|games|demo`.
 """
 
-from . import contract as _contract  # registers the banknote circuits
 from .contract import (
     NO_CLAIM,
     BanknoteState,

@@ -129,87 +129,74 @@ class SimConfig:
 
 @dataclass
 class ValueLedger:
-    """The adversary's balance sheet, per the rules in the module docstring."""
+    """The adversary's balance sheet, per the rules in the module docstring;
+    Simulation.account alone sets current_or_spent and max_net."""
 
     received: int = 0
     spent_to_honest: int = 0
     current_or_spent: int = 0
     max_net: int = 0
 
-    def update(self, live_corrupt_coins: int) -> int:
-        self.current_or_spent = live_corrupt_coins + self.spent_to_honest
-        net = self.current_or_spent - self.received
-        if net > self.max_net:
-            self.max_net = net
-        return net
-
 
 @dataclass(frozen=True)
 class PendingMessage:
-    """What the mempool shows the adversary about a held honest message."""
+    """What the mempool shows the adversary about a held honest message:
+    its sender, its kind (trigger or transaction), and for a trigger the
+    ssid and witness."""
 
     sender: str
     kind: str
     ssid: int | None
     witness: object
-    deposit: int
-    payee: str | None = None
-    amount: int = 0
 
 
 class ReorderChain:
     """Mempool with an adversary window.
 
-    Honest submissions wait delta ticks, visible to the strategy; corrupt
-    submissions deliver immediately, which is exactly the reordering power
-    a front-runner has.  With delta 0 (the fifo scheduler) every
-    submission delivers at once, in submission order.
+    Honest submissions wait delta ticks, visible to the strategy as a
+    PendingMessage; corrupt submissions deliver immediately, which is
+    exactly the reordering power a front-runner has.  With delta 0 (the
+    fifo scheduler) every submission delivers at once, in submission order.
     """
 
     def __init__(self, sim: "Simulation", delta: int):
         self.sim = sim
         self.delta = delta
-        # (due, seq, deliver, pending); time never goes back and delta is
-        # fixed, so appending keeps the entries in (due, seq) order
+        # (due, deliver, pending); time never goes back and delta is fixed,
+        # so appending keeps the entries in due order, ties in submission order
         self._held: deque = deque()
-        self._seq = 0
 
-    def _hold(self, sender, deliver, pending: PendingMessage):
+    def _submit(self, sender, kind, ssid, witness, deliver):
+        """Deliver now under fifo or for a corrupt sender; else hold the
+        message delta ticks, log it and show it to the adversary."""
         sim = self.sim
-        self._seq += 1
+        if not self.delta or sender in sim.corrupted:
+            return deliver()
         due = sim.ledger.time + self.delta
-        self._held.append((due, self._seq, deliver, pending))
-        ssid = "-" if pending.ssid is None else pending.ssid
-        sim.log("@chain", "held", f"{sender}\t{pending.kind}\t{ssid}\t{due}")
+        pending = PendingMessage(sender, kind, ssid, witness)
+        self._held.append((due, deliver, pending))
+        sim.log("@chain", "held",
+                f"{sender}\t{kind}\t{'-' if ssid is None else ssid}\t{due}")
         if sim.adversary is not None:
             sim.adversary.on_pending(sim, pending)
         return HELD
 
     def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
-        if not self.delta or sender in self.sim.corrupted:
-            return self.sim._deliver_trigger(sender, ssid, witness, deposit,
-                                             on_result)
-        deliver = lambda: self.sim._deliver_trigger(
-            sender, ssid, witness, deposit, on_result)
-        return self._hold(sender, deliver,
-                          PendingMessage(sender, "trigger", ssid, witness, deposit))
+        return self._submit(sender, "trigger", ssid, witness,
+                            lambda: self.sim._deliver_trigger(
+                                sender, ssid, witness, deposit, on_result))
 
     def submit_transaction(self, sender, payee, amount):
-        if not self.delta or sender in self.sim.corrupted:
-            return self.sim._deliver_transaction(sender, payee, amount)
-        deliver = lambda: self.sim._deliver_transaction(sender, payee, amount)
-        return self._hold(sender, deliver,
-                          PendingMessage(sender, "transaction", None, None, 0,
-                                         payee=payee, amount=amount))
+        return self._submit(sender, "transaction", None, None,
+                            lambda: self.sim._deliver_transaction(
+                                sender, payee, amount))
 
     def deliver_due(self):
-        held = self._held
-        now = self.sim.ledger.time
-        due_now = []
+        """Deliver the held messages due by now, in order.  One held while
+        they land is due at now + delta, later than now, so it waits."""
+        held, now = self._held, self.sim.ledger.time
         while held and held[0][0] <= now:
-            due_now.append(held.popleft())
-        for _, _, deliver, _ in due_now:
-            deliver()
+            held.popleft()[1]()
 
     def next_due(self) -> int | None:
         """The tick the earliest held message lands, or None."""
@@ -218,6 +205,18 @@ class ReorderChain:
 
 def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _wallet_step(action: str, method: str):
+    """A Simulation method that calls the wallet method named method, looked
+    up at call time, on ssid and logs `action ssid result`: rejected for
+    None, held for HELD, else the return value."""
+    def step(self, pid: str, ssid: int):
+        r = getattr(self.wallet(pid), method)(ssid)
+        self.log(pid, action, f"{ssid}\t"
+                 f"{'rejected' if r is None else 'held' if r is HELD else r}")
+        return r
+    return step
 
 
 class Simulation:
@@ -278,15 +277,20 @@ class Simulation:
         joined by tabs, so each caller builds it with one f-string."""
         self._trace.append(f"{self.ledger.time}\t{actor}\t{action}\t{rest}")
 
-    def live_corrupt_coins(self) -> int:
-        return sum(self.ledger.parties[p].coins for p in self.corrupted
-                   if p in self.ledger.parties)
-
     def account(self) -> None:
+        """Set current_or_spent (the corrupt parties' live coins plus
+        spent_to_honest) and max_net, then log the counters."""
         value = self.value
-        net = value.update(self.live_corrupt_coins() if self.corrupted else 0)
-        self.log("@value", "counters", f"{value.received}\t"
-                 f"{value.current_or_spent}\t{net}\t{value.max_net}")
+        current = value.spent_to_honest
+        if self.corrupted:
+            parties = self.ledger.parties
+            current += sum(parties[p].coins for p in self.corrupted)
+        value.current_or_spent = current
+        net = current - value.received
+        if net > value.max_net:
+            value.max_net = net
+        self.log("@value", "counters",
+                 f"{value.received}\t{current}\t{net}\t{value.max_net}")
 
     # -- message delivery (called by the chain) ----------------------------
 
@@ -398,37 +402,15 @@ class Simulation:
         self.wallet(payer)
         return self.chain.submit_transaction(payer, payee, amount)
 
-    def redeem(self, pid: str, ssid: int):
-        r = self.wallet(pid).redeem(ssid)
-        self.log(pid, "redeem", f"{ssid}\t{_fmt_result(r)}")
-        return r
-
-    def file_claim(self, pid: str, ssid: int):
-        r = self.wallet(pid).file_lost_claim(ssid)
-        self.log(pid, "file-claim", f"{ssid}\t{_fmt_result(r)}")
-        return r
-
-    def settle(self, pid: str, ssid: int):
-        r = self.wallet(pid).settle_unchallenged(ssid)
-        self.log(pid, "settle", f"{ssid}\t{_fmt_result(r)}")
-        return r
-
-    def commit_claim(self, pid: str, ssid: int):
-        r = self.wallet(pid).commit_lost_claim(ssid)
-        self.log(pid, "commit-claim", f"{ssid}\t{_fmt_result(r)}")
-        return r
-
-    def reveal_claim(self, pid: str, ssid: int):
-        r = self.wallet(pid).reveal_lost_claim(ssid)
-        self.log(pid, "reveal-claim", f"{ssid}\t{_fmt_result(r)}")
-        return r
+    redeem = _wallet_step("redeem", "redeem")
+    file_claim = _wallet_step("file-claim", "file_lost_claim")
+    settle = _wallet_step("settle", "settle_unchallenged")
+    commit_claim = _wallet_step("commit-claim", "commit_lost_claim")
+    reveal_claim = _wallet_step("reveal-claim", "reveal_lost_claim")
 
     def watchdog(self, pid: str) -> list:
-        return self._watch(self.wallet(pid))
-
-    def _watch(self, w: Wallet) -> list:
-        actions = w.watchdog_scan()
-        self.log(w.pid, "watchdog", f"{len(actions)}" + "".join(
+        actions = self.wallet(pid).watchdog_scan()
+        self.log(pid, "watchdog", f"{len(actions)}" + "".join(
             f"\t{ssid}:{what}" for ssid, what in actions))
         return actions
 
@@ -564,7 +546,7 @@ class Simulation:
             if pid is None:
                 break
             self._cursor = cursor = pid
-            self._watch(wallets[pid])   # its scan moves it to now + interval
+            self.watchdog(pid)   # its scan moves it to now + interval
         del cohorts[now]
         later = now + self.scan_interval
         merged = cohorts.get(later)   # the wallets that scanned for a claim
@@ -681,14 +663,6 @@ def _claim_deposits(claim) -> int:
     if isinstance(claim, LostClaimCommits):
         return len(claim.entries)
     return 0
-
-
-def _fmt_result(r) -> str:
-    if r is None:
-        return "rejected"
-    if r is HELD:
-        return "held"
-    return str(r)
 
 
 # -- witness codec (wire format) ---------------------------------------------

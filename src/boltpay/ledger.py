@@ -10,9 +10,9 @@ number of coins the party registers with.  Time is a tick counter that only
 moves when tick() is called.
 
 State-changing operations (the Add* family, Trigger, Tick) are the slow,
-consensus-priced path; the Retrieve* family never mutates anything and is
-free.  Both counts are tracked so callers can assert how little writing a
-protocol does.
+consensus-priced path, and write_count counts them so callers can assert
+how little writing a protocol does; the Retrieve* family never mutates
+anything, is free and is not counted.
 
 The ledger also keeps a claim index, ``claimed``: the ssids whose state
 holds an active claim, meaning a ``claim`` attribute that is set and truthy
@@ -112,7 +112,6 @@ class Ledger:
         self.contracts: list[ContractRecord] = []
         self.claimed: set[int] = set()
         self.write_count = 0
-        self.read_count = 0
 
     # -- parties ------------------------------------------------------
 
@@ -126,7 +125,6 @@ class Ledger:
         return True
 
     def retrieve_party(self, pid: str) -> int | None:
-        self.read_count += 1
         rec = self.parties.get(pid)
         return rec.coins if rec else None
 
@@ -147,7 +145,6 @@ class Ledger:
         return tr_id
 
     def retrieve_transaction(self, tr_id: int) -> TransactionRecord | None:
-        self.read_count += 1
         if 1 <= tr_id <= len(self.transactions):
             return self.transactions[tr_id - 1]
         return None
@@ -252,7 +249,6 @@ class Ledger:
         return paid
 
     def retrieve_contract(self, ssid: int) -> tuple[ContractParams, Any, int] | None:
-        self.read_count += 1
         rec = self._contract(ssid)
         if rec is None or not rec.initialized:
             return None

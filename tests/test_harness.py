@@ -206,7 +206,7 @@ def test_honest_messages_wait_exactly_delta_ticks():
     sim.add_party(ALICE)
     ssid = sim.mint(ALICE, 20)  # minting is direct, never scheduled
     assert sim.file_claim(ALICE, ssid) is HELD
-    assert [e[3].kind for e in sim.chain._held] == ["trigger"]
+    assert [e[2].kind for e in sim.chain._held] == ["trigger"]
     assert adv.seen[0].ssid == ssid and adv.seen[0].witness == BanknoteLost()
     sim.tick(4)
     assert sim.ledger.retrieve_contract(ssid)[1].claim == NO_CLAIM
@@ -388,6 +388,15 @@ def test_bookkeeping_leaves_a_foreign_claim_deposit_out_of_the_backing(variant):
     sim.wallets[ALICE].banknote_value += 1
     assert sim.honest_bookkeeping_violations() == [
         f"{ALICE}: banknote_value 26, backing 25"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: corrupt() leaves the "
+                   "party's in-flight honest redeem out of received")
+def test_a_redeem_in_flight_when_its_sender_is_corrupted_nets_zero():
+    sim = run_scenario(SimConfig(scheduler="reorder:3"), "AddParty m:40\n"
+                       "MINT m:40 25\nREDEEM m:40 1\nCORRUPT m:40\nTICK 3\n")
+    assert sim.value.max_net <= 0
 
 
 def test_double_spend_only_pays_without_the_no_cloning_guarantee():

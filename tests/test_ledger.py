@@ -368,24 +368,53 @@ def test_write_count_includes_rejected_submissions():
     assert led.write_count == base + 3
 
 
-def test_reads_are_counted_separately():
+def test_reads_write_nothing():
     led = Ledger()
     led.add_party(ALICE)
     w = led.write_count
     led.retrieve_party(ALICE)
     led.retrieve_transaction(1)
     led.retrieve_contract(1)
-    assert led.read_count == 3 and led.write_count == w
+    assert led.write_count == w
 
 
 def test_digest_tracks_state_not_instrumentation():
     a, _ = funded()
     b, _ = funded()
     assert a.digest() == b.digest()
-    b.retrieve_party(ALICE)   # read counter moves, state does not
+    b.retrieve_party(ALICE)   # a read moves no state
     assert a.digest() == b.digest()
     b.tick()
     assert a.digest() != b.digest()
+
+
+# Open defects, reproduced: each test fails today and names its ROADMAP
+# item; the mend turns it into a plain test.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: the digest leaves "
+                   "out contract params")
+def test_ledgers_differing_only_in_a_pending_deposit_digest_apart():
+    digests = []
+    for deposit in (3, 4):
+        led = Ledger()
+        led.add_party(ALICE)
+        led.add_smart_contract(scripted_contract(ALICE, deposit))
+        digests.append(led.digest())
+    assert digests[0] != digests[1]
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 12: the digest cannot encode an "
+                   "integer the boundary accepts")
+@pytest.mark.parametrize("grow", [
+    lambda led: led.add_party("a:" + "9" * 25),
+    lambda led: led.tick(1 << 64),
+], ids=["coins", "time"])
+def test_the_digest_encodes_every_integer_the_ledger_accepts(grow):
+    led = Ledger()
+    grow(led)
+    assert len(led.digest()) == 32
 
 
 PIDS = ("p0:30", "p1:30", "p2:30")

@@ -1,0 +1,112 @@
+"""Metamorphic relations: related scripts must give related runs.
+
+No second implementation is needed.  Each relation runs a generated
+script and a rewritten copy of it, and compares what they leave behind:
+the trace, the first error and the ledger digest.
+
+* Time splitting: `TICK k` and k lines of `Tick` are the same time.  It
+  guards the jump from one due tick to the next, the cohort moves, and
+  the delivery of held messages.
+* Reads are pure: a `RetrieveParty`, `RetrieveContract` or
+  `RetrieveTransaction` line adds its own trace line and nothing else, and
+  leaves the ledger state as it was.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import PARTIES, THIEF, party, script
+
+from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
+
+# 20 examples a case in tier-1, the soak profile's count under that profile
+RELATION_EXAMPLES = (settings().max_examples
+                     if settings.get_current_profile_name() == "soak" else 20)
+
+VARIANTS = ["base", "sig-gated", "commit-reveal"]
+SCHEDULERS = ["fifo", "reorder:3"]
+
+# coin transfers, so that reads find transactions and held messages of
+# both kinds wait in the reorder mempool
+transfer = st.tuples(st.just("AddTransaction"), party, party,
+                     st.integers(0, 20))
+read = st.one_of(
+    st.tuples(st.just("RetrieveParty"), party,
+              st.sampled_from(PARTIES + ("ghost:1",))),
+    st.tuples(st.just("RetrieveContract"), party, st.integers(0, 7)),
+    st.tuples(st.just("RetrieveTransaction"), party, st.integers(0, 4)),
+)
+
+
+def insert(lines, extra):
+    """lines with each (position, tokens) of extra put in at its position,
+    counted in lines and clamped to its end."""
+    out = list(lines)
+    for at, tokens in sorted(extra, key=lambda e: e[0], reverse=True):
+        out.insert(min(at, len(out)), [str(t) for t in tokens])
+    return out
+
+
+scripts = st.tuples(script, st.lists(st.tuples(st.integers(0, 40), transfer),
+                                     max_size=4)).map(lambda p: insert(*p))
+
+
+def run(config: SimConfig, lines):
+    """Run the lines after the parties join and the thief is corrupted;
+    the trace, the first error as text (the run stops there) and the
+    ledger digest."""
+    sim = Simulation(config)
+    for pid in PARTIES:
+        sim.add_party(pid)
+    sim.corrupt(THIEF)
+    error = None
+    for op, *args in lines:
+        try:
+            _DIRECTIVES[op][2](sim, *args)
+        except Exception as e:  # compared between the two runs
+            error = f"{type(e).__name__}: {e}"
+            break
+    return sim.trace, error, sim.ledger.digest()
+
+
+def is_read(line: str) -> bool:
+    return line.split("\t", 3)[2:3] in (
+        ["retrieve-party"], ["retrieve-contract"], ["retrieve-transaction"])
+
+
+def config_for(variant, scheduler, t_tr):
+    return SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
+                     t_tr=t_tr, t0=3, t1=3)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=RELATION_EXAMPLES)
+@given(lines=scripts, t_tr=st.sampled_from([2, 5, 12]))
+def test_a_tick_of_k_equals_k_ticks_of_one(variant, scheduler, lines, t_tr):
+    split = []
+    for tokens in lines:
+        if tokens[0] == "TICK":
+            split += [["Tick"]] * int(tokens[1])
+        else:
+            split.append(tokens)
+    config = config_for(variant, scheduler, t_tr)
+    assert run(config, split) == run(config, lines)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=RELATION_EXAMPLES)
+@given(lines=scripts, reads=st.lists(st.tuples(st.integers(0, 40), read),
+                                     min_size=1, max_size=8),
+       t_tr=st.sampled_from([2, 5, 12]))
+def test_reads_add_only_their_own_lines(variant, scheduler, lines, reads, t_tr):
+    config = config_for(variant, scheduler, t_tr)
+    trace, error, digest = run(config, lines)
+    read_trace, read_error, read_digest = run(config, insert(lines, reads))
+    own = [ln for ln in read_trace if is_read(ln)]
+    assert [ln for ln in read_trace if not is_read(ln)] == trace
+    assert (read_error, read_digest) == (error, digest)
+    if error is None:   # else the reads after the error never ran
+        assert len(own) == len(reads)
