@@ -87,6 +87,15 @@ class LostClaimCommits:
     entries: tuple[CommitEntry, ...] = ()
 
 
+def claimants(claim) -> tuple[str, ...]:
+    """One pid per d0 deposit an active claim put in the pot; () for none."""
+    if isinstance(claim, ClaimBy):
+        return (claim.pid,)
+    if isinstance(claim, LostClaimCommits):
+        return tuple(e.pid for e in claim.entries)
+    return ()
+
+
 @dataclass(frozen=True)
 class BanknoteState:
     """(serial, claim) pair the ledger stores; serial None once redeemed."""

@@ -18,9 +18,9 @@ Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
 last scanned scan_interval or more ticks ago, in pid order.  Every such
 wallet sits in a cohort: the pid-sorted list of the wallets whose scan
-falls due at one tick.  A cohort's tick stands in for its members' last
-scan, scan_interval ticks before, except for a member flagged overdue,
-which joined after its scan fell due and keeps its own.
+falls due at one tick, or, for a wallet that joins after its scan fell
+due, at the first tick that can still scan it.  A cohort's tick stands in
+for its members' last scan, scan_interval ticks before.
 
 A wallet changes cohort only at an event: its first note, its last note
 gone, corruption, or a scan of its own.  The event moves it straight into
@@ -64,14 +64,13 @@ from .contract import (
     BanknoteState,
     ChallengeClaim,
     ChallengeClaimSig,
-    ClaimBy,
     ClaimUnchallenged,
     CommitLost,
-    LostClaimCommits,
     PhiParams,
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
+    claimants,
 )
 from .errors import BoltPayError, MintFailed, ParseError, ScriptError
 from .ledger import ContractParams, Ledger
@@ -240,12 +239,13 @@ class Simulation:
         # due tick -> its cohort, and each member's pid -> its cohort.  Every
         # honest wallet with notes is in the cohort of the tick its scan is
         # due, or, when that tick had passed as it joined, of the first tick
-        # that can still scan it.  _ticks is a heap of the cohorts' ticks,
-        # each once; a cohort its events empty stays until its tick, so
-        # that it keeps its one entry.  _cursor is "" from the moment a
-        # tick advances the ledger, the pid being scanned during the tick's
-        # scans, and None between ticks: a pid at or before it has had this
-        # tick's scan.
+        # that can still scan it; while it stays, that tick, not
+        # Wallet.last_scan, is its schedule.  _ticks is a heap of the
+        # cohorts' ticks, each once; a cohort its events empty stays until
+        # its tick, so that it keeps its one entry.  _cursor is "" from the
+        # moment a tick advances the ledger, the pid being scanned during
+        # the tick's scans, and None between ticks: a pid at or before it
+        # has had this tick's scan.
         self._cohorts: dict[int, _Cohort] = {}
         self._cohort_of: dict[str, _Cohort] = {}
         self._ticks: list[int] = []
@@ -482,14 +482,6 @@ class Simulation:
             self._cursor = None
         return ledger.time
 
-    def last_scan(self, pid: str) -> int:
-        """The tick of the wallet's last watchdog scan, read between ticks."""
-        w = self.wallet(pid)
-        cohort = self._cohort_of.get(pid)
-        if cohort is None or pid in cohort.overdue:
-            return w.last_scan
-        return cohort.tick - self.scan_interval
-
     # -- cohorts --------------------------------------------------------------
 
     def _place(self, w: Wallet) -> None:
@@ -502,24 +494,18 @@ class Simulation:
             cohort.remove(bisect_left(cohort.pids, pid))
             if cohort.tick == now and (cursor is None or pid <= cursor):
                 w.last_scan = now
-                cohort.overdue.discard(pid)
-            elif pid in cohort.overdue:
-                cohort.overdue.discard(pid)
             elif w.last_scan < cohort.tick - self.scan_interval:
                 w.last_scan = cohort.tick - self.scan_interval
         if not w.notes or pid in self.corrupted:
             return
         tick = w.last_scan + self.scan_interval
-        overdue = tick <= now
-        if overdue:   # the first tick whose scans have not passed it
+        if tick <= now:   # the first tick whose scans have not passed it
             tick = now + 1 if cursor is None or pid <= cursor else now
         cohort = self._cohorts.get(tick)
         if cohort is None:
             cohort = self._cohorts[tick] = _Cohort(tick)
             heappush(self._ticks, tick)
         cohort.insert(bisect_left(cohort.pids, pid), pid)
-        if overdue:
-            cohort.overdue.add(pid)
         self._cohort_of[pid] = cohort
 
     def _scan_due(self, now: int) -> None:
@@ -559,7 +545,6 @@ class Simulation:
                 cohort.insert(bisect_left(pids, pid), pid)
                 cohort_of[pid] = cohort
         cohort.tick = later
-        cohort.overdue = set() if merged is None else merged.overdue
         cohorts[later] = cohort
 
     # -- direct ledger lines (scenario support) -------------------------------
@@ -629,8 +614,8 @@ class Simulation:
                 rec = self.ledger._contract(ssid)
                 if rec is not None and any(n.serial == rec.state.serial
                                            for n in held):
-                    deposits = _claim_deposits(rec.state.claim)
-                    backing += rec.coins - self.phi.d0 * deposits
+                    backing += rec.coins - self.phi.d0 * len(
+                        claimants(rec.state.claim))
             if backing != w.banknote_value:
                 out.append(f"{pid}: banknote_value {w.banknote_value}, "
                            f"backing {backing}")
@@ -638,31 +623,19 @@ class Simulation:
 
 
 class _Cohort:
-    """The wallets due at one tick: their pids in order, and the overdue
-    members, which joined after their scan fell due and keep their own last
-    scan."""
+    """The wallets due at one tick, their pids in order."""
 
-    __slots__ = ("tick", "pids", "overdue")
+    __slots__ = ("tick", "pids")
 
     def __init__(self, tick: int):
         self.tick = tick
         self.pids: list[str] = []
-        self.overdue: set[str] = set()
 
     def insert(self, i: int, pid: str) -> None:
         self.pids.insert(i, pid)
 
     def remove(self, i: int) -> None:
         del self.pids[i]
-
-
-def _claim_deposits(claim) -> int:
-    """How many d0 claim deposits a banknote contract's pot holds."""
-    if isinstance(claim, ClaimBy):
-        return 1
-    if isinstance(claim, LostClaimCommits):
-        return len(claim.entries)
-    return 0
 
 
 # -- witness codec (wire format) ---------------------------------------------

@@ -9,10 +9,11 @@ Notation used throughout: a party id is the string "name:d" where d is the
 number of coins the party registers with.  Time is a tick counter that only
 moves when tick() is called.
 
-State-changing operations (the Add* family, Trigger, Tick) are the slow,
-consensus-priced path, and write_count counts them so callers can assert
-how little writing a protocol does; the Retrieve* family never mutates
-anything, is free and is not counted.
+State-changing messages (the Add* family, InitializeWithCoins and Trigger)
+are the slow, consensus-priced path, and write_count counts each one the
+ledger accepts, so callers can assert how little writing a protocol does.
+A refusal, an ignored repeat, a Tick of the clock and the Retrieve* family,
+which never mutates anything and is free, count nothing.
 
 The ledger also keeps a claim index, ``claimed``: the ssids whose state
 holds an active claim, meaning a ``claim`` attribute that is set and truthy
@@ -117,11 +118,11 @@ class Ledger:
 
     def add_party(self, pid: str) -> bool:
         """Register pid with the coins named in it; repeats are ignored."""
-        self.write_count += 1
         _, coins = parse_pid(pid)
         if pid in self.parties:
             return False
         self.parties[pid] = PartyRecord(pid, coins)
+        self.write_count += 1
         return True
 
     def retrieve_party(self, pid: str) -> int | None:
@@ -132,7 +133,6 @@ class Ledger:
 
     def add_transaction(self, payer: str, payee: str, amount: int) -> int | None:
         """Move coins payer -> payee; payer must hold strictly more than d."""
-        self.write_count += 1
         if payer not in self.parties or amount < 0:
             return None
         if payee not in self.parties or not self.parties[payer].coins > amount:
@@ -142,6 +142,7 @@ class Ledger:
         tr_id = len(self.transactions) + 1
         self.transactions.append(
             TransactionRecord(tr_id, payer, payee, amount, self.time))
+        self.write_count += 1
         return tr_id
 
     def retrieve_transaction(self, tr_id: int) -> TransactionRecord | None:
@@ -153,13 +154,13 @@ class Ledger:
 
     def add_smart_contract(self, params: ContractParams) -> int | None:
         """Record a contract; every member must already be registered."""
-        self.write_count += 1
         if not params.members:
             return None
         if any(pid not in self.parties for pid in params.members):
             return None
         ssid = len(self.contracts) + 1
         self.contracts.append(ContractRecord(ssid, params, None))
+        self.write_count += 1
         return ssid
 
     def initialize_with_coins(self, pid: str, ssid: int,
@@ -171,7 +172,6 @@ class Ledger:
         or someone cannot cover their deposit; a failed completion clears
         the pending set so the group may retry.
         """
-        self.write_count += 1
         rec = self._contract(ssid)
         if rec is None or rec.initialized or rec.terminated:
             return None
@@ -179,6 +179,7 @@ class Ledger:
             return None
         rec.pending.add(pid)
         if rec.pending != set(rec.params.members):
+            self.write_count += 1
             return "pending"
         for member in rec.params.members:
             if self.parties[member].coins < rec.params.deposit_of(member):
@@ -191,6 +192,7 @@ class Ledger:
         self._set_state(rec, rec.params.initial_state)
         rec.initialized = True
         rec.pending.clear()
+        self.write_count += 1
         return "ok"
 
     def add_contract_with_coins(self, pid: str, params: ContractParams) -> int | None:
@@ -201,7 +203,6 @@ class Ledger:
         offered as a single atomic submission.  Fails without side effects
         if the deposit cannot clear.
         """
-        self.write_count += 1
         if params.members != (pid,) or pid not in self.parties:
             return None
         d = params.deposit_of(pid)
@@ -212,6 +213,7 @@ class Ledger:
         self._set_state(rec, params.initial_state)
         self.parties[pid].coins -= d
         self.contracts.append(rec)
+        self.write_count += 1
         return ssid
 
     def trigger(self, pid: str, ssid: int, witness: Any, deposit: int) -> int | None:
@@ -224,7 +226,6 @@ class Ledger:
         payout empties the pot.
         Returns the coins paid out (0 included), or None if refused.
         """
-        self.write_count += 1
         rec = self._contract(ssid)
         if rec is None or not rec.initialized or rec.terminated:
             return None
@@ -246,6 +247,7 @@ class Ledger:
         rec.terminated = payout == ALL_COINS or (payout > 0 and not rec.coins)
         if paid:
             self.parties[pid].coins += paid
+        self.write_count += 1
         return paid
 
     def retrieve_contract(self, ssid: int) -> tuple[ContractParams, Any, int] | None:
@@ -269,8 +271,7 @@ class Ledger:
     # -- time and audits ----------------------------------------------
 
     def tick(self, count: int = 1) -> int:
-        """Advance time by count ticks; each tick counts as one write."""
-        self.write_count += count
+        """Advance time by count ticks; no write is counted."""
         self.time += count
         return self.time
 

@@ -21,16 +21,15 @@ from .contract import (
     BanknoteState,
     ChallengeClaim,
     ChallengeClaimSig,
-    ClaimBy,
     ClaimUnchallenged,
     CommitLost,
-    LostClaimCommits,
     PhiParams,
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
     banknote_params,
     challenge_message,
+    claimants,
     commitment_hash,
     is_banknote_contract,
     recover_message,
@@ -294,13 +293,10 @@ class Wallet:
             if ssid in self.pending_challenges:
                 continue
             state = self.ledger.retrieve_contract(ssid)[1]
-            claim, serial = state.claim, state.serial
-            foreign = (isinstance(claim, ClaimBy) and claim.pid != self.pid) or (
-                isinstance(claim, LostClaimCommits)
-                and any(e.pid != self.pid for e in claim.entries))
-            if not foreign:
-                continue
-            note = next((n for n in self.notes[ssid] if n.serial == serial), None)
+            if all(pid == self.pid for pid in claimants(state.claim)):
+                continue   # no foreign claim
+            note = next((n for n in self.notes[ssid]
+                         if n.serial == state.serial), None)
             if note is not None:
                 actions.append((ssid, self._challenge(note)))
         return actions

@@ -12,12 +12,14 @@ from boltpay.contract import (
     ClaimBy,
     ClaimUnchallenged,
     CommitLost,
+    LostClaimCommits,
     NO_CLAIM,
     PhiParams,
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
     banknote_params,
+    claimants,
     commitment_hash,
     is_banknote_contract,
     phi_money,
@@ -140,6 +142,27 @@ def test_note_shape_check():
         circuit=NET, initial_state=honest.initial_state)
     assert not is_banknote_contract(wrong_d, NET)
     assert not is_banknote_contract(honest, po.network("sig-gated"))
+
+
+@pytest.mark.parametrize("claim,pids", [
+    (NO_CLAIM, ()),
+    (None, ()),   # a redeemed note's state
+    (ClaimBy(po.OTHER, 50), (po.OTHER,)),
+    (LostClaimCommits(()), ()),
+    (LostClaimCommits((po.E_ME_R45, po.E_OTHER_LATE_R44)), (po.ME, po.OTHER)),
+])
+def test_claimants_names_one_pid_per_claim_deposit(claim, pids):
+    assert claimants(claim) == pids
+
+
+def test_each_claim_deposit_the_circuit_takes_adds_one_claimant():
+    st, pot = UNCLAIMED, 0
+    for pid in (po.ME, po.OTHER, po.ME):
+        st, paid = phi_money(NET_CR, pid, CommitLost(po.COMMIT_ME), 40, st,
+                             NET_CR.d0)
+        pot += NET_CR.d0 - paid
+        assert len(claimants(st.claim)) * NET_CR.d0 == pot
+    assert claimants(st.claim) == (po.ME, po.OTHER, po.ME)
 
 
 def test_unknown_variant_is_rejected_at_construction():

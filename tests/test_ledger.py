@@ -358,14 +358,35 @@ def test_real_banknote_circuit_pays_out_through_the_ledger():
 
 # -- counters and digests -----------------------------------------
 
-def test_write_count_includes_rejected_submissions():
+def test_write_count_counts_accepted_messages_only():
     led = Ledger()
-    led.add_party(ALICE)
-    base = led.write_count
-    led.add_transaction(ALICE, "ghost:1", 5)   # rejected
-    led.trigger(ALICE, 1, "x", 0)              # rejected
-    led.tick()
-    assert led.write_count == base + 3
+    pair = ContractParams(members=(ALICE, BOB), deposits=((ALICE, 1), (BOB, 1)),
+                          circuit=ScriptedCircuit(), initial_state="go")
+    # each message is accepted once, then refused or ignored
+    steps = [
+        lambda: led.add_party(ALICE),
+        lambda: led.add_party(BOB),
+        lambda: led.add_transaction(ALICE, BOB, 5),
+        lambda: led.add_smart_contract(pair),
+        lambda: led.initialize_with_coins(ALICE, 1, pair),   # pending
+        lambda: led.initialize_with_coins(BOB, 1, pair),     # ok
+        lambda: led.add_contract_with_coins(ALICE, scripted_contract(ALICE, 3)),
+        lambda: led.trigger(ALICE, 2, ("set", "end", 0), 0),
+    ]
+    for i, step in enumerate(steps, 1):
+        assert step() is not None and led.write_count == i
+    refused = [
+        lambda: led.add_party(ALICE),
+        lambda: led.add_transaction(ALICE, "ghost:1", 5),
+        lambda: led.add_smart_contract(scripted_contract("ghost:1", 1)),
+        lambda: led.initialize_with_coins(ALICE, 1, pair),
+        lambda: led.add_contract_with_coins(ALICE, scripted_contract(ALICE, 99)),
+        lambda: led.trigger(ALICE, 2, "x", 0),
+    ]
+    for step in refused:
+        assert step() in (None, False)
+    assert led.tick(5) == 5   # the clock is no message
+    assert led.write_count == len(steps)
 
 
 def test_reads_write_nothing():
