@@ -69,11 +69,11 @@ class ProofTheftStrategy:
                     sim.wallets[self.thief]._add_note(
                         Banknote(pending.ssid, bundle, z[2]))
 
-            sim.chain.submit_trigger(self.thief, pending.ssid,
-                                     replace(w, new_serial=bundle.serial), 0,
-                                     on_result=keep)
+            sim.submit_trigger(self.thief, pending.ssid,
+                               replace(w, new_serial=bundle.serial), 0,
+                               on_result=keep)
         elif isinstance(w, (RecoverCoins, RecoverCoinsSig)):
-            sim.chain.submit_trigger(self.thief, pending.ssid, w, 0)
+            sim.submit_trigger(self.thief, pending.ssid, w, 0)
 
 
 class ClaimFrontRunStrategy:

@@ -9,10 +9,10 @@ scripted adversary does, as long as bolts cannot be cloned.
 
 Two message schedulers are provided.  The fifo scheduler delivers every
 ledger message the moment it is sent.  The reorder scheduler models a
-front-running adversary: honest state-changing messages sit visible in a
-mempool for delta ticks before landing, and a strategy object may inspect
-each pending message and inject its own (instantly delivered) messages
-first.
+front-running adversary: honest state-changing messages sit in the
+Simulation's own mempool for delta ticks before landing, and a watching
+strategy object is shown each as a PendingMessage and may inject its own
+(instantly delivered) messages first.
 
 Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
@@ -139,67 +139,14 @@ class ValueLedger:
 
 @dataclass(frozen=True)
 class PendingMessage:
-    """What the mempool shows the adversary about a held honest message:
-    its sender, its kind (trigger or transaction), and for a trigger the
-    ssid and witness."""
+    """What the Simulation's mempool shows a watching adversary about a
+    held honest message: its sender, its kind (trigger or transaction),
+    and for a trigger the ssid and witness."""
 
     sender: str
     kind: str
     ssid: int | None
     witness: object
-
-
-class ReorderChain:
-    """Mempool with an adversary window.
-
-    Honest submissions wait delta ticks, visible to the strategy as a
-    PendingMessage; corrupt submissions deliver immediately, which is
-    exactly the reordering power a front-runner has.  With delta 0 (the
-    fifo scheduler) every submission delivers at once, in submission order.
-    """
-
-    def __init__(self, sim: "Simulation", delta: int):
-        self.sim = sim
-        self.delta = delta
-        # (due, deliver, pending); time never goes back and delta is fixed,
-        # so appending keeps the entries in due order, ties in submission order
-        self._held: deque = deque()
-
-    def _submit(self, sender, kind, ssid, witness, deliver):
-        """Deliver now under fifo or for a corrupt sender; else hold the
-        message delta ticks, log it and show it to the adversary."""
-        sim = self.sim
-        if not self.delta or sender in sim.corrupted:
-            return deliver()
-        due = sim.ledger.time + self.delta
-        pending = PendingMessage(sender, kind, ssid, witness)
-        self._held.append((due, deliver, pending))
-        sim.log("@chain", "held",
-                f"{sender}\t{kind}\t{'-' if ssid is None else ssid}\t{due}")
-        if sim.adversary is not None:
-            sim.adversary.on_pending(sim, pending)
-        return HELD
-
-    def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
-        return self._submit(sender, "trigger", ssid, witness,
-                            lambda: self.sim._deliver_trigger(
-                                sender, ssid, witness, deposit, on_result))
-
-    def submit_transaction(self, sender, payee, amount):
-        return self._submit(sender, "transaction", None, None,
-                            lambda: self.sim._deliver_transaction(
-                                sender, payee, amount))
-
-    def deliver_due(self):
-        """Deliver the held messages due by now, in order.  One held while
-        they land is due at now + delta, later than now, so it waits."""
-        held, now = self._held, self.sim.ledger.time
-        while held and held[0][0] <= now:
-            held.popleft()[1]()
-
-    def next_due(self) -> int | None:
-        """The tick the earliest held message lands, or None."""
-        return self._held[0][0] if self._held else None
 
 
 def fingerprint(data: bytes) -> str:
@@ -234,7 +181,11 @@ class Simulation:
         # lines and scan-rounds (tick, idle pids); _unrendered: first round's index
         self._trace: list = list(config.header_lines())
         self._unrendered: int | None = None
-        self.chain = ReorderChain(self, config.delta())
+        # the mempool: honest messages held delta ticks, as (due, deliver).
+        # Time never goes back and delta is fixed, so appending keeps them
+        # in due order, ties in submission order
+        self.delta = config.delta()
+        self._held: deque = deque()
         self.scan_interval = max(1, config.t_tr - 1)
         # due tick -> its cohort, and each member's pid -> its cohort.  Every
         # honest wallet with notes is in the cohort of the tick its scan is
@@ -292,7 +243,27 @@ class Simulation:
         self.log("@value", "counters",
                  f"{value.received}\t{current}\t{net}\t{value.max_net}")
 
-    # -- message delivery (called by the chain) ----------------------------
+    # -- the mempool ----------------------------------------------------------
+
+    def _submit(self, sender, kind, ssid, witness, deliver):
+        """Deliver now under fifo or for a corrupt sender, which is exactly
+        the reordering power a front-runner has; else hold the message delta
+        ticks, log it and show it to a watching adversary."""
+        if not self.delta or sender in self.corrupted:
+            return deliver()
+        due = self.ledger.time + self.delta
+        self._held.append((due, deliver))
+        self.log("@chain", "held",
+                 f"{sender}\t{kind}\t{'-' if ssid is None else ssid}\t{due}")
+        if self.adversary is not None:
+            self.adversary.on_pending(
+                self, PendingMessage(sender, kind, ssid, witness))
+        return HELD
+
+    def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
+        return self._submit(sender, "trigger", ssid, witness,
+                            lambda: self._deliver_trigger(
+                                sender, ssid, witness, deposit, on_result))
 
     def _deliver_trigger(self, sender, ssid, witness, deposit, on_result=None):
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
@@ -323,7 +294,7 @@ class Simulation:
             self._expected_coins += self.ledger.parties[pid].coins
             w = self.wallets[pid] = Wallet(
                 pid, self.env, self.ledger, self.phi, n=self.config.n,
-                chain=self.chain, on_change=self._place)
+                chain=self, on_change=self._place)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
                  f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
@@ -400,7 +371,9 @@ class Simulation:
 
     def transaction(self, payer: str, payee: str, amount: int):
         self.wallet(payer)
-        return self.chain.submit_transaction(payer, payee, amount)
+        return self._submit(payer, "transaction", None, None,
+                            lambda: self._deliver_transaction(
+                                payer, payee, amount))
 
     redeem = _wallet_step("redeem", "redeem")
     file_claim = _wallet_step("file-claim", "file_lost_claim")
@@ -465,18 +438,19 @@ class Simulation:
         """
         if k < 0:
             raise ParseError(f"tick count must not be negative, got {k}")
-        ledger = self.ledger
+        ledger, held = self.ledger, self._held
         end = ledger.time + k
         while ledger.time < end:
             stop = end
             if self._ticks:
                 stop = min(stop, self._ticks[0])
-            held = self.chain.next_due()
-            if held is not None:
-                stop = min(stop, held)
+            if held:
+                stop = min(stop, held[0][0])
             ledger.tick(max(stop - ledger.time, 1))
             self._cursor = ""
-            self.chain.deliver_due()
+            # one held while these land is due at now + delta, so it waits
+            while held and held[0][0] <= ledger.time:
+                held.popleft()[1]()
             if self._ticks and self._ticks[0] == ledger.time:
                 self._scan_due(heappop(self._ticks))
             self._cursor = None
@@ -714,7 +688,7 @@ def _add_contract(sim: Simulation, sender, members_tok, deposits_tok, variant,
 
 def _trigger(sim: Simulation, sender, ssid, d, wname, *hex_fields) -> None:
     witness = witness_from_fields(wname, list(hex_fields))
-    sim.chain.submit_trigger(sender, _int(ssid), witness, _int(d))
+    sim.submit_trigger(sender, _int(ssid), witness, _int(d))
 
 
 def _pay(sim: Simulation, payer, payee, ssid, flag=None) -> None:

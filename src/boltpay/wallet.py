@@ -5,10 +5,10 @@ stored in a backing contract.  Payment is purely peer-to-peer (the payee
 only READS the ledger to check the backing), which is the whole point:
 spending costs no ledger writes.
 
-Wallets send every trigger through the chain they are built with, the
-harness's message scheduler, which may deliver it at once or hold it in
-a mempool.  Operations whose delivery is deferred return the HELD
-sentinel and finish their bookkeeping in a callback.
+Wallets send every trigger through the chain they are built with: the
+Simulation, whose own mempool delivers it at once or holds it.
+Operations whose delivery is deferred return the HELD sentinel and
+finish their bookkeeping in a callback.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class _Held:
         return "HELD"
 
 
-# Returned by chain-routed operations whose delivery is deferred.
+# Returned by operations whose delivery the mempool defers.
 HELD = _Held()
 
 

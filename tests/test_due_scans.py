@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import PARTIES, THIEF, script
+from strategies import PARTIES, THIEF, late_join_script, script
 from trace_oracle import replay_trace
 
 import boltpay
@@ -75,15 +75,15 @@ def full_scan(w: Wallet) -> list:
     return actions
 
 
-def walk_deliver_due(chain) -> None:
+def walk_deliver_due(sim) -> None:
     """The mempool delivery before the held messages were kept in order:
     take every due message out, then deliver them sorted by due tick (a
     stable sort, so ties keep submission order)."""
-    now = chain.sim.ledger.time
-    due_now = sorted((e for e in chain._held if e[0] <= now),
+    now = sim.ledger.time
+    due_now = sorted((e for e in sim._held if e[0] <= now),
                      key=lambda e: e[0])
-    chain._held = deque(e for e in chain._held if e[0] > now)
-    for _, deliver, _ in due_now:
+    sim._held = deque(e for e in sim._held if e[0] > now)
+    for _, deliver in due_now:
         deliver()
 
 
@@ -93,7 +93,7 @@ class WalkSimulation(Simulation):
     def tick(self, k: int = 1) -> int:
         for _ in range(k):
             self.ledger.tick()
-            walk_deliver_due(self.chain)
+            walk_deliver_due(self)
             for pid in sorted(self.wallets):
                 if pid in self.corrupted:
                     continue
@@ -316,7 +316,7 @@ WALK_EXAMPLES = (settings().max_examples
 @pytest.mark.parametrize("scheduler,strategy", RUNS)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 @settings(max_examples=WALK_EXAMPLES)
-@given(lines=script,
+@given(lines=late_join_script,
        t_tr=st.sampled_from([2, 5, 12]))
 def test_due_time_ticks_match_the_walk_over_every_wallet(
         variant, scheduler, strategy, lines, t_tr):

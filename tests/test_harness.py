@@ -29,6 +29,7 @@ from boltpay.contract import (
 from boltpay.errors import BoltPayError, ParseError, ScriptError
 from boltpay.harness import (
     _DIRECTIVES,
+    PendingMessage,
     SimConfig,
     Simulation,
     run_scenario,
@@ -206,13 +207,13 @@ def test_honest_messages_wait_exactly_delta_ticks():
     sim.add_party(ALICE)
     ssid = sim.mint(ALICE, 20)  # minting is direct, never scheduled
     assert sim.file_claim(ALICE, ssid) is HELD
-    assert [e[2].kind for e in sim.chain._held] == ["trigger"]
+    assert len(sim._held) == 1 and [p.kind for p in adv.seen] == ["trigger"]
     assert adv.seen[0].ssid == ssid and adv.seen[0].witness == BanknoteLost()
     sim.tick(4)
     assert sim.ledger.retrieve_contract(ssid)[1].claim == NO_CLAIM
     sim.tick(1)
     assert isinstance(sim.ledger.retrieve_contract(ssid)[1].claim, ClaimBy)
-    assert not sim.chain._held
+    assert not sim._held
     checked(sim)
 
 
@@ -223,8 +224,26 @@ def test_corrupt_messages_skip_the_mempool():
     ssid = sim.mint(ALICE, 20)
     sim.corrupt(MALLORY)
     assert sim.file_claim(MALLORY, ssid) == 0
-    assert not sim.chain._held
+    assert not sim._held
     assert isinstance(sim.ledger.retrieve_contract(ssid)[1].claim, ClaimBy)
+    checked(sim)
+
+
+def test_a_held_transaction_is_shown_without_an_ssid_and_lands_after_delta():
+    sim = Simulation(SimConfig(scheduler="reorder:3"))
+    adv = RecordingAdversary()
+    sim.adversary = adv
+    sim.add_party(ALICE)
+    sim.add_party(BOB)
+    assert sim.transaction(ALICE, BOB, 5) is HELD
+    assert adv.seen == [PendingMessage(ALICE, "transaction", None, None)]
+    assert f"0\t@chain\theld\t{ALICE}\ttransaction\t-\t3" in sim.trace
+    sim.tick(2)
+    assert sim.ledger.transactions == [] and len(sim._held) == 1
+    sim.tick(1)
+    assert [(t.payer, t.payee, t.amount) for t in sim.ledger.transactions] == [
+        (ALICE, BOB, 5)]
+    assert not sim._held
     checked(sim)
 
 

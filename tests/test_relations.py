@@ -13,13 +13,24 @@ the trace, the first error and the ledger digest.
 * Renaming: parties renamed by a map that keeps their order and their
   coins give the same trace and error, once each field is mapped back.  It
   guards every walk over the parties that must go in pid order.
+* Variant: a script of honest lines runs alike on `base` and `sig-gated`,
+  once the `Sig` suffix is dropped from witness names.  It guards against
+  an honest path that depends on the variant.
+* Seed: seeds 0 and 1 give the same run, once each 16-hex fingerprint is
+  masked.  It guards against a branch on random bytes.
+
+The `#` header lines are dropped wherever two configurations are
+compared.
 """
+
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import PARTIES, THIEF, party, script
+from strategies import PARTIES, THIEF, honest_line, party, script, script_of
 
 from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
 
@@ -144,3 +155,45 @@ def test_renaming_the_parties_in_order_renames_the_run(variant, scheduler,
     assert ["\t".join(mapped(ln.split("\t"), BACK)) for ln in r_trace] == trace
     assert (None if r_error is None
             else " ".join(mapped(r_error.split(" "), BACK))) == error
+
+
+UNSIGNED = {"ChallengeClaimSig": "ChallengeClaim",
+            "RecoverCoinsSig": "RecoverCoins"}
+
+
+def body(trace) -> list[str]:
+    """The trace without its header."""
+    return [ln for ln in trace if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@settings(max_examples=RELATION_EXAMPLES)
+@given(lines=script_of(honest_line), t_tr=st.sampled_from([2, 5, 12]))
+def test_honest_lines_run_alike_on_base_and_sig_gated(scheduler, lines, t_tr):
+    trace, error, _ = run(config_for("base", scheduler, t_tr), lines)
+    s_trace, s_error, _ = run(config_for("sig-gated", scheduler, t_tr), lines)
+    assert ["\t".join(mapped(ln.split("\t"), UNSIGNED))
+            for ln in body(s_trace)] == body(trace)
+    assert s_error == error
+
+
+FINGERPRINT = re.compile("[0-9a-f]{16}")
+
+
+def masked(trace) -> list[str]:
+    """The trace without its header, each 16-hex field masked."""
+    return ["\t".join("*" if FINGERPRINT.fullmatch(f) else f
+                      for f in ln.split("\t")) for ln in body(trace)]
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=RELATION_EXAMPLES)
+@given(lines=scripts, t_tr=st.sampled_from([2, 5, 12]))
+def test_the_seed_changes_only_the_fingerprints(variant, scheduler, lines,
+                                                t_tr):
+    config = config_for(variant, scheduler, t_tr)
+    trace, error, _ = run(config, lines)
+    s_trace, s_error, _ = run(replace(config, seed=1), lines)
+    assert masked(s_trace) == masked(trace)
+    assert s_error == error

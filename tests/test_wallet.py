@@ -15,7 +15,7 @@ from boltpay.contract import (
     challenge_message,
 )
 from boltpay.errors import MintFailed, NotOwner
-from boltpay.harness import ReorderChain, SimConfig, Simulation
+from boltpay.harness import SimConfig, Simulation
 from boltpay.lightning import QuantumEnv
 from boltpay.qlds import verify_sig
 from boltpay.wallet import LOST_OWNER
@@ -25,16 +25,17 @@ BOB = "bob:50"
 MALLORY = "mallory:40"
 
 
-class SpyChain(ReorderChain):
-    """The delta-0 chain, recording every submission for inspection."""
+class SpyChain:
+    """Records every trigger a wallet submits, then hands it to the
+    simulation's own mempool, which delivers it at once under fifo."""
 
     def __init__(self, sim):
-        super().__init__(sim, 0)
+        self.sim = sim
         self.submissions = []
 
     def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
         self.submissions.append((sender, ssid, witness, deposit))
-        return super().submit_trigger(sender, ssid, witness, deposit, on_result)
+        return self.sim.submit_trigger(sender, ssid, witness, deposit, on_result)
 
 
 def setup(variant="base", n=2, chain_for=()):
