@@ -10,6 +10,7 @@ control that proves the games can detect a break at all.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import count
@@ -70,13 +71,19 @@ def game_forge_certificate(seed: int, trials: int, sound: bool = True) -> GameRe
     return _play("forge-certificate", seed, trials, sound, won)
 
 
+@functools.cache
+def _unlike(alpha: bytes, n: int) -> bytes:
+    """The first b"pay 10 coins to eve #i" whose n-bit hash is not alpha's."""
+    return next(m for m in (b"pay 10 coins to eve #%d" % i for i in count())
+                if message_bits(m, n) != message_bits(alpha, n))
+
+
 def game_forge_signature(seed: int, trials: int, n: int = 8,
                          sound: bool = True) -> GameResult:
     """One signature given; win by signing any second, differing message:
     replay the signature on a message whose n-bit hash differs."""
     params, alpha = QldsParams(n), b"pay 10 coins to bob"
-    alpha2 = next(m for m in (b"pay 10 coins to eve #%d" % i for i in count())
-                  if message_bits(m, n) != message_bits(alpha, n))
+    alpha2 = _unlike(alpha, n)
 
     def won(env):
         key = qlds_gen(env, params, "adversary")

@@ -56,6 +56,11 @@ def parse_pid(pid: str) -> tuple[str, int]:
     return name, int(coins)
 
 
+def _nat(x: int) -> bytes:
+    """Any natural number as length-prefixed big-endian bytes."""
+    return (k := (x.bit_length() + 7) // 8).to_bytes(8, "big") + x.to_bytes(k, "big")
+
+
 @dataclass
 class PartyRecord:
     pid: str
@@ -282,10 +287,9 @@ class Ledger:
     def digest(self) -> bytes:
         """Canonical hash of ledger state (instrumentation excluded)."""
         h = hashlib.sha256()
-        h.update(self.time.to_bytes(8, "big"))
+        h.update(_nat(self.time))
         for pid in sorted(self.parties):
-            p = self.parties[pid]
-            h.update(pid.encode() + b"\x00" + p.coins.to_bytes(8, "big"))
+            h.update(pid.encode() + b"\x00" + _nat(self.parties[pid].coins))
         for t in self.transactions:
             h.update(repr((t.tr_id, t.payer, t.payee, t.amount, t.time)).encode())
         for c in self.contracts:

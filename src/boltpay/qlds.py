@@ -8,11 +8,13 @@ Verification is stateless hash comparison, so a smart contract can check a
 signature without touching the environment.
 
 Signing and verification pick their n positions through one bit mask over
-the position pairs (j, n + j).  Signing measures them in bit order and
-stops at the first dead bolt; a position already measured is dead.  Every
-certificate is hashed from a copy of one SHA-256 state that has already
-taken the serial tag, so the cost is the n hashes and bulk byte work, with
-no Python frame entered per bit.
+the position pairs (j, n + j), derived once per (message, n): signer and
+verifier share an LRU cache of the last CHOICE_CACHE_SIZE masks, so a
+sign-and-verify pair hashes its message once.  Signing measures the
+positions in bit order and stops at the first dead bolt; a position
+already measured is dead.  Every certificate is hashed from a copy of one
+SHA-256 state that has already taken the serial tag, so the cost is the n
+hashes and bulk byte work, with no Python frame entered per bit.
 
 Holding the key proves nothing was signed yet: verification checks all 2n
 bolts are alive, and every signature kills n of them.
@@ -30,6 +32,7 @@ from .errors import KeyExhausted, ParseError
 from .lightning import PREIMAGE_LEN, SERIAL_LEN, BundleHandle, QuantumEnv, serials_of
 
 DIGEST_BITS = 256  # message bits SHA-256 gives, so the largest n
+CHOICE_CACHE_SIZE = 1024  # (message, n) pairs whose choice mask is kept
 
 
 @dataclass(frozen=True)
@@ -43,30 +46,26 @@ class QldsParams:
             raise ParseError(f"n must be in 1..256, got {self.n}")
 
 
-def _bit_string(message: bytes, n: int) -> bytes:
-    """First n bits of SHA-256(message) as b'0'/b'1', most significant first."""
-    digest = hashlib.sha256(message).digest()
-    return format(int.from_bytes(digest, "big"), f"0{DIGEST_BITS}b")[:n].encode()
-
-
 _ONES = bytes.maketrans(b"01", b"\x00\x01")   # 1 where a bit is one
 _ZEROS = bytes.maketrans(b"01", b"\x01\x00")  # 1 where a bit is zero
 
 
-def message_bits(message: bytes, n: int) -> tuple[int, ...]:
-    """First n bits of SHA-256(message), most significant bit first."""
-    return tuple(_bit_string(message, n).translate(_ONES))
-
-
-def _choice_mask(message: bytes, n: int) -> bytearray:
+@functools.lru_cache(maxsize=CHOICE_CACHE_SIZE)
+def _choice_mask(message: bytes, n: int) -> bytes:
     """Which key positions the message selects, one byte per position in
-    the order j, n + j for j = 0..n-1: bit j of the message keeps position
-    j for a zero and n + j for a one (the classic two-column layout)."""
-    bits = _bit_string(message, n)
-    mask = bytearray(2 * n)
+    the order j, n + j for j = 0..n-1: bit j of SHA-256(message) keeps
+    position j for a zero and n + j for a one (two-column layout)."""
+    digest = hashlib.sha256(message).digest()
+    bits = format(int.from_bytes(digest, "big"), f"0{DIGEST_BITS}b")[:n].encode()
+    mask = bytearray(2 * len(bits))
     mask[0::2] = bits.translate(_ZEROS)
     mask[1::2] = bits.translate(_ONES)
-    return mask
+    return bytes(mask)
+
+
+def message_bits(message: bytes, n: int) -> tuple[int, ...]:
+    """First n bits of SHA-256(message), most significant bit first."""
+    return tuple(_choice_mask(message, n)[1::2])
 
 
 @functools.cache

@@ -13,6 +13,7 @@ import pytest
 
 from boltpay import games
 from boltpay.lightning import QuantumEnv
+from boltpay.qlds import message_bits
 
 SEED, TRIALS = 3, 20
 
@@ -51,3 +52,19 @@ def test_a_bundle_that_stops_verifying_loses_every_sabotage_money_trial(
 def test_an_unsound_environment_loses_every_counterfeit_trial():
     assert games.game_counterfeit(SEED, TRIALS).wins == 0
     assert games.game_counterfeit(SEED, TRIALS, sound=False).wins == TRIALS
+
+
+def test_the_forge_game_replays_on_a_message_whose_hash_differs_at_every_size(
+        monkeypatch):
+    signed, replayed = [], []
+    gen_sig, verify_sig = games.gen_sig, games.verify_sig
+    monkeypatch.setattr(games, "gen_sig", lambda env, key, serial, message: (
+        signed.append(message) or gen_sig(env, key, serial, message)))
+    monkeypatch.setattr(games, "verify_sig", lambda serial, message, sig: (
+        replayed.append(message) or verify_sig(serial, message, sig)))
+    for n in range(1, 257):
+        assert games.game_forge_signature(SEED, 1, n).wins == 0
+        assert message_bits(replayed[-1], n) != message_bits(signed[-1], n)
+    assert len(signed) == len(replayed) == 256
+    for n in (1, 8, 256):
+        assert games.game_forge_signature(SEED, TRIALS, n).wins == 0

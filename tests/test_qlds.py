@@ -7,11 +7,13 @@ the selection can be rechecked by hand.
 
 import hashlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boltpay import qlds
 from boltpay.errors import KeyExhausted, ParseError
 from boltpay.lightning import ql_setup
 from boltpay.qlds import (
@@ -350,3 +352,29 @@ def test_the_signature_path_enters_the_same_frames_at_every_key_size():
     and bulk byte work: no Python frame is entered once per bit."""
     small, large = signature_path_frames(8), signature_path_frames(256)
     assert small == large
+
+
+def test_signer_and_verifier_share_one_bounded_choice_per_message_and_size(
+        monkeypatch):
+    """One message signed and verified at n=8 and at n=256, interleaved in
+    one process: each (message, n) pair has its own choice, hashed once
+    for the signature and its check together."""
+    assert type(qlds.CHOICE_CACHE_SIZE) is int
+    assert qlds._choice_mask.cache_parameters()["maxsize"] == qlds.CHOICE_CACHE_SIZE
+    hashed = []
+    monkeypatch.setattr(qlds, "hashlib", SimpleNamespace(
+        sha256=lambda data: hashed.append(data) or hashlib.sha256(data)))
+    qlds._choice_mask.cache_clear()
+    message, env = b"one message, two key sizes", fresh_env()
+    for _ in range(2):
+        keys = {n: qlds_gen(env, QldsParams(n), "signer") for n in (8, 256)}
+        sigs = {n: gen_sig(env, k, k.serial, message) for n, k in keys.items()}
+        for n, key in keys.items():
+            assert len(sigs[n]) == 16 * n
+            assert verify_sig(key.serial, message, sigs[n])
+            assert not verify_sig(key.serial, message + b"!", sigs[n])
+    assert hashed == [message, message, message + b"!", message + b"!"]
+    for n in (8, 256):
+        mask = qlds._choice_mask(message, n)
+        assert type(mask) is bytes and len(mask) == 2 * n
+    assert message_bits(message, 256)[:8] == message_bits(message, 8)
