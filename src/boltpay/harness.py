@@ -34,6 +34,12 @@ to the tick scan_interval later.  A heap holds the cohorts' ticks, and
 tick(k) jumps from one such tick, or one where a held message is due, to
 the next.
 
+The trace is a list of records, rendered into v1 text lines only when
+Simulation.trace is read.  log appends (time, actor, action, *fields), each
+field an int, a str, or a minted serial that renders as its fingerprint,
+taken as it is at log time; a scan-round renders one line per pid.  A run
+nobody reads the trace of formats nothing.
+
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
   coins start counting toward current_or_spent while it stays corrupt;
@@ -153,14 +159,22 @@ def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+class _Formats(dict):
+    def __missing__(self, k: int) -> str:   # k tab-separated `%s`
+        return self.setdefault(k, "\t".join(["%s"] * k))
+
+
+_LINE_FORMATS = _Formats()
+
+
 def _wallet_step(action: str, method: str):
     """A Simulation method that calls the wallet method named method, looked
     up at call time, on ssid and logs `action ssid result`: rejected for
     None, held for HELD, else the return value."""
     def step(self, pid: str, ssid: int):
         r = getattr(self.wallet(pid), method)(ssid)
-        self.log(pid, action, f"{ssid}\t"
-                 f"{'rejected' if r is None else 'held' if r is HELD else r}")
+        self.log(pid, action, ssid,
+                 "rejected" if r is None else "held" if r is HELD else r)
         return r
     return step
 
@@ -178,9 +192,9 @@ class Simulation:
         self.pool: list[Banknote] = []
         self.value = ValueLedger()
         self.adversary = None
-        # lines and scan-rounds (tick, idle pids); _unrendered: first round's index
+        # rendered lines, then records: log's and scan-rounds (tick, idle pids)
         self._trace: list = list(config.header_lines())
-        self._unrendered: int | None = None
+        self._rendered = len(self._trace)
         # the mempool: honest messages held delta ticks, as (due, deliver).
         # Time never goes back and delta is fixed, so appending keeps them
         # in due order, ties in submission order
@@ -207,26 +221,27 @@ class Simulation:
 
     @property
     def trace(self) -> list[str]:
-        """The v1 trace lines so far.  A read renders, in place, the
-        scan-rounds since the last read into `watchdog 0` lines, so a run
-        nobody reads the trace of never builds them.  A list taken from one
-        read is current as of that read; later rounds render at the next."""
-        trace, start = self._trace, self._unrendered
-        if start is not None:
-            lines = []
-            for entry in trace[start:]:
-                lines += ((entry,) if type(entry) is str else [
-                    f"{entry[0]}\t{pid}\twatchdog\t0" for pid in entry[1]])
-            trace[start:] = lines
-            self._unrendered = None
+        """The v1 trace lines so far.  A read renders, in place, the records
+        since the last read; a list taken from one read is current as of
+        that read, and later records render at the next."""
+        trace, start, lines = self._trace, self._rendered, []
+        for record in trace[start:]:
+            k = len(record)
+            if k == 2:   # a scan-round
+                tick = record[0]
+                lines += [f"{tick}\t{pid}\twatchdog\t0" for pid in record[1]]
+                continue
+            if type(record[k - 1]) is bytes:   # a mint's serial
+                record = (*record[:-1], fingerprint(record[-1]))
+            lines.append(_LINE_FORMATS[k] % record)
+        trace[start:] = lines
+        self._rendered = len(trace)
         return trace
 
-    def log(self, actor: str, action: str, rest: str) -> None:
-        """Append the trace line `time actor action rest`, tab-separated.
-
-        rest is the rest of the line, its fields already formatted and
-        joined by tabs, so each caller builds it with one f-string."""
-        self._trace.append(f"{self.ledger.time}\t{actor}\t{action}\t{rest}")
+    def log(self, actor: str, action: str, *fields) -> None:
+        """Append the record of the line `time actor action fields`, each
+        field an int, a str or a minted serial."""
+        self._trace.append((self.ledger.time, actor, action) + fields)
 
     def account(self) -> None:
         """Set current_or_spent (the corrupt parties' live coins plus
@@ -240,8 +255,7 @@ class Simulation:
         net = current - value.received
         if net > value.max_net:
             value.max_net = net
-        self.log("@value", "counters",
-                 f"{value.received}\t{current}\t{net}\t{value.max_net}")
+        self.log("@value", "counters", value.received, current, net, value.max_net)
 
     # -- the mempool ----------------------------------------------------------
 
@@ -253,8 +267,7 @@ class Simulation:
             return deliver()
         due = self.ledger.time + self.delta
         self._held.append((due, deliver))
-        self.log("@chain", "held",
-                 f"{sender}\t{kind}\t{'-' if ssid is None else ssid}\t{due}")
+        self.log("@chain", "held", sender, kind, "-" if ssid is None else ssid, due)
         if self.adversary is not None:
             self.adversary.on_pending(
                 self, PendingMessage(sender, kind, ssid, witness))
@@ -267,8 +280,8 @@ class Simulation:
 
     def _deliver_trigger(self, sender, ssid, witness, deposit, on_result=None):
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
-        self.log(sender, "trigger", f"{ssid}\t{type(witness).__name__}\t"
-                 f"{deposit}\t{'rejected' if paid is None else paid}")
+        self.log(sender, "trigger", ssid, type(witness).__name__, deposit,
+                 "rejected" if paid is None else paid)
         if on_result is not None:
             on_result(paid)
         self.account()
@@ -281,8 +294,8 @@ class Simulation:
                 self.value.received += amount
             if sender in self.corrupted and payee not in self.corrupted:
                 self.value.spent_to_honest += amount
-        self.log(sender, "transaction", f"{payee}\t{amount}\t"
-                 f"{'rejected' if tr_id is None else tr_id}")
+        self.log(sender, "transaction", payee, amount,
+                 "rejected" if tr_id is None else tr_id)
         self.account()
         return tr_id
 
@@ -297,7 +310,7 @@ class Simulation:
                 chain=self, on_change=self._place)
             w.last_scan = self.ledger.time
         self.log(pid, "add-party",
-                 f"{self.ledger.parties[pid].coins if fresh else 'ignored'}")
+                 self.ledger.parties[pid].coins if fresh else "ignored")
         return self.wallets[pid]
 
     def wallet(self, pid: str) -> Wallet:
@@ -315,7 +328,7 @@ class Simulation:
         self.value.received += coins + notes_value
         self.corrupted.add(pid)
         self._place(self.wallets[pid])
-        self.log(pid, "corrupt", f"{coins}\t{notes_value}")
+        self.log(pid, "corrupt", coins, notes_value)
         self.account()
 
     def uncorrupt(self, pid: str) -> None:
@@ -332,7 +345,7 @@ class Simulation:
                 self.env.transfer_bundle(note.bundle, pid, ADVERSARY)
                 self.pool.append(note)
         self.corrupted.discard(pid)
-        self.log(pid, "uncorrupt", f"{coins}")
+        self.log(pid, "uncorrupt", coins)
         self.account()
 
     # -- protocol actions ---------------------------------------------------
@@ -342,10 +355,10 @@ class Simulation:
         try:
             note = w.mint(value)
         except MintFailed:
-            self.log(pid, "mint", f"rejected\t{value}")
+            self.log(pid, "mint", "rejected", value)
             self.account()
             return None
-        self.log(pid, "mint", f"{note.ssid}\t{value}\t{fingerprint(note.serial)}")
+        self.log(pid, "mint", note.ssid, value, note.serial)
         self.account()
         return note.ssid
 
@@ -354,7 +367,7 @@ class Simulation:
         pw, ew = self.wallet(payer), self.wallet(payee)
         held = pw.notes.get(ssid)
         if not held:
-            self.log(payer, "pay", f"{payee}\t{ssid}\t0\tno-note")
+            self.log(payer, "pay", payee, ssid, 0, "no-note")
             return False
         value = held[0].value
         if payer not in self.corrupted and payee in self.corrupted:
@@ -364,8 +377,7 @@ class Simulation:
         accept = pw.pay(ew, ssid, payee_rejects=payee_rejects)
         if accept and payer in self.corrupted and payee not in self.corrupted:
             self.value.spent_to_honest += value
-        self.log(payer, "pay", f"{payee}\t{ssid}\t{value}\t"
-                 f"{'accept' if accept else 'reject'}")
+        self.log(payer, "pay", payee, ssid, value, "accept" if accept else "reject")
         self.account()
         return accept
 
@@ -383,23 +395,23 @@ class Simulation:
 
     def watchdog(self, pid: str) -> list:
         actions = self.wallet(pid).watchdog_scan()
-        self.log(pid, "watchdog", f"{len(actions)}" + "".join(
-            f"\t{ssid}:{what}" for ssid, what in actions))
+        self.log(pid, "watchdog", len(actions),
+                 *[f"{ssid}:{what}" for ssid, what in actions])
         return actions
 
     def clone(self, pid: str, ssid: int) -> bool:
         w = self.wallet(pid)
         held = w.notes.get(ssid)
         if not held:
-            self.log(pid, "clone", f"{ssid}\tno-note")
+            self.log(pid, "clone", ssid, "no-note")
             return False
         note = held[0]
         copy = self.env.clone_bundle(note.bundle)
         if copy is None:
-            self.log(pid, "clone", f"{ssid}\trefused")
+            self.log(pid, "clone", ssid, "refused")
             return False
         w._add_note(Banknote(ssid, copy, note.value))
-        self.log(pid, "clone", f"{ssid}\tok")
+        self.log(pid, "clone", ssid, "ok")
         return True
 
     def move_note(self, ssid: int, pid: str) -> bool:
@@ -411,14 +423,14 @@ class Simulation:
                 del self.pool[i]
                 self.env.transfer_bundle(note.bundle, ADVERSARY, pid)
                 w._add_note(note)
-                self.log(pid, "move-note", f"{ssid}\t{note.value}")
+                self.log(pid, "move-note", ssid, note.value)
                 return True
-        self.log(pid, "move-note", f"{ssid}\tno-note")
+        self.log(pid, "move-note", ssid, "no-note")
         return False
 
     def lose(self, pid: str, ssid: int):
         note = self.wallet(pid).lose_note(ssid)
-        self.log(pid, "lose", f"{ssid}\t{note.value if note else 'no-note'}")
+        self.log(pid, "lose", ssid, note.value if note else "no-note")
         return note
 
     # -- time ---------------------------------------------------------------
@@ -500,8 +512,6 @@ class Simulation:
             i = bisect_right(pids, cursor)
             j = len(pids) if pid is None else bisect_left(pids, pid)
             if i < j:
-                if self._unrendered is None:
-                    self._unrendered = len(trace)
                 trace.append((now, pids[i:j]))
             if pid is None:
                 break
@@ -525,30 +535,29 @@ class Simulation:
 
     def raw_retrieve_party(self, sender: str, pid: str):
         coins = self.ledger.retrieve_party(pid)
-        self.log(sender, "retrieve-party",
-                 f"{pid}\t{'none' if coins is None else coins}")
+        self.log(sender, "retrieve-party", pid, "none" if coins is None else coins)
         return coins
 
     def raw_retrieve_transaction(self, sender: str, tr_id: int):
         rec = self.ledger.retrieve_transaction(tr_id)
         found = "none" if rec is None else f"{rec.payer}>{rec.payee}:{rec.amount}"
-        self.log(sender, "retrieve-transaction", f"{tr_id}\t{found}")
+        self.log(sender, "retrieve-transaction", tr_id, found)
         return rec
 
     def raw_retrieve_contract(self, sender: str, ssid: int):
         z = self.ledger.retrieve_contract(ssid)
         if z is None:
-            self.log(sender, "retrieve-contract", f"{ssid}\tnone")
+            self.log(sender, "retrieve-contract", ssid, "none")
         else:
             _, state, coins = z
             claim = ("terminated" if state.claim is None
                      else type(state.claim).__name__)
-            self.log(sender, "retrieve-contract", f"{ssid}\t{coins}\t{claim}")
+            self.log(sender, "retrieve-contract", ssid, coins, claim)
         return z
 
     def raw_add_contract(self, sender: str, params: ContractParams):
         ssid = self.ledger.add_smart_contract(params)
-        self.log(sender, "add-contract", f"{'ignored' if ssid is None else ssid}")
+        self.log(sender, "add-contract", "ignored" if ssid is None else ssid)
         return ssid
 
     def raw_initialize(self, sender: str, ssid: int):
@@ -556,8 +565,7 @@ class Simulation:
         params = rec.params if rec is not None else None
         r = (None if params is None
              else self.ledger.initialize_with_coins(sender, ssid, params))
-        self.log(sender, "init-contract",
-                 f"{ssid}\t{'rejected' if r is None else r}")
+        self.log(sender, "init-contract", ssid, "rejected" if r is None else r)
         self.account()
         return r
 

@@ -64,8 +64,10 @@ def _choice_mask(message: bytes, n: int) -> bytes:
 
 
 def message_bits(message: bytes, n: int) -> tuple[int, ...]:
-    """First n bits of SHA-256(message), most significant bit first."""
-    return tuple(_choice_mask(message, n)[1::2])
+    """First n bits of SHA-256(message), most significant bit first; the
+    bolt signatures' cache keeps none of the messages it is given."""
+    QldsParams(n)   # n outside 1..256
+    return tuple(_choice_mask.__wrapped__(message, n)[1::2])
 
 
 @functools.cache

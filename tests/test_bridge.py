@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boltpay import qlds
 from boltpay.bridge import (
     OPCODE,
     BridgeMessage,
@@ -212,6 +213,16 @@ def test_split_eight_coins_into_four_notes():
     assert verify_bridge_message(scheme, pk, msg, 9)
     for note in notes:
         assert verify_bridge_note(env, msg, note)
+
+
+def test_a_split_leaves_the_bolt_signature_choice_cache_as_it_was():
+    # the burn message is signed and checked once, by the bridge's own
+    # Lamport scheme; the bolt signatures' cache keeps none of it
+    env, scheme, sk, pk = split_env()
+    before = qlds._choice_mask.cache_info().currsize
+    msg, notes = split_denominations(env, scheme, sk, 8, 2, "mint")
+    assert verify_bridge_message(scheme, pk, msg, 9)
+    assert qlds._choice_mask.cache_info().currsize == before
 
 
 def test_split_rejects_indivisible_totals():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boltpay import harness
 from boltpay.attacks import (
     ClaimFrontRunStrategy,
     ProofTheftStrategy,
@@ -525,3 +526,48 @@ def test_trace_headers_name_the_configuration():
     sim = Simulation(SimConfig(seed=3, scheduler="reorder:2"))
     assert sim.trace[0].startswith("#")
     assert "seed=3" in sim.trace[1] and "scheduler=reorder:2" in sim.trace[1]
+
+
+# -- the trace is rendered when it is read -----------------------------------
+
+class EagerSimulation(Simulation):
+    """The reference: each record is rendered the moment it is logged."""
+
+    def log(self, actor, action, *fields):
+        super().log(actor, action, *fields)
+        self.trace
+
+
+def mint_pay_redeem(sim):
+    """Mints, payments and a redeem, with the adversary's counters moving
+    after the first counters lines are logged."""
+    for pid in (ALICE, BOB, MALLORY):
+        sim.add_party(pid)
+    sim.corrupt(MALLORY)
+    first, second = sim.mint(ALICE, 5), sim.mint(ALICE, 7)
+    assert sim.pay(ALICE, MALLORY, first)
+    assert sim.pay(ALICE, BOB, second)
+    assert sim.redeem(BOB, second) == 7
+    sim.mint(BOB, 3)
+
+
+def test_a_trace_nobody_reads_does_no_trace_work(monkeypatch):
+    hashed = []
+    fingerprint = harness.fingerprint
+    monkeypatch.setattr(harness, "fingerprint",
+                        lambda data: hashed.append(data) or fingerprint(data))
+    sim = Simulation(SimConfig())
+    mint_pay_redeem(sim)
+    assert hashed == []
+    trace = list(sim.trace)
+    mints = [line.split("\t")[-1] for line in trace if "\tmint\t" in line]
+    assert len(mints) == 3 and [fingerprint(s) for s in hashed] == mints
+    assert sim.trace == trace and len(hashed) == 3   # a second read renders nothing
+    # each counters line keeps the numbers of its own account() call
+    counters = [line.split("\t")[3:] for line in trace
+                if "\t@value\tcounters\t" in line]
+    assert counters[0] == ["40", "40", "0", "0"]
+    assert counters[-1] == ["45", "40", "-5", "0"]
+    eager = EagerSimulation(SimConfig())
+    mint_pay_redeem(eager)
+    assert "\n".join(trace).encode() == "\n".join(eager.trace).encode()

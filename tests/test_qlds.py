@@ -92,6 +92,12 @@ def test_message_bits_match_hand_extraction():
     assert message_bits(b"anything", 13) == manual
 
 
+@pytest.mark.parametrize("n", [0, -3, 257, 300])
+def test_message_bits_refuse_a_bit_count_outside_1_to_256(n):
+    with pytest.raises(ParseError):
+        message_bits(b"abc", n)
+
+
 def test_signing_consumes_selected_components():
     # bits (1,0) at n=2 select components 2 and 1 (zero-based), leaving 0, 3
     env, key = make_key(2)
