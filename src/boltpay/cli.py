@@ -4,11 +4,12 @@ Exit codes, uniform across subcommands:
   0  run completed and the adversary never came out ahead (max_net <= 0,
      no invariant violations); for games, no wins while sound
   1  an invariant broke or the adversary finished with positive net value
-  2  could not even start: unreadable file, scenario parse error (reported
-     with its line number), negative window or deposit (the --d0 flag or a
-     script's contract deposit), key size n outside 1..256, a malformed
-     --scheduler, unknown demo name, an --out path that cannot be written;
-     every flag is checked when the configuration is built, before any work
+  2  could not even start: unreadable file, a script that does not parse
+     (reported with the first bad line's number, before any line runs),
+     negative window (--d0, --ttr, --t0, --t1), key size n outside 1..256,
+     a malformed --scheduler, unknown demo name, an --out path that cannot
+     be written; every flag is checked when the configuration is built,
+     before any work
 """
 
 from __future__ import annotations

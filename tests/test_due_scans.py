@@ -41,9 +41,9 @@ from boltpay.contract import (
     PhiParams,
 )
 from boltpay.harness import (
-    _DIRECTIVES,
     SimConfig,
     Simulation,
+    parse_line,
     parse_scenario,
     run_scenario,
 )
@@ -106,7 +106,7 @@ class WalkSimulation(Simulation):
         """No cohorts: placing a wallet in one would set its last scan."""
 
     def watchdog(self, pid: str) -> list:
-        actions = full_scan(self.wallet(pid))
+        actions = full_scan(self.wallets[pid])
         self.log(pid, "watchdog", f"{len(actions)}" + "".join(
             f"\t{ssid}:{what}" for ssid, what in actions))
         return actions
@@ -218,17 +218,15 @@ STRATEGIES = {
     "corrupt-neighbours": CorruptNeighboursStrategy,
 }
 
-# the script directives, and SCAN pid: a Wallet.watchdog_scan call that
-# no trace line shows
-DIRECTIVES = {**_DIRECTIVES,
-              "SCAN": (1, 1, lambda sim, pid: sim.wallet(pid).watchdog_scan())}
-
-
 def run_line(sim, tokens) -> str | None:
-    """Run one script line; the error it raised, as text, or None."""
-    op, args = tokens[0], tokens[1:]
+    """Run one script line, or SCAN pid: a Wallet.watchdog_scan call that
+    no trace line shows; the error it raised, as text, or None."""
     try:
-        DIRECTIVES[op][2](sim, *args)
+        if tokens[0] == "SCAN":
+            sim.wallets[tokens[1]].watchdog_scan()
+        else:
+            _, _, method, args = parse_line(0, tokens, set(sim.wallets))
+            getattr(sim, method)(*args)
     except Exception as e:  # compared between the two simulations
         return f"{type(e).__name__}: {e}"
     return None
@@ -339,9 +337,9 @@ def test_reading_the_trace_after_every_line_gives_the_lines_run_writes(
                      + [f"CORRUPT {THIEF}"]
                      + [" ".join(tokens) for tokens in lines]) + "\n"
     stepped = Simulation(config)
-    for _, tokens in parse_scenario(text):
-        assert run_line(stepped, tokens) is None, tokens
-        assert all(type(line) is str for line in stepped.trace), tokens
+    for line_no, _, method, args in parse_scenario(text):
+        getattr(stepped, method)(*args)
+        assert all(type(line) is str for line in stepped.trace), line_no
     once = run_scenario(config, text).trace
     assert stepped.trace == once
     work = tmp_path_factory.mktemp("run")

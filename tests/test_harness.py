@@ -1,13 +1,17 @@
 """Simulation harness: accounting rules, schedulers, scripts, trace replay."""
 
 import inspect
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltpay import harness
+from boltpay import cli, harness
 from boltpay.attacks import (
     ClaimFrontRunStrategy,
     ProofTheftStrategy,
@@ -17,22 +21,26 @@ from boltpay.attacks import (
 )
 from boltpay.contract import (
     BanknoteLost,
+    BanknoteState,
     ChallengeClaim,
     ChallengeClaimSig,
     ClaimBy,
     ClaimUnchallenged,
     CommitLost,
     NO_CLAIM,
+    PhiParams,
     RecoverCoins,
     RecoverCoinsSig,
     RevealLost,
 )
 from boltpay.errors import BoltPayError, ParseError, ScriptError
+from boltpay.ledger import ContractParams
 from boltpay.harness import (
     _DIRECTIVES,
     PendingMessage,
     SimConfig,
     Simulation,
+    parse_line,
     run_scenario,
     witness_from_fields,
 )
@@ -174,8 +182,9 @@ def test_every_counters_line_matches_a_recount_under_reordering(variant, lines, 
     replay, fed = TraceReplay(), 0
     for op, *args in lines[:at] + HELD_TO_THE_CORRUPT + lines[at:]:
         try:
-            _DIRECTIVES[op][2](sim, *args)
-        except (BoltPayError, ValueError, KeyError, IndexError):
+            _, _, method, values = parse_line(0, [op, *args], set(sim.wallets))
+            getattr(sim, method)(*values)
+        except BoltPayError:
             break
         # the replay rebuilds received and spent from the trace by the
         # harness docstring's rules, and checks each new counters line
@@ -270,6 +279,9 @@ def test_scheduler_strings():
             SimConfig(scheduler=f"reorder:{count}").delta()
     with pytest.raises(ParseError):
         Simulation(SimConfig(scheduler="junk"))
+    # past int()'s 4 300-digit limit: a ParseError, not a ValueError
+    with pytest.raises(ParseError, match="integer out of range"):
+        SimConfig(scheduler="reorder:" + "9" * 5000)
 
 
 @pytest.mark.parametrize("bad", [
@@ -351,9 +363,9 @@ def test_every_directive_refuses_a_wrong_argument_count(op, n):
 
 @pytest.mark.parametrize("op", sorted(_DIRECTIVES))
 def test_every_directive_handler_accepts_the_counts_its_row_allows(op):
-    fewest, most, handler = _DIRECTIVES[op]
+    fewest, most, parse = _DIRECTIVES[op]
     for n in range(fewest, most + 1):
-        inspect.signature(handler).bind(None, *["1"] * n)
+        inspect.signature(parse).bind(set(), *["1"] * n)
 
 
 def test_pay_takes_only_reject_as_its_fourth_argument():
@@ -370,6 +382,303 @@ def test_bad_integer_reports_its_line():
     with pytest.raises(ScriptError) as exc:
         run_scenario(SimConfig(), "TICK soon\n")
     assert exc.value.line_no == 1
+
+
+# -- the parse phase: a whole script parses before any line runs -------------
+
+def spy_on_inits():
+    """A patch of Simulation.__init__, and the list of the configs every
+    Simulation built under it is given."""
+    seen, build = [], Simulation.__init__
+
+    def spy(self, config):
+        seen.append(config)
+        build(self, config)
+
+    return mock.patch.object(Simulation, "__init__", spy), seen
+
+
+@pytest.fixture
+def inits():
+    patch, seen = spy_on_inits()
+    with patch:
+        yield seen
+
+
+def boltpay_run(tmp_path, capsys, text):
+    """`boltpay run` on text, in process: (exit code, stdout, stderr); an
+    exception escaping main, a traceback from the command, fails the test."""
+    path = tmp_path / "script.bolt"
+    path.write_text(text)
+    code = cli.main(["run", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_script_whose_last_line_is_malformed_builds_no_simulation(
+        inits, tmp_path, capsys):
+    text = scenario_text("honest-payment") + "PAY\talice:50\n"
+    last = len(text.splitlines())
+    code, out, err = boltpay_run(tmp_path, capsys, text)
+    assert (code, out, inits) == (2, "", [])
+    assert err == f"error: line {last}: PAY takes 3 to 4 arguments, got 1\n"
+
+
+DIGITS_5000 = "9" * 5000
+# lines whose tokens Python's own int() or bytes.fromhex() refuses with a
+# ValueError, and integers of 2**63 or more: each is refused as bad input
+UNCONVERTIBLE = {
+    "double-minus": ("TICK --5", "expected integer, got '--5'"),
+    "5000-digit-value": (f"MINT alice:50 {DIGITS_5000}", "integer out of range"),
+    "5000-digit-coins": (f"AddParty bob:{DIGITS_5000}", "integer out of range"),
+    "bad-contract-hex": ("AddSmartContract alice:50 alice:50 alice:50=3 base zz",
+                         "bad hex in st0hex"),
+    "coins-past-2**63": ("AddParty bob:99999999999999999999999",
+                         "integer out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCONVERTIBLE))
+def test_a_token_python_cannot_convert_exits_two_before_any_line_runs(
+        case, inits, tmp_path, capsys):
+    line, reason = UNCONVERTIBLE[case]
+    code, out, err = boltpay_run(
+        tmp_path, capsys, f"AddParty alice:50\nMINT alice:50 25\n{line}\n")
+    assert (code, out, inits) == (2, "", [])
+    assert err.startswith(f"error: line 3: {line.split()[0]}: {reason}")
+    assert len(err) < 200   # a long token is cut short
+
+
+def test_a_tick_past_the_integer_bound_is_refused_not_run(inits, tmp_path,
+                                                          capsys):
+    # in range, TICK k costs a due scan every scan_interval ticks; this k
+    # would not finish
+    code, out, err = boltpay_run(
+        tmp_path, capsys,
+        "AddParty alice:50\nMINT alice:50 25\nTICK 99999999999999999999\n")
+    assert (code, out, inits) == (2, "", [])
+    assert err.startswith("error: line 3: TICK: integer out of range")
+
+
+@pytest.mark.parametrize("k,value", [
+    (str(2**63 - 1), 2**63 - 1), (str(-(2**63 - 1)), -(2**63 - 1)),
+    ("0" * 5000 + "7", 7), ("-0", 0), (str(2**63), None), (str(-(2**63)), None),
+    (str(2**64), None)])
+def test_script_integers_lie_strictly_between_minus_and_plus_2_to_the_63(
+        k, value):
+    text = f"AddParty alice:50\nRetrieveTransaction alice:50 {k}\n"
+    if value is None:
+        with pytest.raises(ScriptError, match="^line 2: RetrieveTransaction: "
+                           "integer out of range"):
+            run_scenario(SimConfig(), text)
+        return
+    sim = run_scenario(SimConfig(), text)
+    assert sim.trace[-1] == f"0\talice:50\tretrieve-transaction\t{value}\tnone"
+
+
+def test_zero_padded_coins_run_as_the_count_they_spell():
+    # int() counts leading zeros toward its 4 300-digit limit; a script
+    # reads them as the ledger does
+    pid = "bob:" + "0" * 5000 + "7"
+    sim = run_scenario(SimConfig(), f"AddParty {pid}\nMINT {pid} 3\n")
+    assert sim.ledger.parties[pid].coins == 4
+    assert sim.trace[2] == f"0\t{pid}\tadd-party\t7"
+
+
+def test_a_negative_value_in_range_still_runs_and_is_refused_by_the_wallet():
+    sim = run_scenario(SimConfig(), "AddParty alice:50\nMINT alice:50 -5\n")
+    assert "0\talice:50\tmint\trejected\t-5" in sim.trace
+
+
+def test_a_negative_tick_count_is_refused_while_parsing(inits):
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), "AddParty alice:50\nTICK -1\n")
+    assert str(exc.value) == "line 2: TICK: tick count must not be negative, got -1"
+    assert inits == []
+    # a library caller meets the same check, as a precondition of tick
+    with pytest.raises(ParseError, match="must not be negative, got -1"):
+        Simulation(SimConfig()).tick(-1)
+
+
+GHOST = "ghost:1"
+# every argument a wallet directive or AddTransaction's payer names must
+# have joined by an earlier AddParty
+PARTY_CHECKED = [
+    f"CORRUPT {GHOST}", f"UNCORRUPT {GHOST}", f"MINT {GHOST} 5",
+    f"PAY {GHOST} {ALICE} 1", f"PAY {ALICE} {GHOST} 1", f"REDEEM {GHOST} 1",
+    f"FILECLAIM {GHOST} 1", f"SETTLE {GHOST} 1", f"COMMITCLAIM {GHOST} 1",
+    f"REVEALCLAIM {GHOST} 1", f"WATCHDOG {GHOST}", f"CLONE {GHOST} 1",
+    f"MOVENOTE 1 {GHOST}", f"LOSE {GHOST} 1", f"AddTransaction {GHOST} {ALICE} 1"]
+# a raw ledger sender, or AddTransaction's payee, the ledger itself refuses
+LEDGER_CHECKED = {
+    f"AddTransaction {ALICE} {GHOST} 1": "transaction\tghost:1\t1\trejected",
+    f"RetrieveParty {GHOST} {ALICE}": "retrieve-party\talice:50\t50",
+    f"RetrieveTransaction {GHOST} 1": "retrieve-transaction\t1\tnone",
+    f"RetrieveContract {GHOST} 1": "retrieve-contract\t1\tnone",
+    f"InitializeWithCoins {GHOST} 1": "init-contract\t1\trejected",
+    f"Trigger {GHOST} 1 0 RecoverCoins {'00' * 16}":
+        "trigger\t1\tRecoverCoins\t0\trejected",
+    f"AddSmartContract {GHOST} {GHOST} {GHOST}=1 base 00": "add-contract\tignored",
+}
+
+
+@pytest.mark.parametrize("line", PARTY_CHECKED)
+def test_an_unknown_party_is_refused_before_any_line_runs(line, inits):
+    # the party joins, but only after the line that names it
+    text = f"AddParty {ALICE}\n{line}\nAddParty {GHOST}\n"
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), text)
+    assert str(exc.value) == f"line 2: {line.split()[0]}: unknown party '{GHOST}'"
+    assert inits == []
+
+
+@pytest.mark.parametrize("line", sorted(LEDGER_CHECKED))
+def test_an_unknown_raw_sender_is_left_to_the_ledger(line):
+    sim = run_scenario(SimConfig(), f"AddParty {ALICE}\n{line}\n")
+    assert [ln for ln in sim.trace if "@value" not in ln][-1] == (
+        f"0\t{line.split()[1]}\t{LEDGER_CHECKED[line]}")
+
+
+def test_a_two_member_raw_contract_is_posted_and_funded():
+    st0 = "ab" * 32
+    sim = run_scenario(SimConfig(d0=7), f"AddParty {ALICE}\nAddParty {BOB}\n"
+                       f"AddSmartContract {ALICE} {ALICE},{BOB} {ALICE}=3,{BOB}=4"
+                       f" sig-gated {st0}\n")
+    writes = sim.ledger.write_count
+    assert writes == 3   # two parties and the contract
+    params = sim.ledger.contracts[0].params
+    assert params.members == (ALICE, BOB)
+    assert params.deposits == ((ALICE, 3), (BOB, 4))
+    assert params.circuit == replace(sim.phi, variant="sig-gated")
+    assert params.initial_state.serial == bytes.fromhex(st0)
+    assert sim.raw_initialize(ALICE, 1) == "pending"
+    assert sim.raw_initialize(BOB, 1) == "ok"
+    assert sim.ledger.write_count == writes + 2
+    assert [sim.ledger.parties[p].coins for p in (ALICE, BOB)] == [47, 46]
+    assert sim.ledger.retrieve_contract(1)[2] == 7
+    assert sim.audit() == []
+    # the same through script lines, from before the contract is posted
+    lines = sim.trace[2:]
+    sim = run_scenario(SimConfig(d0=7), f"AddParty {ALICE}\nAddParty {BOB}\n"
+                       f"AddSmartContract {ALICE} {ALICE},{BOB} {ALICE}=3,{BOB}=4"
+                       f" sig-gated {st0}\nInitializeWithCoins {ALICE} 1\n"
+                       f"InitializeWithCoins {BOB} 1\n")
+    assert sim.trace[2:] == lines
+    assert sim.ledger.write_count == writes + 2
+
+
+def test_a_raw_contract_from_a_library_caller_is_posted_as_given():
+    sim = Simulation(SimConfig())
+    sim.add_party(ALICE)
+    params = ContractParams((ALICE,), ((ALICE, 3),), PhiParams("base", d0=1),
+                            BanknoteState(b"\xab" * 32, NO_CLAIM))
+    assert sim.raw_add_contract(ALICE, params) == 1
+    assert sim.ledger.contracts[0].params is params
+
+
+@pytest.mark.parametrize("fields,reason", [
+    (f"{ALICE} {ALICE}=3 base zz", "bad hex in st0hex"),
+    (f"{ALICE} {ALICE}=-3 base 00", f"deposit of {ALICE} must not be negative"),
+    (f"{ALICE} {ALICE}=3 gold 00", "unknown variant 'gold'"),
+    (f"{ALICE} {ALICE}:3 base 00", f"bad deposit '{ALICE}:3'"),
+], ids=["hex", "negative-deposit", "variant", "deposit-without-equals"])
+def test_a_bad_raw_contract_is_refused_while_parsing(fields, reason, inits):
+    with pytest.raises(ScriptError) as exc:
+        run_scenario(SimConfig(), f"AddParty {ALICE}\nMINT {ALICE} 5\n"
+                     f"AddSmartContract {ALICE} {fields}\n")
+    assert str(exc.value).startswith(f"line 3: AddSmartContract: {reason}")
+    assert inits == []
+
+
+def test_an_engine_key_error_is_not_called_bad_input(monkeypatch):
+    def pay(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(Simulation, "pay", pay)
+    with pytest.raises(KeyError, match="planted"):
+        run_scenario(SimConfig(), scenario_text("honest-payment"))
+    # as a process: a traceback and exit 1, not exit 2 with `line N:`
+    plant = ("import sys\nfrom boltpay import cli, harness\n"
+             "def pay(*args, **kwargs):\n    raise KeyError('planted')\n"
+             "harness.Simulation.pay = pay\nsys.exit(cli.main(sys.argv[1:]))\n")
+    r = subprocess.run([sys.executable, "-c", plant, "run",
+                        str(SCENARIO_DIR / "honest-payment.bolt")],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert "Traceback" in r.stderr and "KeyError: 'planted'" in r.stderr
+    assert "error:" not in r.stderr and "ScriptError" not in r.stderr
+
+
+# one well-formed line of each directive, the first ssids being the
+# opening notes
+TEMPLATES = {
+    "AddParty": ["dan:9"], "RetrieveParty": [ALICE, BOB],
+    "AddTransaction": [ALICE, BOB, "3"], "RetrieveTransaction": [ALICE, "1"],
+    "AddSmartContract": [ALICE, f"{ALICE},{BOB}", f"{ALICE}=3,{BOB}=4",
+                         "sig-gated", "ab" * 32],
+    "InitializeWithCoins": [BOB, "7"], "RetrieveContract": [ALICE, "1"],
+    "Trigger": [THIEF, "1", "0", "RecoverCoins", "00" * 16],
+    "Tick": [], "TICK": ["3"], "CORRUPT": [BOB], "UNCORRUPT": [THIEF],
+    "MINT": [ALICE, "3"], "PAY": [ALICE, BOB, "1", "reject"],
+    "REDEEM": [ALICE, "1"], "FILECLAIM": [THIEF, "1"], "SETTLE": [THIEF, "1"],
+    "COMMITCLAIM": [THIEF, "1"], "REVEALCLAIM": [THIEF, "1"],
+    "WATCHDOG": [ALICE], "CLONE": [THIEF, "1"], "MOVENOTE": ["1", BOB],
+    "LOSE": [ALICE, "1"],
+}
+assert sorted(TEMPLATES) == sorted(_DIRECTIVES)
+# valid and broken tokens
+token = st.sampled_from((
+    *PARTIES, "0", "1", "3", "-5", "reject", "base", "RecoverCoins",
+    "BanknoteLost", "00" * 16, f"{ALICE}=3", f"{ALICE},{BOB}",
+    "--5", "\u0663", DIGITS_5000, str(2**63), "zz", GHOST, "alice:", "junk",
+    "0" * 5000 + "7", f"dan:{DIGITS_5000}", f"dan:{'0' * 5000}7"))
+
+
+@st.composite
+def fuzzed_line(draw):
+    """A directive's well-formed line, maybe one token swapped for a pool
+    token, with its argument count kept, one short or one over."""
+    op = draw(st.sampled_from(sorted(TEMPLATES)))
+    args = list(TEMPLATES[op])
+    if args and draw(st.booleans()):
+        args[draw(st.integers(0, len(args) - 1))] = draw(token)
+    change = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return [op, *(args[:change] if change < 0 else args + [draw(token)] * change)]
+
+
+# 500 examples in tier-1, the soak profile's count under that profile
+TOKEN_EXAMPLES = (settings().max_examples
+                  if settings.get_current_profile_name() == "soak" else 500)
+# every party joins, the thief is corrupted, and the first two notes minted
+OPENING = [f"AddParty {pid}" for pid in PARTIES] + [
+    f"CORRUPT {THIEF}", f"MINT {ALICE} 5", f"MINT {BOB} 5"]
+
+
+@settings(max_examples=TOKEN_EXAMPLES)
+@given(lines=st.lists(fuzzed_line(), min_size=1, max_size=4))
+def test_a_token_script_is_refused_whole_or_run_to_its_end(lines):
+    text = "\n".join(OPENING + [" ".join(tokens) for tokens in lines]) + "\n"
+    config = SimConfig(n=2, d0=5, t_tr=12, t0=3, t1=3)
+    patch, seen = spy_on_inits()
+    with patch:
+        try:
+            sim = run_scenario(config, text)
+        except ScriptError:   # refused by the parse phase alone
+            assert seen == []
+            return
+    assert seen == [config]
+    assert sim.ledger.time == sum(int(t[1]) if t[0] == "TICK" else t[0] == "Tick"
+                                  for t in lines)
+
+
+def test_coins_moved_outside_the_ledger_messages_break_conservation():
+    sim = Simulation(SimConfig())
+    sim.add_party(ALICE)
+    sim.mint(ALICE, 5)
+    assert sim.audit() == []
+    sim.ledger.parties[ALICE].coins += 1
+    assert sim.audit() == [
+        "conservation broken: 51 coins on ledger, 50 registered"]
 
 
 def test_scenarios_replay_deterministically():

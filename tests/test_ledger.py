@@ -81,6 +81,17 @@ def test_party_id_must_carry_a_coin_count():
             parse_pid(pid)
 
 
+def test_a_coin_count_past_the_int_digit_limit_is_a_parse_error():
+    # Python's int() refuses more than 4 300 digits with a ValueError;
+    # leading zeros count toward that limit in int() but not here
+    with pytest.raises(ParseError, match="integer out of range"):
+        Ledger().add_party("a:" + "9" * 5000)
+    assert parse_pid("a:" + "0" * 5000 + "7") == ("a", 7)
+    led = Ledger()
+    assert led.add_party("a:" + "9" * 25)   # unbounded in range
+    assert led.retrieve_party("a:" + "9" * 25) == int("9" * 25)
+
+
 def test_retrieve_unknown_party():
     assert Ledger().retrieve_party("ghost:1") is None
 

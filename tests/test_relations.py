@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from strategies import PARTIES, THIEF, honest_line, party, script, script_of
 
-from boltpay.harness import _DIRECTIVES, SimConfig, Simulation
+from boltpay.harness import SimConfig, Simulation, parse_line
 
 # 20 examples a case in tier-1, the soak profile's count under that profile
 RELATION_EXAMPLES = (settings().max_examples
@@ -77,7 +77,8 @@ def run(config: SimConfig, lines, parties=PARTIES, thief=THIEF):
     error = None
     for op, *args in lines:
         try:
-            _DIRECTIVES[op][2](sim, *args)
+            _, _, method, values = parse_line(0, [op, *args], set(sim.wallets))
+            getattr(sim, method)(*values)
         except Exception as e:  # compared between the two runs
             error = f"{type(e).__name__}: {e}"
             break
