@@ -23,16 +23,18 @@ due, at the first tick that can still scan it.  A cohort's tick stands in
 for its members' last scan, scan_interval ticks before.
 
 A wallet changes cohort only at an event: its first note, its last note
-gone, corruption, or a scan of its own.  The event moves it straight into
-the cohort of its due tick, or out of every cohort.  When a cohort's tick
-comes, the holders of claimed notes among its members are found through
-the environment, as the owners of the bundles that carry each claimed
-contract's serial.  Only they call Wallet.watchdog_scan; every other member
-costs a slot in its tick's scan-round, rendered into its `watchdog 0` line
-when the trace is read; its wallet is not read, and the cohort moves whole
-to the tick scan_interval later.  A heap holds the cohorts' ticks, and
-tick(k) jumps from one such tick, or one where a held message is due, to
-the next.
+gone, corruption, or a scan of its own outside its cohort's tick.  The
+event moves it straight into the cohort of its due tick, or out of every
+cohort.  When a cohort's tick comes, the holders of claimed notes among
+its members are found through the environment, as the owners of the
+bundles that carry each claimed contract's serial.  Only they call
+Wallet.watchdog_scan, and the scan leaves them in the cohort; every other
+member costs a slot in its tick's scan-round, rendered into its
+`watchdog 0` line when the trace is read; its wallet is not read.  The
+cohort then moves whole to the tick scan_interval later, where it takes
+in the wallets other events put there.  A heap holds the cohorts' ticks,
+and tick(k) jumps from one such tick, or one where a held message is due,
+to the next.
 
 The trace is a list of records, rendered into v1 text lines only when
 Simulation.trace is read.  log appends (time, actor, action, *fields), each
@@ -258,7 +260,8 @@ class Simulation:
         current = value.spent_to_honest
         if self.corrupted:
             parties = self.ledger.parties
-            current += sum(parties[p].coins for p in self.corrupted)
+            for pid in self.corrupted:
+                current += parties[pid].coins
         value.current_or_spent = current
         net = current - value.received
         if net > value.max_net:
@@ -479,16 +482,22 @@ class Simulation:
     def _place(self, w: Wallet) -> None:
         """Move the wallet into the cohort of the tick its scan falls due,
         or out of every cohort if it is corrupt or holds no note: it had an
-        event that may change when, or whether, it is scanned."""
+        event that may change when, or whether, it is scanned.  One scanning
+        at its cohort's tick stays: the cohort moves on after the scans."""
         pid, now, cursor = w.pid, self.ledger.time, self._cursor
+        keep = w.notes and pid not in self.corrupted
         cohort = self._cohort_of.pop(pid, None)
-        if cohort is not None:   # its last scan becomes the one its place stood for
+        if cohort is not None:
+            if keep and pid == cursor and cohort.tick == now:
+                self._cohort_of[pid] = cohort   # it moves on with the cohort
+                return
+            # its last scan becomes the one its place stood for
             cohort.remove(bisect_left(cohort.pids, pid))
             if cohort.tick == now and (cursor is None or pid <= cursor):
                 w.last_scan = now
             elif w.last_scan < cohort.tick - self.scan_interval:
                 w.last_scan = cohort.tick - self.scan_interval
-        if not w.notes or pid in self.corrupted:
+        if not keep:
             return
         tick = w.last_scan + self.scan_interval
         if tick <= now:   # the first tick whose scans have not passed it
@@ -522,10 +531,10 @@ class Simulation:
             if pid is None:
                 break
             self._cursor = cursor = pid
-            self.watchdog(pid)   # its scan moves it to now + interval
+            self.watchdog(pid)   # its scan leaves it in the cohort
         del cohorts[now]
         later = now + self.scan_interval
-        merged = cohorts.get(later)   # the wallets that scanned for a claim
+        merged = cohorts.get(later)   # wallets placed there by other events
         if merged is None:
             if not pids:
                 return

@@ -289,16 +289,18 @@ class Wallet:
         held, actions, ssid = set(self.notes), [], 0
         # each step takes the least claimed held ssid past the last: a
         # challenge may run other parties' code, which can claim notes
-        while ssid := min((s for s in held & claimed if s > ssid), default=0):
+        while ssid := min(filter(ssid.__lt__, held & claimed), default=0):
             if ssid in self.pending_challenges:
                 continue
             state = self.ledger.retrieve_contract(ssid)[1]
-            if all(pid == self.pid for pid in claimants(state.claim)):
+            pids = claimants(state.claim)
+            if pids.count(self.pid) == len(pids):
                 continue   # no foreign claim
-            note = next((n for n in self.notes[ssid]
-                         if n.serial == state.serial), None)
-            if note is not None:
-                actions.append((ssid, self._challenge(note)))
+            serial = state.serial
+            for note in self.notes[ssid]:
+                if note.serial == serial:
+                    actions.append((ssid, self._challenge(note)))
+                    break
         return actions
 
     def _challenge(self, note: Banknote) -> str:

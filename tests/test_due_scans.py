@@ -10,6 +10,7 @@ count calls; none of them reads a clock.
 import importlib
 import inspect
 import pkgutil
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import is_dataclass
@@ -728,13 +729,15 @@ def test_a_tick_scanning_a_thousand_idle_wallets_moves_one_cohort(monkeypatch):
 
 def answering_sim(idle_wallets: int) -> Simulation:
     """Alice and idle_wallets wallets holding unclaimed notes, all scanned
-    at tick 9 and due again at 18, with a claim on alice's note filed at
-    tick 17."""
+    at tick 9 and due again at 18, with a claim on the first of alice's two
+    notes filed at tick 17.  Her second note keeps her holding notes while
+    the answer rebinds the first."""
     sim = Simulation(SimConfig(t_tr=10, n=2))   # scans every 9 ticks
     sim.add_party("alice:50")
     sim.add_party(THIEF)
     sim.corrupt(THIEF)
     ssid = sim.mint("alice:50", 5)
+    sim.mint("alice:50", 5)
     for i in range(idle_wallets):   # sorting before and after alice
         pid = f"{'ab' if i % 2 else 'id'}{i:04d}:100"
         sim.add_party(pid)
@@ -746,8 +749,9 @@ def answering_sim(idle_wallets: int) -> Simulation:
 
 def one_answering_tick(idle_wallets: int, monkeypatch):
     """The calls and trace lines of the tick that answers the claim on
-    alice's note while the idle wallets fall due with her.  The counters
-    are in place before the wallets are made, so the hooks they call back
+    alice's note while the idle wallets fall due with her, and whether
+    alice ends the tick in the cohort she began it in.  The counters are
+    in place before the wallets are made, so the hooks they call back
     through are counted too."""
     counted = [(Wallet, "watchdog_scan"), (Ledger, "retrieve_contract"),
                (harness, "heappush"), (Simulation, "log"),
@@ -760,16 +764,22 @@ def one_answering_tick(idle_wallets: int, monkeypatch):
         sim = answering_sim(idle_wallets)
         for counter in counters.values():
             counter.calls = 0
-        start = len(sim.trace)
+        start, cohort = len(sim.trace), sim._cohort_of["alice:50"]
         sim.tick(1)
-    return {name: c.calls for name, c in counters.items()}, sim.trace[start:]
+    calls = {name: c.calls for name, c in counters.items()}
+    return calls, sim.trace[start:], sim._cohort_of["alice:50"] is cohort
 
 
 def test_idle_wallets_add_only_their_trace_lines_to_a_tick(monkeypatch):
-    few, few_lines = one_answering_tick(250, monkeypatch)
-    many, many_lines = one_answering_tick(4000, monkeypatch)
+    few, few_lines, few_kept = one_answering_tick(250, monkeypatch)
+    many, many_lines, many_kept = one_answering_tick(4000, monkeypatch)
     assert few == many
     assert few["watchdog_scan"] == 1 and few["log"] > 1
+    # alice answers from her own cohort, which moves on whole: her scan
+    # moves no wallet between cohorts
+    assert few["_place"] == 1 and few["heappush"] == 1
+    assert few["insert"] == few["remove"] == 0
+    assert few_kept and many_kept
 
     def split(lines):
         rest = [ln for ln in lines if not ln.endswith("\twatchdog\t0")]
@@ -817,6 +827,43 @@ def test_a_tick_answering_one_claim_never_reads_its_idle_wallets(idle_wallets):
     # control: the stand-ins count what does read the wallets
     sim.honest_bookkeeping_violations()
     assert CountedWallet.uses >= idle_wallets
+
+
+def ten_wallet_tick_events(open_claims: int) -> int:
+    """The Python and C calls of a tick whose cohort is ten idle wallets,
+    while open_claims other wallets, all in the cohort of the next tick,
+    each hold their own note under their own claim.  A set-up that goes
+    wrong fails through pytest.fail, never as the law's AssertionError."""
+    sim = Simulation(SimConfig(t_tr=50, n=8))   # scans every 49 ticks
+    for i in range(10):
+        pid = f"ten{i:02d}:100"
+        sim.add_party(pid)
+        sim.mint(pid, 5)
+    sim.tick(1)
+    for i in range(open_claims):
+        pid = f"own{i:04d}:100"
+        sim.add_party(pid)
+        sim.file_claim(pid, sim.mint(pid, 5))
+    sim.tick(47)
+    if (len(sim._cohorts[49].pids), len(sim.ledger.claimed)) != (10, open_claims):
+        pytest.fail("the ten wallets are not due alone at 49")
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        sim.tick(1)
+    finally:
+        sys.setprofile(None)
+    if watchdog_lines(sim, 49) != sim._cohorts[98].pids:
+        pytest.fail("the tick at 49 did not scan the ten wallets alone")
+    return events.count("call") + events.count("c_call")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8's FOUND: Simulation._scan_due walks "
+                   "every claim in Ledger.claimed, so claims open in other "
+                   "cohorts add calls to a tick that answers none of them")
+def test_claims_open_in_other_cohorts_add_no_calls_to_a_tick():
+    assert len({ten_wallet_tick_events(k) for k in (0, 250, 4000)}) == 1
 
 
 def idle_tick_kept_bytes(idle_wallets: int) -> int:

@@ -719,6 +719,30 @@ def test_bookkeeping_leaves_a_foreign_claim_deposit_out_of_the_backing(variant):
         f"{ALICE}: banknote_value 26, backing 25"]
 
 
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_note_under_a_held_challenge_counts_as_backed_until_it_lands(variant):
+    sim = Simulation(SimConfig(variant=variant, t_tr=10, scheduler="reorder:3"))
+    sim.add_party(ALICE)
+    sim.add_party(MALLORY)
+    sim.corrupt(MALLORY)
+    ssid = sim.mint(ALICE, 5)
+    sim.tick(9)
+    sim.file_claim(MALLORY, ssid)
+    sim.tick(9)   # alice's scan at 18 challenges; the challenge lands at 21
+    assert ssid in sim.wallets[ALICE].pending_challenges
+    sim.tick(2)
+    # the claim has matured: mallory settles while the challenge is held,
+    # and the contract no longer carries the serial of alice's note
+    assert sim.settle(MALLORY, ssid) == 10
+    assert sim.wallets[ALICE].banknote_value == 5
+    assert sim.honest_bookkeeping_violations() == []
+    sim.tick(1)
+    assert f"21\t{ALICE}\ttrigger\t{ssid}" in "\n".join(sim.trace)
+    assert not sim.wallets[ALICE].pending_challenges
+    assert sim.wallets[ALICE].banknote_value == 0
+    assert sim.honest_bookkeeping_violations() == []
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 2: corrupt() leaves the "
                    "party's in-flight honest redeem out of received")
