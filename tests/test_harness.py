@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boltpay import cli, harness
-from boltpay.attacks import (
-    ClaimFrontRunStrategy,
-    ProofTheftStrategy,
-    run_attack_i,
-    run_attack_ii,
-    run_attack_iii,
-)
+from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
 from boltpay.contract import (
     BanknoteLost,
     BanknoteState,
@@ -37,7 +31,6 @@ from boltpay.errors import BoltPayError, ParseError, ScriptError
 from boltpay.ledger import ContractParams
 from boltpay.harness import (
     _DIRECTIVES,
-    PendingMessage,
     SimConfig,
     Simulation,
     parse_line,
@@ -202,23 +195,14 @@ def test_every_counters_line_matches_a_recount_under_reordering(variant, lines, 
 
 # -- schedulers ----------------------------------------------------------
 
-class RecordingAdversary:
-    def __init__(self):
-        self.seen = []
-
-    def on_pending(self, sim, pending):
-        self.seen.append(pending)
-
-
 def test_honest_messages_wait_exactly_delta_ticks():
     sim = Simulation(SimConfig(scheduler="reorder:5", t_tr=12))
-    adv = RecordingAdversary()
-    sim.adversary = adv
     sim.add_party(ALICE)
     ssid = sim.mint(ALICE, 20)  # minting is direct, never scheduled
     assert sim.file_claim(ALICE, ssid) is HELD
-    assert len(sim._held) == 1 and [p.kind for p in adv.seen] == ["trigger"]
-    assert adv.seen[0].ssid == ssid and adv.seen[0].witness == BanknoteLost()
+    # (due, deliver, sender, ssid, witness, deposit)
+    assert [entry[2:] for entry in sim._held] == [(ALICE, ssid, BanknoteLost(), 10)]
+    assert sim._held[0][0] == 5
     sim.tick(4)
     assert sim.ledger.retrieve_contract(ssid)[1].claim == NO_CLAIM
     sim.tick(1)
@@ -241,12 +225,10 @@ def test_corrupt_messages_skip_the_mempool():
 
 def test_a_held_transaction_is_shown_without_an_ssid_and_lands_after_delta():
     sim = Simulation(SimConfig(scheduler="reorder:3"))
-    adv = RecordingAdversary()
-    sim.adversary = adv
     sim.add_party(ALICE)
     sim.add_party(BOB)
     assert sim.transaction(ALICE, BOB, 5) is HELD
-    assert adv.seen == [PendingMessage(ALICE, "transaction", None, None)]
+    assert [entry[2:] for entry in sim._held] == [(ALICE, None, None, 0)]
     assert f"0\t@chain\theld\t{ALICE}\ttransaction\t-\t3" in sim.trace
     sim.tick(2)
     assert sim.ledger.transactions == [] and len(sim._held) == 1
@@ -623,7 +605,7 @@ TEMPLATES = {
     "REDEEM": [ALICE, "1"], "FILECLAIM": [THIEF, "1"], "SETTLE": [THIEF, "1"],
     "COMMITCLAIM": [THIEF, "1"], "REVEALCLAIM": [THIEF, "1"],
     "WATCHDOG": [ALICE], "CLONE": [THIEF, "1"], "MOVENOTE": ["1", BOB],
-    "LOSE": [ALICE, "1"],
+    "LOSE": [ALICE, "1"], "REPLAY": [THIEF, "1"],
 }
 assert sorted(TEMPLATES) == sorted(_DIRECTIVES)
 # valid and broken tokens
@@ -776,51 +758,104 @@ def test_attack_traces_replay_cleanly(runner, variant):
     assert outcome.succeeded == (outcome.max_net > 0)
 
 
-def honest_thief_sim(variant, strategy_cls):
-    """The attack set-up with mallory's strategy on but mallory honest, so
-    the strategy's own messages wait in the mempool it watches."""
+# -- REPLAY: the adversary's mempool power as a script line -----------------
+
+def replay_sim(variant="base", scheduler="reorder:3", corrupt=True):
+    """alice, bob and mallory, mallory corrupt unless told not to, and one
+    note of alice's, worth 25."""
     sim = Simulation(SimConfig(variant=variant, d0=10, t_tr=12, n=8,
-                               scheduler="reorder:3"))
+                               scheduler=scheduler))
     for pid in (ALICE, BOB, MALLORY):
         sim.add_party(pid)
-    sim.adversary = strategy_cls(MALLORY)
+    if corrupt:
+        sim.corrupt(MALLORY)
+    assert sim.mint(ALICE, 25) == 1
     return sim
 
 
+def test_a_replay_with_nothing_held_logs_none():
+    sim = replay_sim(scheduler="fifo")   # under fifo nothing is ever held
+    sim.file_claim(MALLORY, 1)
+    assert sim.watchdog(ALICE) == [(1, "challenge")]
+    writes = sim.ledger.write_count
+    assert sim.replay(MALLORY, 1) is None
+    assert sim.trace[-1] == f"0\t{MALLORY}\treplay\t1\tnone"
+    assert sim.ledger.write_count == writes and not sim._held
+
+
+def test_a_held_transaction_is_never_copied():
+    sim = replay_sim()
+    assert sim.transaction(ALICE, BOB, 5) is HELD
+    assert sim.replay(MALLORY, 1) is None
+    assert sim.trace[-1] == f"0\t{MALLORY}\treplay\t1\tnone"
+    assert len(sim._held) == 1
+    sim.tick(3)
+    assert [(t.payer, t.payee) for t in sim.ledger.transactions] == [(ALICE, BOB)]
+
+
 @pytest.mark.parametrize("variant", ["base", "sig-gated"])
-def test_proof_theft_by_an_honest_thief_does_not_replay_itself(variant):
-    sim = honest_thief_sim(variant, ProofTheftStrategy)
-    ssid = sim.mint(ALICE, 25)
-    sim.file_claim(MALLORY, ssid)
-    sim.tick(4)
-    assert sim.watchdog(ALICE) == [(ssid, "challenge")]
-    sim.tick(4)
-    # alice's challenge lands first, the replay held behind it finds no claim
+def test_an_honest_thiefs_replay_is_held_and_never_copies_its_own(variant):
+    sim = replay_sim(variant, corrupt=False)
+    assert sim.file_claim(MALLORY, 1) is HELD
+    assert sim.replay(MALLORY, 1) is None   # its own claim is all that is held
+    assert sim.trace[-1] == f"0\t{MALLORY}\treplay\t1\tnone"
+    sim.tick(3)
+    assert sim.watchdog(ALICE) == [(1, "challenge")]
+    assert sim.replay(MALLORY, 1) is HELD
+    assert sim.replay(MALLORY, 1) is HELD   # alice's again, not its own copy
+    assert [entry[2] for entry in sim._held] == [ALICE, MALLORY, MALLORY]
+    sim.tick(3)
+    # alice's challenge lands first; the copies held behind it find no claim
     replays = [ln for ln in sim.trace
                if ln.split("\t")[1:3] == [MALLORY, "trigger"]]
-    assert len(replays) == 2 and replays[1].endswith("\trejected")
-    assert sim.wallets[ALICE].holds(ssid) and not sim.wallets[MALLORY].holds(ssid)
-    assert sim.redeem(ALICE, ssid) is HELD
-    sim.tick(4)
-    assert sim.ledger.parties[ALICE].coins == 60
+    assert len(replays) == 3
+    assert all(ln.endswith("\trejected") for ln in replays[1:])
+    assert sim.wallets[ALICE].holds(1) and not sim.wallets[MALLORY].holds(1)
+    assert sim.ledger.parties[MALLORY].coins == 30   # its deposit went to alice
+    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
+    checked(sim)
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_replayed_challenge_takes_the_note_on_base_only(variant):
+    sim = replay_sim(variant)
+    sim.file_claim(MALLORY, 1)
+    sim.tick(1)
+    assert sim.watchdog(ALICE) == [(1, "challenge")]
+    paid = sim.replay(MALLORY, 1)
+    sim.tick(3)
+    thief = sim.wallets[MALLORY]
+    if variant == "base":
+        assert paid == 10 and sim.trace[-2:] == [
+            f"4\t{ALICE}\ttrigger\t1\tChallengeClaim\t0\trejected",
+            "4\t@value\tcounters\t40\t40\t0\t0"]
+        assert thief.holds(1) and not sim.wallets[ALICE].holds(1)
+        note = thief.notes[1][0]
+        assert note.value == 25 and note.bundle.count == 1
+        assert sim.ledger.retrieve_contract(1)[1].serial == note.serial
+        assert sim.pay(MALLORY, BOB, 1)   # and spends it
+        assert sim.value.max_net == 25
+    else:   # the proof names alice, so it does not verify as mallory's
+        assert paid is None
+        assert f"1\t{MALLORY}\treplay\t1\trejected" in sim.trace
+        assert not thief.holds(1) and sim.wallets[ALICE].holds(1)
+        assert sim.value.max_net == 0
+    assert sim.audit() == []
+    checked(sim)
+
+
+def test_a_replayed_lost_claim_carries_its_deposit():
+    sim = replay_sim()
+    sim.lose(ALICE, 1)
+    assert sim.file_claim(ALICE, 1) is HELD
+    assert sim.replay(MALLORY, 1) == 0
+    assert sim.trace[-3:] == [
+        f"0\t{MALLORY}\ttrigger\t1\tBanknoteLost\t10\t0",
+        "0\t@value\tcounters\t40\t30\t-10\t0",
+        f"0\t{MALLORY}\treplay\t1\t0"]
     assert sim.ledger.parties[MALLORY].coins == 30
-    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
-
-
-def test_claim_front_running_by_an_honest_thief_does_not_answer_itself():
-    sim = honest_thief_sim("base", ClaimFrontRunStrategy)
-    ssid = sim.mint(ALICE, 25)
-    sim.lose(ALICE, ssid)
-    sim.file_claim(ALICE, ssid)
-    sim.tick(sim.config.t_tr + 4)
-    claims = [ln for ln in sim.trace if "\tBanknoteLost\t" in ln]
-    assert [ln.split("\t")[1] for ln in claims] == [ALICE, MALLORY]
-    assert claims[1].endswith("\trejected")
-    assert sim.settle(ALICE, ssid) is HELD
-    sim.tick(4)
-    assert sim.wallets[ALICE].holds(ssid)
-    assert sim.ledger.parties[MALLORY].coins == 40
-    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
+    assert sim.ledger.retrieve_contract(1)[1].claim == ClaimBy(MALLORY, 0)
+    checked(sim)
 
 
 # -- witness codec ---------------------------------------------------------

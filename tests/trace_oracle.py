@@ -219,6 +219,7 @@ class TraceReplay:
     _on_reveal_claim = _skip
     _on_watchdog = _skip
     _on_held = _skip
+    _on_replay = _skip   # the replayed trigger has its own line
     _on_retrieve_party = _skip
     _on_retrieve_transaction = _skip
     _on_retrieve_contract = _skip
