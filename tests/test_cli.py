@@ -1,7 +1,9 @@
 """End-to-end checks of the command line front end.
 
-Everything here shells out through ``python -m boltpay.cli`` so the exit
+Most tests here shell out through ``python -m boltpay.cli`` so the exit
 codes and stream separation are tested exactly as a user would see them.
+The in-process section calls ``cli.main`` on the same paths, so that a
+line-coverage tracer and an in-process mutant see them too.
 """
 
 import subprocess
@@ -9,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from boltpay import cli
+from boltpay.harness import Simulation
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = PKG_ROOT / "scenarios"
@@ -138,6 +143,18 @@ def test_an_out_file_that_fails_on_write_exits_two():
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+def test_an_out_file_that_fails_on_write_exits_two_in_process(monkeypatch,
+                                                             tmp_path, capsys):
+    def full(self, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "g.txt"
+    assert cli.main(["games", "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write --out {out}: No space left on device\n")
+
+
 def test_a_negative_contract_deposit_is_refused_with_its_line(tmp_path):
     # with the deposit taken as given, initialising the contract would pay
     # mallory 5 coins out of nothing and the run would report a soundness
@@ -239,7 +256,6 @@ def test_each_demo_runs_clean(name):
 
 def test_the_merkle_split_demo_signs_once_with_each_one_time_key(monkeypatch,
                                                                  tmp_path):
-    from boltpay import cli
     from boltpay.bridge import LamportScheme
 
     keys = []
@@ -274,3 +290,53 @@ def test_games_catch_wins_when_unsound(tmp_path):
     assert r.returncode == 0  # negative control: wins expected, not an error
     text = (tmp_path / "g.txt").read_text()
     assert "sound=False" in text
+
+
+# -- in process, through cli.main ----------------------------------------------
+
+
+def test_games_print_each_game_then_the_total_to_stdout(capsys):
+    assert cli.main(["games", "--n", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        f"{name}\t0/1000" for name in (
+            "counterfeit", "forge-certificate", "forge-signature",
+            "sabotage-money", "sabotage-certificate", "sabotage-signature")
+    ] + ["total\t0 wins, sound=True"]
+
+
+def test_a_run_without_out_writes_its_trace_to_stdout(capsys):
+    assert cli.main(["run", str(SCENARIOS / "honest-payment.bolt")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("# boltpay trace v1\n")
+    assert out.endswith("\n") and "\t@value\tcounters\t" in out
+
+
+def test_an_unreadable_script_exits_two_in_process(tmp_path, capsys):
+    utf16 = tmp_path / "utf16.bolt"
+    utf16.write_bytes("\ufeffAddParty\talice:50\n".encode("utf-16-le"))
+    for path in (tmp_path / "no-such-file.bolt", utf16):
+        assert cli.main(["run", str(path)]) == 2, path
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_positive_peak_under_unsound_exits_one_in_process(tmp_path, capsys):
+    out_file = tmp_path / "t.trace"
+    assert cli.main(["run", str(SCENARIOS / "double-spend-attempt.bolt"),
+                     "--unsound", "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()   # the clones' audit lines, then the peak
+    assert all(line.startswith("violation: ") for line in lines)
+    assert lines[-1] == "violation: adversary peaked at net +25"
+    assert out_file.read_text().startswith("# boltpay trace v1")
+
+
+def test_an_audit_violation_exits_one_in_process(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(Simulation, "audit", lambda self: ["planted problem"])
+    assert cli.main(["run", str(SCENARIOS / "honest-payment.bolt"),
+                     "--out", str(tmp_path / "t.trace")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "violation: planted problem\n"

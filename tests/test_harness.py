@@ -27,7 +27,7 @@ from boltpay.contract import (
     RecoverCoinsSig,
     RevealLost,
 )
-from boltpay.errors import BoltPayError, ParseError, ScriptError
+from boltpay.errors import BoltPayError, NotOwner, ParseError, ScriptError
 from boltpay.ledger import ContractParams
 from boltpay.harness import (
     _DIRECTIVES,
@@ -549,6 +549,18 @@ def test_a_two_member_raw_contract_is_posted_and_funded():
     assert sim.ledger.write_count == writes + 2
 
 
+def test_a_member_the_deposits_leave_out_joins_a_raw_contract_for_nothing():
+    sim = run_scenario(SimConfig(), f"AddParty {ALICE}\nAddParty {BOB}\n"
+                       f"AddSmartContract {ALICE} {ALICE},{BOB} {ALICE}=3"
+                       f" base {'ab' * 32}\nInitializeWithCoins {ALICE} 1\n"
+                       f"InitializeWithCoins {BOB} 1\n")
+    assert sim.trace[-4::2] == [f"0\t{ALICE}\tinit-contract\t1\tpending",
+                                f"0\t{BOB}\tinit-contract\t1\tok"]
+    assert [sim.ledger.parties[p].coins for p in (ALICE, BOB)] == [47, 50]
+    assert sim.ledger.retrieve_contract(1)[2] == 3
+    assert sim.audit() == []
+
+
 def test_a_raw_contract_from_a_library_caller_is_posted_as_given():
     sim = Simulation(SimConfig())
     sim.add_party(ALICE)
@@ -570,6 +582,16 @@ def test_a_bad_raw_contract_is_refused_while_parsing(fields, reason, inits):
                      f"AddSmartContract {ALICE} {fields}\n")
     assert str(exc.value).startswith(f"line 3: AddSmartContract: {reason}")
     assert inits == []
+
+
+def test_a_package_error_a_step_raises_names_its_line(monkeypatch):
+    def pay(*args, **kwargs):
+        raise NotOwner("planted")
+
+    monkeypatch.setattr(Simulation, "pay", pay)
+    with pytest.raises(ScriptError, match="^line 4: PAY: planted$"):
+        run_scenario(SimConfig(), f"AddParty {ALICE}\nAddParty {BOB}\n"
+                     f"MINT {ALICE} 5\nPAY {ALICE} {BOB} 1\nMINT {BOB} 5\n")
 
 
 def test_an_engine_key_error_is_not_called_bad_input(monkeypatch):
@@ -939,3 +961,19 @@ def test_a_trace_nobody_reads_does_no_trace_work(monkeypatch):
     eager = EagerSimulation(SimConfig())
     mint_pay_redeem(eager)
     assert "\n".join(trace).encode() == "\n".join(eager.trace).encode()
+
+
+def test_an_unread_mint_record_holds_the_serial_the_env_keeps():
+    # the environment keeps every bundle for the whole run, so the serial a
+    # mint record holds until the trace is read is one more reference to
+    # bytes that stay alive anyway, even once the note is redeemed
+    sim = Simulation(SimConfig(n=256))
+    sim.add_party(ALICE)
+    ssid = sim.mint(ALICE, 5)
+    assert sim.redeem(ALICE, ssid) == 5
+    mint = next(r for r in sim._trace[sim._rendered:] if r[2] == "mint")
+    serial = mint[-1]
+    assert type(serial) is bytes and len(serial) == 2 * 256 * 32
+    assert sim.env.holders(serial) == [ALICE]
+    assert [rec.serial for rec in sim.env._by_serial[serial]] == [serial]
+    assert sim.env._by_serial[serial][0].serial is serial

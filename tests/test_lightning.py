@@ -39,6 +39,12 @@ def test_setup_rejects_low_security_level():
     ql_setup(64, SEED0)  # smallest accepted
 
 
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_setup_rejects_a_seed_of_the_wrong_length(length):
+    with pytest.raises(SetupRejected, match="exactly 32 bytes"):
+        ql_setup(128, bytes(length))
+
+
 def bolt(env, owner="a"):
     """A fresh 1-bolt bundle: its one bolt is at position 0, and the
     bundle's serial is the bolt's."""

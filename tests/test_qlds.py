@@ -153,6 +153,16 @@ def test_a_serial_of_more_than_512_segments_never_verifies():
     assert not verify_sig(bytes(514 * 32), b"msg", bytes(257 * 16))
 
 
+def test_a_serial_not_made_of_whole_segment_pairs_never_verifies():
+    # n is read off the serial's length, so these would check n or 0 bits
+    assert not verify_sig(b"", b"msg", b"")
+    env, key = make_key(4)
+    sig = gen_sig(env, key, key.serial, b"msg")
+    assert verify_sig(key.serial, b"msg", sig)
+    for extra in (bytes(32), bytes(16), bytes(1)):
+        assert not verify_sig(key.serial + extra, b"msg", sig), len(extra)
+
+
 @pytest.mark.parametrize("bolts", [514, 600])
 def test_a_key_of_more_than_512_bolts_is_refused_before_any_measurement(bolts):
     # 257 or more message bits would be needed; SHA-256 gives 256

@@ -18,7 +18,7 @@ from boltpay.errors import MintFailed, NotOwner
 from boltpay.harness import SimConfig, Simulation
 from boltpay.lightning import QuantumEnv
 from boltpay.qlds import verify_sig
-from boltpay.wallet import LOST_OWNER
+from boltpay.wallet import HELD, LOST_OWNER, Banknote
 
 ALICE = "alice:50"
 BOB = "bob:50"
@@ -124,6 +124,39 @@ def test_payee_rejects_a_note_with_a_dead_bolt():
     env.measure_bolts(note.bundle, (511,))
     assert not w[ALICE].pay(w[BOB], note.ssid)
     assert w[ALICE].holds(note.ssid)
+
+
+def test_payee_rejects_a_note_whose_contract_does_not_exist():
+    env, led, w = setup()
+    stray = Banknote(99, env.gen_bundle(ALICE, 4), 25)   # no contract 99
+    w[ALICE]._add_note(stray)
+    assert not w[ALICE].pay(w[BOB], 99)
+    assert w[ALICE].notes[99] == [stray] and not w[BOB].notes
+
+
+def test_held_reads_as_its_name():
+    # assertion messages and trace debugging show it
+    assert repr(HELD) == "HELD"
+
+
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_note_with_dead_bolts_can_neither_redeem_nor_answer(variant):
+    sim = Simulation(SimConfig(variant=variant, d0=10, t_tr=12, n=2))
+    for pid in (ALICE, BOB, MALLORY):
+        sim.add_party(pid)
+    sim.corrupt(MALLORY)
+    first, second = sim.mint(ALICE, 5), sim.mint(ALICE, 5)
+    for ssid in (first, second):
+        # both bolts of bit 0, so no signature can be made whatever the
+        # message, and no full measurement on base
+        sim.env.measure_bolts(sim.wallets[ALICE].notes[ssid][0].bundle, (0, 1))
+    assert sim.redeem(ALICE, first) is None
+    assert sim.trace[-1] == f"0\t{ALICE}\tredeem\t{first}\trejected"
+    assert sim.ledger.retrieve_contract(first)[2] == 5   # nothing was sent
+    sim.file_claim(MALLORY, second)
+    sim.tick(11)   # alice's due scan
+    assert sim.trace[-1] == f"11\t{ALICE}\twatchdog\t1\t{second}:no-proof"
+    assert sim.ledger.retrieve_contract(second)[1].claim.pid == MALLORY
 
 
 @dataclass(frozen=True)
