@@ -3,8 +3,8 @@
 A script is a list of lines, each a list of string tokens that
 ``harness.run_scenario`` would read from one line of a ``.bolt`` file.
 Five parties take part; ``THIEF`` is the one the property tests corrupt.
-``late_join_script`` is a script that also draws the thief's REPLAY
-lines, with late-join episodes put in.
+``late_join_script`` is a script with late-join episodes put in, and
+``late_join_replay_script`` one that also draws the thief's REPLAY lines.
 """
 
 from hypothesis import strategies as st
@@ -46,9 +46,10 @@ line = st.one_of(
 # REPLAY stays out of line.  At n=2 a sig-gated replay verifies with
 # chance 1/4, as the thief's message picks the same bolts as the sender's
 # or not, and which it does depends on the parties' names: the renaming
-# relation over line would not hold.  For example: MINT alice 1 twice,
-# FILECLAIM bob 1, WATCHDOG, TICK 3, REPLAY mallory 1, MINT alice 1, under
-# sig-gated and reorder:3.
+# relation over line would not hold.  For example, under sig-gated,
+# reorder:3 and t_tr=2: MINT alice 1 twice, FILECLAIM bob 1, WATCHDOG,
+# TICK 3, REPLAY mallory 1, MINT alice 1.  The replay is refused as
+# mallory's and paid as max's, mallory's name in the renamed run.
 replay = st.tuples(st.just("REPLAY"), st.just(THIEF), ssid)
 # a few honest notes first, so that most lines have notes to act on
 opening = st.lists(st.tuples(st.just("MINT"), st.sampled_from(PARTIES[:3]),
@@ -85,8 +86,15 @@ def _put_in(lines, episodes):
     return out
 
 
-# one line in four a REPLAY
-late_join_script = st.tuples(
-    script_of(st.one_of(line, line, line, replay)),
-    st.lists(st.tuples(st.integers(0, 35), late_join),
-             min_size=1, max_size=3)).map(lambda p: _put_in(*p))
+def with_late_joins(scripts):
+    """Scripts drawn from scripts with one to three late-join episodes put
+    in."""
+    return st.tuples(scripts, st.lists(st.tuples(st.integers(0, 35), late_join),
+                                       min_size=1, max_size=3)).map(
+        lambda p: _put_in(*p))
+
+
+late_join_script = with_late_joins(script)
+# the same with one line in four a REPLAY
+late_join_replay_script = with_late_joins(
+    script_of(st.one_of(line, line, line, replay)))

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import PARTIES, THIEF, late_join_script, script
+from strategies import (
+    PARTIES,
+    THIEF,
+    late_join_replay_script,
+    late_join_script,
+    script,
+)
 from trace_oracle import replay_trace
 
 import boltpay
@@ -198,17 +204,23 @@ WALK_EXAMPLES = (settings().max_examples
                  if settings.get_current_profile_name() == "soak" else 30)
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "reorder:3"])
+# none: the generated scripts without REPLAY, so every line goes to the
+# other directives; replay: one line in four the thief's REPLAY, which
+# finds nothing held under fifo
+SCRIPTS = {"none": late_join_script, "replay": late_join_replay_script}
+
+
+@pytest.mark.parametrize("scheduler,replays", [
+    (scheduler, replays) for scheduler in ("fifo", "reorder:3")
+    for replays in SCRIPTS])
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 @settings(max_examples=WALK_EXAMPLES)
-@given(lines=late_join_script,
-       t_tr=st.sampled_from([2, 5, 12]))
+@given(data=st.data(), t_tr=st.sampled_from([2, 5, 12]))
 def test_due_time_ticks_match_the_walk_over_every_wallet(
-        variant, scheduler, lines, t_tr):
-    # the thief's REPLAY lines copy held honest triggers under reorder:3
+        variant, scheduler, replays, data, t_tr):
     config = SimConfig(variant=variant, scheduler=scheduler, n=2, d0=5,
                        t_tr=t_tr, t0=3, t1=3)
-    differential_run(config, lines)
+    differential_run(config, data.draw(SCRIPTS[replays], label="lines"))
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "reorder:3"])

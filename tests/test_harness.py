@@ -816,7 +816,9 @@ def test_a_held_transaction_is_never_copied():
 
 
 @pytest.mark.parametrize("variant", ["base", "sig-gated"])
-def test_an_honest_thiefs_replay_is_held_and_never_copies_its_own(variant):
+def test_proof_theft_by_an_honest_thief_does_not_replay_itself(variant):
+    # an honest thief's REPLAY is held like any honest message, and it
+    # never copies a message the thief itself has held
     sim = replay_sim(variant, corrupt=False)
     assert sim.file_claim(MALLORY, 1) is HELD
     assert sim.replay(MALLORY, 1) is None   # its own claim is all that is held
@@ -834,6 +836,24 @@ def test_an_honest_thiefs_replay_is_held_and_never_copies_its_own(variant):
     assert all(ln.endswith("\trejected") for ln in replays[1:])
     assert sim.wallets[ALICE].holds(1) and not sim.wallets[MALLORY].holds(1)
     assert sim.ledger.parties[MALLORY].coins == 30   # its deposit went to alice
+    assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
+    checked(sim)
+
+
+def test_claim_front_running_by_an_honest_thief_does_not_answer_itself():
+    sim = replay_sim(corrupt=False)
+    sim.lose(ALICE, 1)
+    assert sim.file_claim(ALICE, 1) is HELD
+    assert sim.replay(MALLORY, 1) is HELD   # a copy of alice's lost claim
+    assert sim.replay(MALLORY, 1) is HELD   # alice's again, not its copy
+    sim.tick(sim.config.t_tr + 3)
+    claims = [ln for ln in sim.trace if "\tBanknoteLost\t" in ln]
+    assert [ln.split("\t")[1] for ln in claims] == [ALICE, MALLORY, MALLORY]
+    assert all(ln.endswith("\trejected") for ln in claims[1:])
+    assert sim.settle(ALICE, 1) is HELD
+    sim.tick(3)
+    assert sim.wallets[ALICE].holds(1)
+    assert sim.ledger.parties[MALLORY].coins == 40
     assert sim.honest_bookkeeping_violations() == [] and sim.audit() == []
     checked(sim)
 
