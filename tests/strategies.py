@@ -5,6 +5,8 @@ A script is a list of lines, each a list of string tokens that
 Five parties take part; ``THIEF`` is the one the property tests corrupt.
 ``late_join_script`` is a script with late-join episodes put in, and
 ``late_join_replay_script`` one that also draws the thief's REPLAY lines.
+``proof_theft_script`` and ``claim_front_run_script`` put in episodes where
+the thief replays what an honest party has just sent.
 """
 
 from hypothesis import strategies as st
@@ -86,15 +88,31 @@ def _put_in(lines, episodes):
     return out
 
 
-def with_late_joins(scripts):
-    """Scripts drawn from scripts with one to three late-join episodes put
-    in."""
-    return st.tuples(scripts, st.lists(st.tuples(st.integers(0, 35), late_join),
+def with_episodes(scripts, episode):
+    """Scripts drawn from scripts with one to three episodes drawn from
+    episode put in."""
+    return st.tuples(scripts, st.lists(st.tuples(st.integers(0, 35), episode),
                                        min_size=1, max_size=3)).map(
         lambda p: _put_in(*p))
 
 
-late_join_script = with_late_joins(script)
+late_join_script = with_episodes(script, late_join)
 # the same with one line in four a REPLAY
-late_join_replay_script = with_late_joins(
-    script_of(st.one_of(line, line, line, replay)))
+late_join_replay_script = with_episodes(
+    script_of(st.one_of(line, line, line, replay)), late_join)
+
+# the thief replays, at once, a proof an honest party has just sent: a
+# redeem's, or the challenge a WATCHDOG sends against the thief's own claim
+# (the thief's claim is never held, so the scan finds it); nothing is held
+# under fifo, so these are for reordering schedulers
+opener = st.sampled_from(PARTIES[:3])
+proof_theft = st.one_of(
+    st.tuples(opener, ssid).map(
+        lambda t: [["REDEEM", t[0], t[1]], ["REPLAY", THIEF, t[1]]]),
+    ssid.map(lambda s: [["FILECLAIM", THIEF, s], ["WATCHDOG"],
+                        ["REPLAY", THIEF, s]]))
+# the thief replays an honest lost claim, with its deposit, at once
+claim_front_run = st.tuples(opener, ssid).map(
+    lambda t: [["FILECLAIM", t[0], t[1]], ["REPLAY", THIEF, t[1]]])
+proof_theft_script = with_episodes(late_join_script, proof_theft)
+claim_front_run_script = with_episodes(late_join_script, claim_front_run)

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from collections import deque
 from dataclasses import is_dataclass
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from strategies import (
     PARTIES,
     THIEF,
+    claim_front_run_script,
     late_join_replay_script,
     late_join_script,
+    proof_theft_script,
     script,
 )
 from trace_oracle import replay_trace
@@ -34,6 +37,8 @@ from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
 from boltpay.contract import (
     NO_CLAIM,
     BanknoteState,
+    ChallengeClaim,
+    ChallengeClaimSig,
     ClaimBy,
     LostClaimCommits,
     PhiParams,
@@ -116,6 +121,85 @@ def claimed_model(ledger: Ledger) -> set:
             if getattr(rec.state, "claim", None) not in (None, NO_CLAIM)}
 
 
+# -- the thief's moves between script lines -------------------------------------
+# A script line MOVE name runs the lines the move writes, from what the
+# simulation holds then: the thief reads the mempool, as a front-runner
+# does, and acts through script lines, as every adversary does.
+
+def held_challenges(sim) -> list[tuple[str, int]]:
+    """The sender and ssid of each held challenge, in the order sent."""
+    return [(sender, ssid) for _, _, sender, ssid, witness, _ in sim._held
+            if isinstance(witness, (ChallengeClaim, ChallengeClaimSig))]
+
+
+def claim_line(sim, ssid: int) -> list[str]:
+    verb = "COMMITCLAIM" if sim.config.variant == "commit-reveal" else "FILECLAIM"
+    return [verb, THIEF, str(ssid)]
+
+
+def claim_the_rest(sim):
+    """For each held challenge, claim every other note its sender holds,
+    so that its next scan meets claims it did not start with."""
+    return [claim_line(sim, ssid) for sender, sent in held_challenges(sim)
+            for ssid in sorted(sim.wallets[sender].notes) if ssid != sent]
+
+
+def gift(sim):
+    """Hand each note the thief holds to an honest party that holds none,
+    so that wallets gain their first note and join a cohort."""
+    empty = [pid for pid in sorted(sim.wallets)
+             if pid not in sim.corrupted and not sim.wallets[pid].notes]
+    return [["PAY", THIEF, payee, str(ssid)]
+            for ssid, payee in zip(sorted(sim.wallets[THIEF].notes), empty)]
+
+
+def claim_others(sim):
+    """Claim the first note of every honest wallet but the first held
+    challenge's sender, taking them in turn from those sorting before the
+    sender and those sorting after it."""
+    sender = held_challenges(sim)[0][0]
+    holders = [pid for pid in sorted(sim.wallets)
+               if pid not in sim.corrupted and pid != sender
+               and sim.wallets[pid].notes]
+    before = [pid for pid in holders if pid < sender]
+    after = [pid for pid in holders if pid > sender]
+    turns = [pid for pair in zip_longest(before, after) for pid in pair if pid]
+    return [claim_line(sim, min(sim.wallets[pid].notes)) for pid in turns]
+
+
+def corrupt_neighbours(sim):
+    """For each held challenge: uncorrupt the first wallet this move
+    corrupted and has not uncorrupted yet, then corrupt the honest
+    note-holders just before and just after the sender in pid order, so
+    that wallets leave cohorts on both sides of the sender's and come back
+    empty.  Each line is written after the one before it has run."""
+    victims = []
+    for sender, _ in held_challenges(sim):
+        if victims:
+            yield ["UNCORRUPT", victims.pop(0)]
+        holders = [pid for pid in sorted(sim.wallets)
+                   if pid not in sim.corrupted and sim.wallets[pid].notes]
+        before = [pid for pid in holders if pid < sender][-1:]
+        after = [pid for pid in holders if pid > sender][:1]
+        for pid in before + after:
+            yield ["CORRUPT", pid]
+            victims.append(pid)
+
+
+MOVES = {"claim-the-rest": claim_the_rest, "gift": gift,
+         "claim-others": claim_others, "corrupt-neighbours": corrupt_neighbours}
+
+
+def with_moves(sim, lines):
+    """lines, each MOVE name replaced, when it is reached, by the lines
+    that move writes for sim."""
+    for tokens in lines:
+        if tokens[0] == "MOVE":
+            yield from MOVES[tokens[1]](sim)
+        else:
+            yield tokens
+
+
 def run_line(sim, tokens) -> str | None:
     """Run one script line, or SCAN pid: a Wallet.watchdog_scan call that
     no trace line shows; the error it raised, as text, or None."""
@@ -152,7 +236,7 @@ def differential_run(config: SimConfig, lines) -> Simulation:
         sim.corrupt(THIEF)
         sims.append(sim)
     real, walk = sims
-    for tokens in lines:
+    for tokens in with_moves(real, lines):
         errors = [run_line(sim, tokens) for sim in sims]
         assert errors[0] == errors[1], tokens
         assert real.trace == walk.trace, tokens
@@ -206,13 +290,16 @@ WALK_EXAMPLES = (settings().max_examples
 
 # none: the generated scripts without REPLAY, so every line goes to the
 # other directives; replay: one line in four the thief's REPLAY, which
-# finds nothing held under fifo
-SCRIPTS = {"none": late_join_script, "replay": late_join_replay_script}
+# finds nothing held under fifo; proof-theft and claim-front-run: REPLAY
+# lines right after an honest proof or lost claim, which reorder:3 holds
+SCRIPTS = {"none": late_join_script, "replay": late_join_replay_script,
+           "proof-theft": proof_theft_script,
+           "claim-front-run": claim_front_run_script}
+RUNS = [("fifo", "none"), ("fifo", "replay")] + [
+    ("reorder:3", replays) for replays in SCRIPTS]
 
 
-@pytest.mark.parametrize("scheduler,replays", [
-    (scheduler, replays) for scheduler in ("fifo", "reorder:3")
-    for replays in SCRIPTS])
+@pytest.mark.parametrize("scheduler,replays", RUNS)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
 @settings(max_examples=WALK_EXAMPLES)
 @given(data=st.data(), t_tr=st.sampled_from([2, 5, 12]))
@@ -348,13 +435,15 @@ def test_a_wallet_scanned_directly_is_scanned_again_when_due():
 IDLE_PREFIXES = ("ab", "am", "bz", "cz", "n", "zz")   # around each party
 
 
-def interleaved_script(variant: str) -> list[list[str]]:
+def interleaved_script(variant: str, move: str) -> list[list[str]]:
     """240 idle wallets joining over ten ticks, every fifth with no note;
     then one claim on each of alice's, bob's and carol's first notes, so
-    that their scans at tick 22 fall between runs of idle scans, and the
-    thief's replays of two of the challenges they hold."""
+    that their scans at tick 22 fall between runs of idle scans; then,
+    while their challenges are held, the thief's move and its replays of
+    two of them."""
     claim = "COMMITCLAIM" if variant == "commit-reveal" else "FILECLAIM"
     lines = [["MINT", pid, "5"] for pid in PARTIES[:3] for _ in range(2)]
+    lines += [["MINT", THIEF, "1"] for _ in range(10)]   # for the gifts
     for i in range(240):
         pid = f"{IDLE_PREFIXES[i % 6]}{i:03d}:10"
         lines.append(["AddParty", pid])
@@ -363,7 +452,7 @@ def interleaved_script(variant: str) -> list[list[str]]:
         if i % 24 == 23:
             lines.append(["Tick"])
     lines += [["TICK", "5"], [claim, THIEF, "1"], [claim, THIEF, "3"],
-              [claim, THIEF, "5"], ["TICK", "7"],
+              [claim, THIEF, "5"], ["TICK", "7"], ["MOVE", move],
               ["REPLAY", THIEF, "1"], ["REPLAY", THIEF, "5"], ["TICK", "23"]]
     return lines
 
@@ -376,11 +465,60 @@ def scans_at(sim: Simulation, now: int) -> tuple[list[list[str]], list[int]]:
     return lines, [i for i, f in enumerate(lines) if f[3] != "0"]
 
 
+def fields_of(sim: Simulation, verb: str, now: int | None = None):
+    """The fields of the trace lines logging verb, at tick now if given."""
+    fields = (ln.split("\t") for ln in sim.trace)
+    return [f for f in fields
+            if f[2:3] == [verb] and (now is None or f[0] == str(now))]
+
+
+def assert_moves(sim: Simulation, move: str) -> None:
+    """The answers at tick 22, and what the thief's move after them did."""
+    at_22, answers = scans_at(sim, 22)
+    assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
+    at_33, later = scans_at(sim, 33)
+    answered_33 = [(at_33[i][1], at_33[i][4:]) for i in later]
+    if move == "claim-the-rest":   # each sender's next scan answers them
+        assert answered_33 == [("alice:50", ["2:challenge"]),
+                               ("bob:50", ["4:challenge"]),
+                               ("carol:40", ["6:challenge"])]
+    if move == "claim-others":
+        # the thief's coins pay six deposits, on wallets taken in turn from
+        # before and after alice; each answers at its next due tick
+        claimed = [f[3] for verb in ("file-claim", "commit-claim")
+                   for f in fields_of(sim, verb, 22)
+                   if f[1] == THIEF and f[4] != "rejected"]
+        assert [pid for pid, _ in answered_33] == [
+            "ab006:10", "ab012:10", "ab018:10", "am001:10", "am007:10",
+            "am013:10"]
+        assert sorted(a[0].split(":")[0] for _, a in answered_33) == sorted(
+            claimed)
+    if move == "gift":
+        # each payee held no note, so its scan is overdue: it is scanned
+        # at the next tick, on both sides of alice
+        payees = [f[3] for f in fields_of(sim, "pay", 22) if f[1] == THIEF]
+        assert len(payees) == 10
+        assert min(payees) < "alice:50" < max(payees)
+        assert all(min(int(f[0]) for f in fields_of(sim, "watchdog")
+                       if f[1] == pid) == 23 for pid in payees)
+    if move == "corrupt-neighbours":   # on both sides of alice
+        hit = [f[1] for f in fields_of(sim, "corrupt", 22)]
+        assert min(hit) < "alice:50" < max(hit)
+        back = [f[1] for f in fields_of(sim, "uncorrupt", 22)]
+        assert back and set(back) < set(hit)
+        for pid in back:   # they come back empty and are never scanned
+            assert not sim.wallets[pid].notes
+            assert all(int(f[0]) <= 22 for f in fields_of(sim, "watchdog")
+                       if f[1] == pid)
+
+
+@pytest.mark.parametrize("strategy", MOVES)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-def test_idle_scans_interleaved_with_answers_match_the_walk(variant):
+def test_idle_scans_interleaved_with_answers_match_the_walk(variant, strategy):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
-    real = differential_run(config, interleaved_script(variant))
+    real = differential_run(config, interleaved_script(variant, strategy))
+    assert_moves(real, strategy)
     at_22, answers = scans_at(real, 22)
     assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
     # idle scans before, between and after alice's, bob's and carol's answers
@@ -388,13 +526,15 @@ def test_idle_scans_interleaved_with_answers_match_the_walk(variant):
     assert all(b - a > 1 for a, b in zip(answers, answers[1:]))
 
 
-def cohort_events_script(variant: str) -> list[list[str]]:
+def cohort_events_script(variant: str, move: str) -> list[list[str]]:
     """240 idle wallets joining at tick 0, every fifth with no note, so
     that one cohort holds them all; then, between its ticks, each event
     that moves a wallet in or out of a cohort, on wallets in its middle,
-    and a claim on each of alice's, bob's and carol's first notes."""
+    and a claim on each of alice's, bob's and carol's first notes; then,
+    at tick 22, the thief's move and a replay."""
     claim = "COMMITCLAIM" if variant == "commit-reveal" else "FILECLAIM"
     lines = [["MINT", pid, "5"] for pid in PARTIES[:3] for _ in range(2)]
+    lines += [["MINT", THIEF, "1"] for _ in range(10)]   # for the gifts
     note = {}   # idle wallet -> the ssid of its only note
     middle, empty = [], []   # sorting between bob and mallory
     for i in range(240):
@@ -402,7 +542,7 @@ def cohort_events_script(variant: str) -> list[list[str]]:
         lines.append(["AddParty", pid])
         if i % 5:
             lines.append(["MINT", pid, "2"])
-            note[pid] = str(6 + len(note) + 1)
+            note[pid] = str(16 + len(note) + 1)
         if i % 6 in (2, 3, 4):
             (middle if i % 5 else empty).append(pid)
     a, b, c, d, e, f, g, h, k = sorted(middle)[20:29]
@@ -415,15 +555,17 @@ def cohort_events_script(variant: str) -> list[list[str]]:
               ["TICK", "6"],   # at 21, a tick before the cohort is due
               ["PAY", g, b, note[g]], ["UNCORRUPT", a], ["SCAN", h],
               ["PAY", x, y, note[d]], ["WATCHDOG", d], ["TICK", "1"],
-              ["REPLAY", THIEF, "3"], ["TICK", "29"]]
+              ["MOVE", move], ["REPLAY", THIEF, "3"], ["TICK", "29"]]
     return lines
 
 
+@pytest.mark.parametrize("strategy", MOVES)
 @pytest.mark.parametrize("variant", ["base", "sig-gated", "commit-reveal"])
-def test_cohort_events_on_idle_wallets_match_the_walk(variant):
+def test_cohort_events_on_idle_wallets_match_the_walk(variant, strategy):
     config = SimConfig(variant=variant, scheduler="reorder:3", n=2, d0=5,
                        t_tr=12, t0=3, t1=3)
-    real = differential_run(config, cohort_events_script(variant))
+    real = differential_run(config, cohort_events_script(variant, strategy))
+    assert_moves(real, strategy)
     at_22, answers = scans_at(real, 22)
     assert [at_22[i][1] for i in answers] == ["alice:50", "bob:50", "carol:40"]
     assert 0 < answers[0] and answers[-1] < len(at_22) - 1
