@@ -5,7 +5,10 @@ announcing quantum money of total value y < x.  The message's payload is
 either a single serial number or, when the mint splits the value across
 2^n equal notes, the root of a Merkle tree over their serials.  The split
 keeps the on-chain footprint constant: one message regardless of how many
-notes exist, each note carrying its own inclusion path.
+notes exist, each note carrying its own inclusion path.  A tree builds
+all 2^n paths in one pass while it holds its levels, so notes under one
+node share that node's sibling pair, and every node is hashed from a copy
+of one state that has already absorbed the node tag.
 
 Wire format (bit-exact, hex-serialized when stored):
 
@@ -28,6 +31,7 @@ from .qlds import message_bits, split_serial
 
 OPCODE = b"OP_BITCOIN_TO_QUANTUM_MONEY"
 NODE_TAG = b"QLNODE"
+_NODE = hashlib.sha256(NODE_TAG)  # copied for each node, never updated
 
 
 # -- reference one-time signature scheme ---------------------------------------
@@ -101,7 +105,11 @@ def verify_bridge_message(scheme, vk, msg: BridgeMessage, x: int) -> bool:
 # -- Merkle tree over serial numbers --------------------------------------------
 
 def merkle_node(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(NODE_TAG + left + right).digest()
+    """SHA-256(NODE_TAG || left || right)."""
+    h = _NODE.copy()
+    h.update(left)
+    h.update(right)
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,14 @@ class MerklePath:
 
 
 class MerkleTree:
-    """Fixed tree over exactly 2^n leaves; levels[0] is the leaf row."""
+    """Fixed tree over exactly 2^n leaves; levels[0] is the leaf row and
+    paths[i] is leaf i's inclusion proof.
+
+    All paths are built in one pass over the levels: node j of level k
+    has one sibling pair, made once and shared by the 2^k leaves under
+    it.  Each level's pairs, repeated over those leaves, form one column,
+    and leaf i's siblings are row i of the columns.
+    """
 
     def __init__(self, leaves: list[bytes]):
         self.levels: list[list[bytes]] = [list(leaves)]
@@ -125,6 +140,15 @@ class MerkleTree:
         while len(row) > 1:
             row = [merkle_node(row[i], row[i + 1]) for i in range(0, len(row), 2)]
             self.levels.append(row)
+        columns = []
+        for k, level in enumerate(self.levels[:-1]):
+            span, column = 1 << k, []
+            for j in range(len(level)):
+                # the sibling sits right of an even node, left of an odd one
+                column += [((j & 1) ^ 1, level[j ^ 1])] * span
+            columns.append(column)
+        rows = zip(*columns) if columns else [()]
+        self.paths = [MerklePath(i, siblings) for i, siblings in enumerate(rows)]
 
     @property
     def leaves(self) -> list[bytes]:
@@ -146,14 +170,7 @@ def merkle_build(serials: list[bytes], n: int) -> MerkleTree:
 def merkle_path(tree: MerkleTree, i: int) -> MerklePath:
     if not 0 <= i < len(tree.leaves):
         raise DomainError(f"leaf index {i} out of range")
-    siblings = []
-    idx = i
-    for level in tree.levels[:-1]:
-        sib = idx ^ 1
-        side = 1 if sib > idx else 0
-        siblings.append((side, level[sib]))
-        idx >>= 1
-    return MerklePath(i, tuple(siblings))
+    return tree.paths[i]
 
 
 def merkle_verify(root: bytes, serial: bytes, path: MerklePath) -> bool:
@@ -189,8 +206,8 @@ def split_denominations(env: QuantumEnv, scheme, sk, total: int, n: int,
     serials = split_serial(bundle.serial)
     tree = merkle_build(serials, n)
     msg = encode_bridge_message(scheme, sk, tree.root, total)
-    notes = [BridgeNote((bundle, i), serial, each, i, merkle_path(tree, i))
-             for i, serial in enumerate(serials)]
+    notes = [BridgeNote((bundle, i), serial, each, i, path)
+             for i, (serial, path) in enumerate(zip(serials, tree.paths))]
     return msg, notes
 
 

@@ -130,6 +130,19 @@ def oracle_root(leaves):
                           + oracle_root(leaves[mid:])).digest()
 
 
+def walk_path(leaves, i):
+    """Independent per-leaf walk: climb the levels, taking the running
+    node's sibling and the side it sits on at each one."""
+    siblings, row = [], list(leaves)
+    while len(row) > 1:
+        sib = i ^ 1
+        siblings.append((1 if sib > i else 0, row[sib]))
+        row = [hashlib.sha256(b"QLNODE" + row[j] + row[j + 1]).digest()
+               for j in range(0, len(row), 2)]
+        i >>= 1
+    return tuple(siblings)
+
+
 def test_four_leaf_tree_matches_hand_computation():
     leaves = [leaf(i) for i in range(4)]
     tree = merkle_build(leaves, 2)
@@ -176,8 +189,13 @@ def test_path_siblings_and_sides():
     assert path.siblings == ((1, leaf(3)), (0, merkle_node(leaf(0), leaf(1))))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 5), st.data())
+# 40 examples in tier-1, the soak profile's count under that profile
+PATH_EXAMPLES = (settings().max_examples
+                 if settings.get_current_profile_name() == "soak" else 40)
+
+
+@settings(max_examples=PATH_EXAMPLES, deadline=None)
+@given(st.integers(0, 6), st.data())
 def test_every_path_verifies_and_tampering_fails(n, data):
     count = 1 << n
     leaves = [data.draw(st.binary(min_size=1, max_size=40), label=f"leaf{i}")
@@ -186,6 +204,7 @@ def test_every_path_verifies_and_tampering_fails(n, data):
     assert tree.root == oracle_root(leaves)
     i = data.draw(st.integers(0, count - 1), label="index")
     path = merkle_path(tree, i)
+    assert path == MerklePath(i, walk_path(leaves, i))
     assert merkle_verify(tree.root, leaves[i], path)
     assert not merkle_verify(tree.root, leaves[i] + b"x", path)
     if path.siblings:
@@ -193,6 +212,16 @@ def test_every_path_verifies_and_tampering_fails(n, data):
         bad = MerklePath(i, ((side, bytes([sib[0] ^ 1]) + sib[1:]),)
                          + path.siblings[1:])
         assert not merkle_verify(tree.root, leaves[i], bad)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_notes_under_one_node_share_its_sibling_pair(n):
+    # one pair per node below the root, 2^(n+1) - 2 in all, where a walk
+    # per leaf would make n of its own for each of the 2^n leaves
+    tree = merkle_build([leaf(i) for i in range(1 << n)], n)
+    paths = [merkle_path(tree, i) for i in range(1 << n)]
+    pairs = {id(pair) for path in paths for pair in path.siblings}
+    assert len(pairs) == (1 << (n + 1)) - 2
 
 
 # -- denomination splits -------------------------------------------------------

@@ -780,6 +780,22 @@ def test_attack_traces_replay_cleanly(runner, variant):
     assert outcome.succeeded == (outcome.max_net > 0)
 
 
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+def test_a_redeem_whose_proof_cannot_be_made_spends_the_note_in_the_replay(
+        variant):
+    # Wallet.redeem takes the note before it proves possession: with both
+    # bolts of bit 0 measured no proof can be made, the trace shows the
+    # refusal with no trigger line, and the note is gone all the same
+    sim = Simulation(SimConfig(variant=variant, n=2))
+    sim.add_party(ALICE)
+    ssid = sim.mint(ALICE, 5)
+    sim.env.measure_bolts(sim.wallets[ALICE].notes[ssid][0].bundle, (0, 1))
+    assert sim.redeem(ALICE, ssid) is None
+    assert sim.trace[-1] == f"0\t{ALICE}\tredeem\t{ssid}\trejected"
+    assert not sim.wallets[ALICE].holds(ssid)
+    assert checked(sim).note_value(ALICE) == 0
+
+
 # -- REPLAY: the adversary's mempool power as a script line -----------------
 
 def replay_sim(variant="base", scheduler="reorder:3", corrupt=True):

@@ -33,8 +33,8 @@ class TraceReplay:
         self.spent = 0
         self.max_net = 0
         self.value_lines = 0
-        # (pid, ssid) of the trigger seen right before a redeem wrapper,
-        # used to tell "refused after measuring" from "had no note"
+        # (pid, ssid) of the trigger seen right before a redeem wrapper:
+        # a refused trigger means the wallet held, and spent, a note
         self._last_redeem_trigger = None
 
     # -- helpers -----------------------------------------------------
@@ -162,9 +162,14 @@ class TraceReplay:
             self.spent += value
 
     def _on_redeem(self, pid, args):
+        # Wallet.redeem takes the note out before it proves possession, so
+        # a refusal with no trigger line (the proof could not be made)
+        # spent the note too; only a wallet holding no note for ssid keeps
+        # nothing back.  A refused trigger still demands a held note.
         ssid, result = int(args[0]), args[1]
         consumed = (result != REJECTED
-                    or self._last_redeem_trigger == (pid, ssid))
+                    or self._last_redeem_trigger == (pid, ssid)
+                    or bool(self.notes.get(pid, {}).get(ssid)))
         if consumed:
             self._take(pid, ssid, "redeem")
 
