@@ -433,7 +433,7 @@ class Simulation:
     def replay(self, thief: str, ssid: int):
         """Send, as thief's, the witness and deposit of the first held
         trigger on ssid from another sender.  A challenge is rebound to a
-        fresh bolt of thief's and settles thief's wallet as a challenge
+        fresh key of thief's and settles thief's wallet as a challenge
         does: the notes it held for ssid go, and it holds the rebound note
         if the trigger is accepted.  Logs `replay ssid result`, none when no
         such trigger is held."""
@@ -445,7 +445,8 @@ class Simulation:
             return None
         on_result = None
         if isinstance(witness, (ChallengeClaim, ChallengeClaimSig)):
-            bundle, w = self.env.gen_bundle(thief, 1), self.wallets[thief]
+            w = self.wallets[thief]
+            bundle = w._mint_bundle()
             witness = replace(witness, new_serial=bundle.serial)
 
             def on_result(paid):

@@ -16,6 +16,14 @@ already measured is dead.  Every certificate is hashed from a copy of one
 SHA-256 state that has already taken the serial tag, so the cost is the n
 hashes and bulk byte work, with no Python frame entered per bit.
 
+Signing records each whole signature with its key's serial and choice mask
+in a table of the last SIGNED_KEPT signatures made.  A check of one of them
+under that serial and a message of that choice is answered from the table,
+with no hashing: the signature is the key's preimages at the positions the
+mask picks, and the serial is their hashes, so hashing would accept it too.
+Every other check hashes.  The table caches only answers that hashing
+gives, so verification still never touches the environment.
+
 Holding the key proves nothing was signed yet: verification checks all 2n
 bolts are alive, and every signature kills n of them.
 """
@@ -33,6 +41,11 @@ from .lightning import PREIMAGE_LEN, SERIAL_LEN, BundleHandle, QuantumEnv, seria
 
 DIGEST_BITS = 256  # message bits SHA-256 gives, so the largest n
 CHOICE_CACHE_SIZE = 1024  # (message, n) pairs whose choice mask is kept
+SIGNED_KEPT = 16  # signatures made whose serial and choice mask are kept
+
+# signature -> (key serial, choice mask) of the last SIGNED_KEPT signatures
+# made, oldest first
+_SIGNED: dict[bytes, tuple[bytes, bytes]] = {}
 
 
 @dataclass(frozen=True)
@@ -123,28 +136,39 @@ def gen_sig(env: QuantumEnv, key: BundleHandle, serial: bytes,
     n = key.count // 2
     if not 1 <= n <= DIGEST_BITS or key.count != 2 * n:
         raise ParseError("key must hold 2n bolts, n in 1..256")
-    positions = tuple(compress(_position_pairs(n), _choice_mask(message, n)))
+    mask = _choice_mask(message, n)
+    positions = tuple(compress(_position_pairs(n), mask))
     signature = env.measure_bolts(key, positions)
     j = len(signature) // PREIMAGE_LEN
     if j < n:
         raise KeyExhausted(f"component {positions[j] + 1} already consumed (bit {j + 1})")
+    _SIGNED[signature] = (key.serial, mask)
+    if len(_SIGNED) > SIGNED_KEPT:
+        del _SIGNED[next(iter(_SIGNED))]
     return signature
 
 
 def verify_sig(serial: bytes, message: bytes, signature: bytes) -> bool:
-    """Stateless signature check against the concatenated serial.
+    """Signature check against the concatenated serial; never touches the
+    environment.
 
     Works from the serial alone: n is inferred from its length, and each
-    certificate must open the segment its message bit selects.  Only those
-    n segments are sliced out of the serial, at precomputed offsets.  A
-    serial of more than 512 segments needs more message bits than SHA-256
-    gives and never verifies.
+    certificate must open the segment its message bit selects.  A signature
+    gen_sig made among the last SIGNED_KEPT, checked under its key's serial
+    and a message of its choice, is accepted from the table; the table
+    holds only answers hashing gives.  Any other input hashes its n
+    certificates, against only those n segments sliced out of the serial at
+    precomputed offsets.  A serial of more than 512 segments needs more
+    message bits than SHA-256 gives and never verifies.
     """
     if not serial or len(serial) % (2 * SERIAL_LEN) != 0:
         return False
     n = len(serial) // (2 * SERIAL_LEN)
     if n > DIGEST_BITS or len(signature) != n * PREIMAGE_LEN:
         return False
+    mask = _choice_mask(message, n)
+    if _SIGNED.get(signature) == (serial, mask):
+        return True
     selected = b"".join(map(getitem, repeat(serial),
-                            compress(_segment_pairs(n), _choice_mask(message, n))))
+                            compress(_segment_pairs(n), mask)))
     return serials_of(signature) == selected

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from boltpay import cli
+from boltpay.contract import challenge_message
 from boltpay.harness import Simulation
+from boltpay.qlds import message_bits
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = PKG_ROOT / "scenarios"
@@ -332,6 +334,32 @@ def test_a_positive_peak_under_unsound_exits_one_in_process(tmp_path, capsys):
     assert all(line.startswith("violation: ") for line in lines)
     assert lines[-1] == "violation: adversary peaked at net +25"
     assert out_file.read_text().startswith("# boltpay trace v1")
+
+
+def test_a_replayed_challenge_rebinds_the_note_to_a_key_that_signs(tmp_path, capsys):
+    """Under sig-gated with n=1 a challenge's 1-bit proof also verifies for
+    a thief whose name hashes to the same bit.  The replay rebinds the note
+    to a full key of the thief's, so the thief redeems it and the run exits
+    1 on the adversary's peak, not 2 on a key the thief cannot sign with."""
+    honest = "amy:50"
+    thief = next(pid for pid in ("mia:40", "max:40", "kim:40", "lou:40")
+                 if message_bits(challenge_message(pid), 1)
+                 == message_bits(challenge_message(honest), 1))
+    script = tmp_path / "replay.bolt"
+    script.write_text("\n".join([
+        f"AddParty {honest}", f"AddParty {thief}", f"CORRUPT {thief}",
+        f"MINT {honest} 25", f"FILECLAIM {thief} 1", "Tick",
+        f"WATCHDOG {honest}", f"REPLAY {thief} 1", "TICK 5",
+        f"REDEEM {thief} 1", "TICK 5"]) + "\n")
+    out_file = tmp_path / "t.trace"
+    assert cli.main(["run", str(script), "--variant", "sig-gated",
+                     "--scheduler", "reorder:3", "--n", "1",
+                     "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "violation: adversary peaked at net +25\n"
+    trace = out_file.read_text().splitlines()
+    assert f"1\t{thief}\treplay\t1\t10" in trace
+    assert f"6\t{thief}\tredeem\t1\t25" in trace
 
 
 def test_an_audit_violation_exits_one_in_process(monkeypatch, tmp_path, capsys):

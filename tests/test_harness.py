@@ -889,7 +889,7 @@ def test_a_replayed_challenge_takes_the_note_on_base_only(variant):
             "4\t@value\tcounters\t40\t40\t0\t0"]
         assert thief.holds(1) and not sim.wallets[ALICE].holds(1)
         note = thief.notes[1][0]
-        assert note.value == 25 and note.bundle.count == 1
+        assert note.value == 25 and note.bundle.count == 2 * sim.config.n
         assert sim.ledger.retrieve_contract(1)[1].serial == note.serial
         assert sim.pay(MALLORY, BOB, 1)   # and spends it
         assert sim.value.max_net == 25

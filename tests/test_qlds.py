@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boltpay import qlds
 from boltpay.errors import KeyExhausted, ParseError
-from boltpay.lightning import ql_setup
+from boltpay.lightning import ql_setup, serials_of
 from boltpay.qlds import (
     QldsParams,
     gen_sig,
@@ -138,6 +138,14 @@ def test_replay_on_other_message_rejected():
     env, key = make_key(2)
     sig = gen_sig(env, key, key.serial, MSG_00)
     assert not verify_sig(key.serial, MSG_10, sig)
+
+
+def test_a_signature_under_another_keys_serial_is_rejected():
+    env, key = make_key(4)
+    _, other = make_key(4, env)
+    sig = gen_sig(env, key, key.serial, b"msg")
+    assert verify_sig(key.serial, b"msg", sig)
+    assert not verify_sig(other.serial, b"msg", sig)
 
 
 def test_signature_with_corrupted_certificate_rejected():
@@ -327,8 +335,11 @@ def test_the_signature_path_matches_a_per_bit_reference(n, first, second, pick, 
         serial = serial[32 * n:] + serial[:32 * n]
     elif tamper == "other message":
         checked = second
-    assert verify_sig(serial, checked, sig) == _reference_verify(serial, checked, sig)
-    assert verify_sig(serial, checked, sig) == (
+    verified = verify_sig(serial, checked, sig)
+    qlds._SIGNED.clear()   # the same check again, hashed
+    assert verified == verify_sig(serial, checked, sig) == _reference_verify(
+        serial, checked, sig)
+    assert verified == (
         tamper == "none" or tamper == "other message"
         and message_bits(first, n) == message_bits(second, n))
 
@@ -355,8 +366,8 @@ def signature_path_frames(n: int) -> dict[str, int]:
     return {
         "gen_sig": frames_entered(
             lambda: gen_sig(env, keys[-1], keys.pop().serial, b"signed")),
-        "verify_sig": frames_entered(
-            lambda: verify_sig(key.serial, b"signed", sig)),
+        "verify_sig": frames_entered(   # hashed, not answered from the table
+            lambda: qlds._SIGNED.clear() or verify_sig(key.serial, b"signed", sig)),
         "gen_bundle": frames_entered(lambda: env.gen_bundle("holder", 2 * n)),
         "measure_bolts": frames_entered(
             lambda: env.measure_bolts(bundles.pop(), range(2 * n))),
@@ -394,3 +405,47 @@ def test_signer_and_verifier_share_one_bounded_choice_per_message_and_size(
         mask = qlds._choice_mask(message, n)
         assert type(mask) is bytes and len(mask) == 2 * n
     assert message_bits(message, 256)[:8] == message_bits(message, 8)
+
+
+def count_hashing(monkeypatch) -> list[int]:
+    """The certificate count of each serials_of call verify_sig makes."""
+    calls = []
+    monkeypatch.setattr(qlds, "serials_of", lambda certificates: calls.append(
+        len(certificates) // 16) or serials_of(certificates))
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_a_signature_just_made_verifies_without_hashing(n, monkeypatch):
+    """A signature gen_sig just made is answered from the table under its
+    key's serial; one not in the table costs one call over n certificates."""
+    calls = count_hashing(monkeypatch)
+    env, key = make_key(n)
+    sig = gen_sig(env, key, key.serial, b"signed")
+    assert verify_sig(key.serial, b"signed", sig) and calls == []
+    _, other = make_key(n, env)
+    assert not verify_sig(other.serial, b"signed", sig) and calls == [n]
+    qlds._SIGNED.clear()
+    assert verify_sig(key.serial, b"signed", sig) and calls == [n, n]
+
+
+def test_the_table_keeps_only_the_last_signatures_made(monkeypatch):
+    """Past SIGNED_KEPT signatures the oldest is evicted: the table never
+    holds more, and the first signature is hashed again and still
+    verifies."""
+    assert type(qlds.SIGNED_KEPT) is int and qlds.SIGNED_KEPT >= 1
+    calls = count_hashing(monkeypatch)
+    qlds._SIGNED.clear()
+    env = fresh_env()
+    made = []
+    for i in range(2 * qlds.SIGNED_KEPT + 1):
+        key, message = qlds_gen(env, QldsParams(4), "signer"), b"%d" % i
+        made.append((key.serial, message, gen_sig(env, key, key.serial, message)))
+        assert len(qlds._SIGNED) == min(i + 1, qlds.SIGNED_KEPT)
+    assert list(qlds._SIGNED) == [sig for _, _, sig in made[-qlds.SIGNED_KEPT:]]
+    for serial, message, sig in made[-qlds.SIGNED_KEPT:]:
+        assert verify_sig(serial, message, sig)
+    assert calls == []
+    for serial, message, sig in made[:-qlds.SIGNED_KEPT]:
+        assert verify_sig(serial, message, sig)
+    assert calls == [4] * (len(made) - qlds.SIGNED_KEPT)
