@@ -16,10 +16,9 @@ The pieces, bottom to top:
   accounting that the soundness statement is about.
 * games: the six falsification games (counterfeiting, forgeries,
   sabotage); all must report zero wins while cloning is impossible.
-* attacks: three front-running attacks, with and without the mitigation.
 * bridge: burn-announcement encoding and the Merkle split that keeps the
   on-chain footprint constant.
-* cli: `boltpay run|games|demo`.
+* cli: `boltpay run|games|demo`; the attack demos are scripts it runs.
 """
 
 from .contract import (

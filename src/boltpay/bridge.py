@@ -151,10 +151,6 @@ class MerkleTree:
         self.paths = [MerklePath(i, siblings) for i, siblings in enumerate(rows)]
 
     @property
-    def leaves(self) -> list[bytes]:
-        return self.levels[0]
-
-    @property
     def root(self) -> bytes:
         return self.levels[-1][0]
 
@@ -165,12 +161,6 @@ def merkle_build(serials: list[bytes], n: int) -> MerkleTree:
     if any(not s for s in serials):
         raise ParseError("empty leaf")
     return MerkleTree(serials)
-
-
-def merkle_path(tree: MerkleTree, i: int) -> MerklePath:
-    if not 0 <= i < len(tree.leaves):
-        raise DomainError(f"leaf index {i} out of range")
-    return tree.paths[i]
 
 
 def merkle_verify(root: bytes, serial: bytes, path: MerklePath) -> bool:

@@ -20,7 +20,6 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from .attacks import run_attack_i, run_attack_ii, run_attack_iii
 from .bridge import (
     LamportScheme,
     MerklePath,
@@ -209,22 +208,71 @@ def _demo_challenge(config: SimConfig) -> list[str]:
     return out
 
 
-def _attack_lines(name: str, runner, config: SimConfig,
-                  also_gated: bool) -> list[str]:
+# -- attack demos: three scripts under one configuration -----------------------------
+# mallory reads the honest messages held in the reorder mempool and lands its
+# own first.  sig-gated stops (i) and (ii): the lifted proof names its honest
+# sender.  Nothing shipped stops (iii): nobody holds a lost note to challenge.
+
+_ATTACK_HEAD = """\
+AddParty alice:50
+AddParty bob:50
+AddParty mallory:40
+CORRUPT mallory:40
+MINT alice:50 25
+"""
+
+# demo name -> (title, also run on sig-gated, label, script)
+ATTACKS = {
+    "attack-i": ("attack-i (steal the challenge proof)", True, "",
+                 _ATTACK_HEAD + """\
+FILECLAIM mallory:40 1
+TICK 1
+WATCHDOG alice:50
+REPLAY mallory:40 1
+TICK 6
+PAY mallory:40 bob:50 1
+"""),
+    "attack-ii": ("attack-ii (front-run the redeem)", True, "",
+                  _ATTACK_HEAD + """\
+TICK 1
+REDEEM alice:50 1
+REPLAY mallory:40 1
+TICK 6
+"""),
+    "attack-iii": ("attack-iii (front-run a lost claim)", False,
+                   "unmitigated-by-design", _ATTACK_HEAD + """\
+LOSE alice:50 1
+FILECLAIM alice:50 1
+FILECLAIM mallory:40 1
+TICK 13
+SETTLE mallory:40 1
+PAY mallory:40 bob:50 1
+"""),
+}
+
+
+# what every attack script runs under; the demos read only --seed and --out
+attack_config = partial(SimConfig, d0=10, t_tr=12, n=8, scheduler="reorder:5")
+
+
+def _attack_lines(name: str, config: SimConfig) -> list[str]:
+    title, also_gated, label, script = ATTACKS[name]
     out = []
     say = out.append
-    base = runner("base", config.seed)
-    verdict = "succeeded" if base.succeeded else "failed"
-    say(f"{name} against the base contract: {verdict},"
-        f" adversary peak net value {base.max_net:+d}.")
+    base = run_scenario(attack_config(config.seed, "base"), script)
+    peak = base.value.max_net
+    verdict = "succeeded" if peak > 0 else "failed"
+    say(f"{title} against the base contract: {verdict},"
+        f" adversary peak net value {peak:+d}.")
     if also_gated:
-        gated = runner("sig-gated", config.seed)
-        verdict = "succeeded" if gated.succeeded else "failed"
-        say(f"{name} against the signature-gated contract: {verdict},"
-            f" peak {gated.max_net:+d}.  The stolen proof names its sender,"
+        gated = run_scenario(attack_config(config.seed, "sig-gated"), script)
+        peak = gated.value.max_net
+        verdict = "succeeded" if peak > 0 else "failed"
+        say(f"{title} against the signature-gated contract: {verdict},"
+            f" peak {peak:+d}.  The stolen proof names its sender,"
             " so replaying it under another identity is worthless.")
-    if base.label:
-        say(f"label: {base.label}")
+    if label:
+        say(f"label: {label}")
     say("")
     out.extend(base.trace)
     return out
@@ -268,12 +316,7 @@ _DEMOS = {
     "mint-pay-redeem": _demo_mint_pay_redeem,
     "lost-claim": _demo_lost_claim,
     "challenge": _demo_challenge,
-    "attack-i": partial(_attack_lines, "attack-i (steal the challenge proof)",
-                        run_attack_i, also_gated=True),
-    "attack-ii": partial(_attack_lines, "attack-ii (front-run the redeem)",
-                         run_attack_ii, also_gated=True),
-    "attack-iii": partial(_attack_lines, "attack-iii (front-run a lost claim)",
-                          run_attack_iii, also_gated=False),
+    **{name: partial(_attack_lines, name) for name in ATTACKS},
     "merkle-split": _demo_merkle_split,
 }
 DEMOS = tuple(_DEMOS)

@@ -15,7 +15,6 @@ from pathlib import Path
 from phi_oracle import run_agreement
 
 from boltpay import cli
-from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
 from boltpay.bridge import (
     BridgeNote,
     LamportScheme,
@@ -209,20 +208,23 @@ def test_6_watchdogs_block_every_malicious_claim():
 
 
 def test_7_proof_theft_works_on_base_and_dies_on_sig_gated():
+    def peak(name, variant, seed):
+        script = cli.ATTACKS[name][3]
+        return run_scenario(cli.attack_config(seed, variant), script).value.max_net
+
     problems = []
-    for name, runner in (("attack-i", run_attack_i), ("attack-ii", run_attack_ii)):
-        base = runner("base", seed=0)
-        if not base.succeeded or base.max_net <= 0:
-            problems.append(f"{name} base: expected success, got {base.max_net}")
-        beaten = sum(not runner("sig-gated", seed=s).succeeded
-                     for s in range(100))
+    for name in ("attack-i", "attack-ii"):
+        base = peak(name, "base", 0)
+        if base <= 0:
+            problems.append(f"{name} base: expected success, got {base}")
+        beaten = sum(peak(name, "sig-gated", s) <= 0 for s in range(100))
         if beaten != 100:
             problems.append(f"{name} sig-gated: stopped {beaten}/100")
-    front = run_attack_iii("base", seed=0)
-    if not front.succeeded:
+    if peak("attack-iii", "base", 0) <= 0:
         problems.append("attack-iii demonstration did not land")
-    if front.label != "unmitigated-by-design":
-        problems.append(f"attack-iii label {front.label!r}")
+    label = cli.ATTACKS["attack-iii"][2]
+    if label != "unmitigated-by-design":
+        problems.append(f"attack-iii label {label!r}")
     report(7, "attack matrix: i/ii base yes, sig-gated 0/100, iii labeled",
            problems)
 

@@ -17,7 +17,6 @@ from boltpay.bridge import (
     encode_bridge_message,
     merkle_build,
     merkle_node,
-    merkle_path,
     merkle_verify,
     publish_bridge_message,
     split_denominations,
@@ -151,7 +150,7 @@ def test_four_leaf_tree_matches_hand_computation():
     assert tree.root == merkle_node(left, right)
     assert tree.root == oracle_root(leaves)
     for i in range(4):
-        path = merkle_path(tree, i)
+        path = tree.paths[i]
         assert path.index == i and len(path.siblings) == 2
         assert merkle_verify(tree.root, leaves[i], path)
         assert not merkle_verify(tree.root, leaf(99), path)
@@ -160,7 +159,7 @@ def test_four_leaf_tree_matches_hand_computation():
 def test_single_leaf_tree_is_its_own_root():
     tree = merkle_build([leaf(0)], 0)
     assert tree.root == leaf(0)
-    assert merkle_verify(tree.root, leaf(0), merkle_path(tree, 0))
+    assert merkle_verify(tree.root, leaf(0), tree.paths[0])
 
 
 def test_leaf_order_changes_the_root():
@@ -176,14 +175,11 @@ def test_build_rejects_wrong_shapes():
         merkle_build([leaf(0)], 1)
     with pytest.raises(ParseError):
         merkle_build([leaf(0), b""], 1)
-    tree = merkle_build([leaf(0), leaf(1)], 1)
-    with pytest.raises(DomainError):
-        merkle_path(tree, 2)
 
 
 def test_path_siblings_and_sides():
     tree = merkle_build([leaf(i) for i in range(4)], 2)
-    path = merkle_path(tree, 2)
+    path = tree.paths[2]
     assert path.index == 2
     # sibling of leaf 2 is leaf 3, sitting to the right
     assert path.siblings == ((1, leaf(3)), (0, merkle_node(leaf(0), leaf(1))))
@@ -203,7 +199,7 @@ def test_every_path_verifies_and_tampering_fails(n, data):
     tree = merkle_build(leaves, n)
     assert tree.root == oracle_root(leaves)
     i = data.draw(st.integers(0, count - 1), label="index")
-    path = merkle_path(tree, i)
+    path = tree.paths[i]
     assert path == MerklePath(i, walk_path(leaves, i))
     assert merkle_verify(tree.root, leaves[i], path)
     assert not merkle_verify(tree.root, leaves[i] + b"x", path)
@@ -219,8 +215,7 @@ def test_notes_under_one_node_share_its_sibling_pair(n):
     # one pair per node below the root, 2^(n+1) - 2 in all, where a walk
     # per leaf would make n of its own for each of the 2^n leaves
     tree = merkle_build([leaf(i) for i in range(1 << n)], n)
-    paths = [merkle_path(tree, i) for i in range(1 << n)]
-    pairs = {id(pair) for path in paths for pair in path.siblings}
+    pairs = {id(pair) for path in tree.paths for pair in path.siblings}
     assert len(pairs) == (1 << (n + 1)) - 2
 
 

@@ -368,3 +368,19 @@ def test_an_audit_violation_exits_one_in_process(monkeypatch, tmp_path, capsys):
                      "--out", str(tmp_path / "t.trace")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "violation: planted problem\n"
+
+
+@pytest.mark.parametrize("name", cli.ATTACKS)
+def test_boltpay_run_on_an_attack_script_prints_its_demo_trace(name, tmp_path,
+                                                                capsys):
+    _, also_gated, _, script = cli.ATTACKS[name]
+    path, out_file = tmp_path / f"{name}.bolt", tmp_path / "t.trace"
+    path.write_text(script)
+    flags = ["run", str(path), "--ttr", "12", "--n", "8",
+             "--scheduler", "reorder:5", "--out", str(out_file)]
+    assert cli.main(flags) == 1   # every attack lands on base
+    assert capsys.readouterr().err == "violation: adversary peaked at net +25\n"
+    demo = (PKG_ROOT / "tests" / "golden" / f"demo.{name}.txt").read_text()
+    assert out_file.read_text() == demo.split("\n\n", 1)[1]
+    if also_gated:
+        assert cli.main([*flags, "--variant", "sig-gated"]) == 0

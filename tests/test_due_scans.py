@@ -32,8 +32,7 @@ from strategies import (
 from trace_oracle import replay_trace
 
 import boltpay
-from boltpay import attacks, cli, harness
-from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
+from boltpay import cli, harness
 from boltpay.contract import (
     NO_CLAIM,
     BanknoteState,
@@ -572,17 +571,18 @@ def test_cohort_events_on_idle_wallets_match_the_walk(variant, strategy):
     assert len(at_22) > 150
 
 
-@pytest.mark.parametrize("runner,variant", [
-    (run_attack_i, "base"), (run_attack_i, "sig-gated"),
-    (run_attack_ii, "base"), (run_attack_ii, "sig-gated"),
-    (run_attack_iii, "base"), (run_attack_iii, "sig-gated"),
-])
-def test_attack_runs_match_the_walk(runner, variant, monkeypatch):
-    real = runner(variant)
-    monkeypatch.setattr(attacks, "Simulation", WalkSimulation)
-    walk = runner(variant)
+@pytest.mark.parametrize("variant", ["base", "sig-gated"])
+@pytest.mark.parametrize("name", cli.ATTACKS,
+                         ids=lambda name: "run_" + name.replace("-", "_"))
+def test_attack_runs_match_the_walk(name, variant):
+    steps = parse_scenario(cli.ATTACKS[name][3])
+    real, walk = (cls(cli.attack_config(0, variant))
+                  for cls in (Simulation, WalkSimulation))
+    for sim in (real, walk):
+        for _, _, method, args in steps:
+            getattr(sim, method)(*args)
     assert real.trace == walk.trace
-    assert (real.succeeded, real.max_net) == (walk.succeeded, walk.max_net)
+    assert real.value.max_net == walk.value.max_net
 
 
 # -- cost, counted in calls ----------------------------------------------------------

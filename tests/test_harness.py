@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boltpay import cli, harness
-from boltpay.attacks import run_attack_i, run_attack_ii, run_attack_iii
 from boltpay.contract import (
     BanknoteLost,
     BanknoteState,
@@ -756,6 +755,39 @@ def test_a_redeem_in_flight_when_its_sender_is_corrupted_nets_zero():
     assert sim.value.max_net <= 0
 
 
+# the redeem burns alice's note whether or not the ledger takes it, so the
+# claim mallory filed first (or landed first, under reordering) matures
+REDEEM_UNDER_CLAIM = {
+    "claim-redeem": "FILECLAIM mallory:40 1\nREDEEM alice:50 1\nTICK 101\n",
+    "redeem-claim": "REDEEM alice:50 1\nFILECLAIM mallory:40 1\nTICK 101\n",
+    "commit-reveal": "COMMITCLAIM mallory:40 1\nREVEALCLAIM mallory:40 1\n"
+                     "REDEEM alice:50 1\nTICK 12\n",
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: an honest redeem under an open "
+                   "claim burns the note, and the claim takes it")
+@pytest.mark.parametrize("form,variant,scheduler", [
+    ("claim-redeem", "base", "fifo"),
+    ("claim-redeem", "base", "reorder:3"),
+    ("claim-redeem", "sig-gated", "fifo"),
+    ("claim-redeem", "sig-gated", "reorder:3"),
+    ("redeem-claim", "base", "reorder:3"),   # under fifo the redeem lands first
+    ("redeem-claim", "sig-gated", "reorder:3"),
+    ("commit-reveal", "commit-reveal", "fifo"),
+    ("commit-reveal", "commit-reveal", "reorder:3"),
+])
+def test_an_honest_redeem_under_a_claim_nets_the_claimant_nothing(
+        form, variant, scheduler):
+    sim = run_scenario(
+        SimConfig(variant=variant, scheduler=scheduler),
+        f"AddParty {ALICE}\nAddParty {BOB}\nAddParty {MALLORY}\n"
+        f"CORRUPT {MALLORY}\nMINT {ALICE} 25\n" + REDEEM_UNDER_CLAIM[form]
+        + f"SETTLE {MALLORY} 1\nPAY {MALLORY} {BOB} 1\n")
+    assert sim.value.max_net <= 0
+
+
 def test_double_spend_only_pays_without_the_no_cloning_guarantee():
     sim = run_scenario(SimConfig(sound=False),
                        scenario_text("double-spend-attempt"))
@@ -766,18 +798,14 @@ def test_double_spend_only_pays_without_the_no_cloning_guarantee():
 
 # -- attack traces through the replay oracle ------------------------------
 
-@pytest.mark.parametrize("runner,variant", [
-    (run_attack_i, "base"),
-    (run_attack_i, "sig-gated"),
-    (run_attack_ii, "base"),
-    (run_attack_ii, "sig-gated"),
-    (run_attack_iii, "base"),
-])
-def test_attack_traces_replay_cleanly(runner, variant):
-    outcome = runner(variant)
-    replay = replay_trace(outcome.trace)
-    assert replay.max_net == outcome.max_net
-    assert outcome.succeeded == (outcome.max_net > 0)
+@pytest.mark.parametrize("name,variant", [
+    pytest.param(name, variant, id=f"run_{name.replace('-', '_')}-{variant}")
+    for name, variant in [("attack-i", "base"), ("attack-i", "sig-gated"),
+                          ("attack-ii", "base"), ("attack-ii", "sig-gated"),
+                          ("attack-iii", "base")]])
+def test_attack_traces_replay_cleanly(name, variant):
+    sim = run_scenario(cli.attack_config(0, variant), cli.ATTACKS[name][3])
+    assert replay_trace(sim.trace).max_net == sim.value.max_net
 
 
 @pytest.mark.parametrize("variant", ["base", "sig-gated"])

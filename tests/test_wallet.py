@@ -260,8 +260,11 @@ def test_redeem_after_paying_consumes_nothing():
 
 
 def test_redeem_under_a_foreign_claim_burns_the_proof():
-    # the measurement is destructive: a refused redeem still spends the note,
-    # which is why the honest flow scans for claims before cashing in
+    # the measurement is destructive: a refused redeem still spends the note.
+    # Nothing scans for claims before cashing in, and under reordering a claim
+    # can land first anyway; the claimant then takes the note: see the strict
+    # xfail test_an_honest_redeem_under_a_claim_nets_the_claimant_nothing in
+    # test_harness.py
     env, led, w = setup()
     note = w[ALICE].mint(40)
     w[MALLORY].file_lost_claim(note.ssid)
