@@ -8,7 +8,11 @@ keeps the on-chain footprint constant: one message regardless of how many
 notes exist, each note carrying its own inclusion path.  A tree builds
 all 2^n paths in one pass while it holds its levels, so notes under one
 node share that node's sibling pair, and every node is hashed from a copy
-of one state that has already absorbed the node tag.
+of one state that has already absorbed the node tag.  The last tree built
+leaves its pairs in a table, (left, right) -> node, of at most 2^n - 1
+entries, replaced whole at the next build; a path check answers each fold
+step found there without hashing, so checking the notes of a split just
+made hashes nothing, and a step the table lacks is hashed as before.
 
 Wire format (bit-exact, hex-serialized when stored):
 
@@ -32,6 +36,7 @@ from .qlds import message_bits, split_serial
 OPCODE = b"OP_BITCOIN_TO_QUANTUM_MONEY"
 NODE_TAG = b"QLNODE"
 _NODE = hashlib.sha256(NODE_TAG)  # copied for each node, never updated
+_BUILT: dict[tuple[bytes, bytes], bytes] = {}  # the last tree's pairs -> node
 
 
 # -- reference one-time signature scheme ---------------------------------------
@@ -131,15 +136,20 @@ class MerkleTree:
     All paths are built in one pass over the levels: node j of level k
     has one sibling pair, made once and shared by the 2^k leaves under
     it.  Each level's pairs, repeated over those leaves, form one column,
-    and leaf i's siblings are row i of the columns.
+    and leaf i's siblings are row i of the columns.  Building a tree
+    replaces the module's table of built pairs with this tree's.
     """
 
     def __init__(self, leaves: list[bytes]):
+        global _BUILT
         self.levels: list[list[bytes]] = [list(leaves)]
-        row = self.levels[0]
+        row, built = self.levels[0], {}
         while len(row) > 1:
-            row = [merkle_node(row[i], row[i + 1]) for i in range(0, len(row), 2)]
+            pairs = list(zip(row[::2], row[1::2]))
+            row = [merkle_node(left, right) for left, right in pairs]
+            built.update(zip(pairs, row))
             self.levels.append(row)
+        _BUILT = built
         columns = []
         for k, level in enumerate(self.levels[:-1]):
             span, column = 1 << k, []
@@ -164,10 +174,19 @@ def merkle_build(serials: list[bytes], n: int) -> MerkleTree:
 
 
 def merkle_verify(root: bytes, serial: bytes, path: MerklePath) -> bool:
-    """Accept iff folding the serial up the siblings reproduces the root."""
+    """Accept iff folding the serial up the siblings reproduces the root.
+
+    A fold step whose (left, right) pair is in the table of the last
+    tree built (at most 2^n - 1 pairs for 2^n leaves) is answered with
+    the node hashed then, which is the node hashing would give; any
+    other pair is hashed.  The root is compared either way.
+    """
     cur = serial
     for side, h in path.siblings:
-        cur = merkle_node(cur, h) if side == 1 else merkle_node(h, cur)
+        pair = (cur, h) if side == 1 else (h, cur)
+        cur = _BUILT.get(pair)
+        if cur is None:
+            cur = merkle_node(*pair)
     return cur == root
 
 

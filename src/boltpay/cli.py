@@ -7,9 +7,11 @@ Exit codes, uniform across subcommands:
   2  could not even start: unreadable file, a script that does not parse
      (reported with the first bad line's number, before any line runs),
      negative window (--d0, --ttr, --t0, --t1), key size n outside 1..256,
-     a malformed --scheduler, unknown demo name, an --out path that cannot
-     be written; every flag is checked when the configuration is built,
-     before any work
+     a malformed --scheduler, unknown demo name, an attack demo given
+     --variant, --d0, --ttr, --t0, --t1, --n, --scheduler or --unsound
+     away from its default (its script runs under fixed settings), an
+     --out path that cannot be written; every flag is checked when the
+     configuration is built, before any work
 """
 
 from __future__ import annotations
@@ -253,6 +255,8 @@ PAY mallory:40 bob:50 1
 
 # what every attack script runs under; the demos read only --seed and --out
 attack_config = partial(SimConfig, d0=10, t_tr=12, n=8, scheduler="reorder:5")
+# the flags attack_config fixes, which an attack demo refuses when set
+ATTACK_FIXED = ("variant", "d0", "ttr", "t0", "t1", "n", "scheduler", "unsound")
 
 
 def _attack_lines(name: str, config: SimConfig) -> list[str]:
@@ -323,7 +327,16 @@ DEMOS = tuple(_DEMOS)
 
 
 def cmd_demo(args) -> int:
-    lines = _DEMOS[args.name](_config_from(args, default_n=256))
+    config = _config_from(args, default_n=256)
+    if args.name in ATTACKS:
+        plain = build_parser().parse_args(["demo", args.name])
+        fixed = [f"--{dest}" for dest in ATTACK_FIXED
+                 if getattr(args, dest) != getattr(plain, dest)]
+        if fixed:
+            raise BoltPayError(
+                f"demo {args.name} takes only --seed and --out, not"
+                f" {' '.join(fixed)}; give its script to boltpay run instead")
+    lines = _DEMOS[args.name](config)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,13 +1,14 @@
 """Burn-message encoding, Merkle inclusion proofs, denomination splits."""
 
 import hashlib
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltpay import qlds
+from boltpay import bridge, qlds
 from boltpay.bridge import (
     OPCODE,
     BridgeMessage,
@@ -185,6 +186,39 @@ def test_path_siblings_and_sides():
     assert path.siblings == ((1, leaf(3)), (0, merkle_node(leaf(0), leaf(1))))
 
 
+def oracle_fold(serial, siblings):
+    """Independent fold of a serial up (side, sibling) pairs, hashing each
+    step; side 1 puts the sibling right of the running node."""
+    cur = serial
+    for side, sib in siblings:
+        pair = cur + sib if side == 1 else sib + cur
+        cur = hashlib.sha256(b"QLNODE" + pair).digest()
+    return cur
+
+
+def both_ways(root, serial, path):
+    """merkle_verify's verdict from the table the last build filled, then
+    again with the table cleared, so that every fold step is hashed."""
+    kept = dict(bridge._BUILT)
+    from_table = merkle_verify(root, serial, path)
+    bridge._BUILT.clear()
+    try:
+        hashed = merkle_verify(root, serial, path)
+    finally:
+        bridge._BUILT.update(kept)
+    return from_table, hashed
+
+
+def tampered_paths(path):
+    """Per level: the path with that sibling's first byte flipped (True),
+    and the path with that sibling's side flipped (False)."""
+    for k, (side, sib) in enumerate(path.siblings):
+        for flipped_byte, step in ((True, (side, bytes([sib[0] ^ 1]) + sib[1:])),
+                                   (False, (side ^ 1, sib))):
+            yield flipped_byte, MerklePath(
+                path.index, path.siblings[:k] + (step,) + path.siblings[k + 1:])
+
+
 # 40 examples in tier-1, the soak profile's count under that profile
 PATH_EXAMPLES = (settings().max_examples
                  if settings.get_current_profile_name() == "soak" else 40)
@@ -197,17 +231,29 @@ def test_every_path_verifies_and_tampering_fails(n, data):
     leaves = [data.draw(st.binary(min_size=1, max_size=40), label=f"leaf{i}")
               for i in range(count)]
     tree = merkle_build(leaves, n)
-    assert tree.root == oracle_root(leaves)
+    root = oracle_root(leaves)
+    assert tree.root == root
     i = data.draw(st.integers(0, count - 1), label="index")
     path = tree.paths[i]
     assert path == MerklePath(i, walk_path(leaves, i))
-    assert merkle_verify(tree.root, leaves[i], path)
-    assert not merkle_verify(tree.root, leaves[i] + b"x", path)
-    if path.siblings:
-        side, sib = path.siblings[0]
-        bad = MerklePath(i, ((side, bytes([sib[0] ^ 1]) + sib[1:]),)
-                         + path.siblings[1:])
-        assert not merkle_verify(tree.root, leaves[i], bad)
+    assert both_ways(root, leaves[i], path) == (True, True)
+    assert both_ways(root, leaves[i] + b"x", path) == (False, False)
+    for flipped_byte, bad in tampered_paths(path):
+        # a flipped side is a valid path only where both children are equal
+        want = oracle_fold(leaves[i], bad.siblings) == root
+        assert not (flipped_byte and want)
+        assert both_ways(root, leaves[i], bad) == (want, want)
+    # another tree, one leaf redrawn: its pairs now fill the table, and a
+    # path of either tree is checked against the other's root
+    j = data.draw(st.integers(0, count - 1), label="redrawn")
+    others = leaves[:j] + [data.draw(st.binary(min_size=1, max_size=40),
+                                     label="other")] + leaves[j + 1:]
+    other = merkle_build(others, n)
+    other_root = oracle_root(others)
+    for serial, p, against in ((leaves[i], path, other_root),
+                               (others[i], other.paths[i], root)):
+        want = oracle_fold(serial, p.siblings) == against
+        assert both_ways(against, serial, p) == (want, want)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -247,6 +293,30 @@ def test_a_split_leaves_the_bolt_signature_choice_cache_as_it_was():
     msg, notes = split_denominations(env, scheme, sk, 8, 2, "mint")
     assert verify_bridge_message(scheme, pk, msg, 9)
     assert qlds._choice_mask.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_checking_the_notes_of_a_split_just_built_hashes_nothing(n, monkeypatch):
+    # every fold step is a pair the build just hashed; once another tree
+    # is built, a note of the first is hashed again at each of its n levels
+    assert inspect.isfunction(merkle_node)   # bench/tracer.py counts it
+    env, scheme, sk, pk = split_env()
+    msg, notes = split_denominations(env, scheme, sk, 1 << n, n, "mint")
+    assert len(bridge._BUILT) == (1 << n) - 1
+    calls = []
+
+    def counted(left, right):
+        calls.append((left, right))
+        return merkle_node(left, right)
+
+    monkeypatch.setattr(bridge, "merkle_node", counted)
+    assert all(verify_bridge_note(env, msg, note) for note in notes)
+    assert calls == []
+    merkle_build([leaf(i) for i in range(1 << n)], n)
+    assert len(bridge._BUILT) == (1 << n) - 1
+    calls.clear()
+    assert verify_bridge_note(env, msg, notes[-1])
+    assert len(calls) == n
 
 
 def test_split_rejects_indivisible_totals():

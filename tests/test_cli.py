@@ -384,3 +384,33 @@ def test_boltpay_run_on_an_attack_script_prints_its_demo_trace(name, tmp_path,
     assert out_file.read_text() == demo.split("\n\n", 1)[1]
     if also_gated:
         assert cli.main([*flags, "--variant", "sig-gated"]) == 0
+
+
+@pytest.mark.parametrize("flag", [
+    ("--variant", "sig-gated"), ("--d0", "5"), ("--ttr", "12"), ("--t0", "3"),
+    ("--t1", "3"), ("--n", "8"), ("--scheduler", "reorder:5"), ("--unsound",)],
+    ids=lambda flag: flag[0])
+def test_an_attack_demo_refuses_a_setting_its_script_cannot_take(
+        flag, monkeypatch, tmp_path, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("the demo ran")
+
+    monkeypatch.setattr(cli, "run_scenario", work)
+    out = tmp_path / "demo.txt"
+    for name in cli.ATTACKS:
+        assert cli.main(["demo", name, *flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"not {flag[0]};" in err
+    assert not out.exists()
+
+
+def test_an_attack_demo_still_takes_its_seed_and_out(tmp_path):
+    golden = (PKG_ROOT / "tests" / "golden" / "demo.attack-i.txt").read_text()
+    out = tmp_path / "demo.txt"
+    assert cli.main(["demo", "attack-i", "--variant", "base", "--out", str(out)]) == 0
+    assert out.read_text() == golden
+    assert cli.main(["demo", "attack-i", "--seed", "3", "--out", str(out)]) == 0
+    seeded = out.read_text()
+    assert seeded.split("\n", 1)[0] == golden.split("\n", 1)[0]
+    assert seeded != golden
